@@ -16,7 +16,7 @@ from typing import Iterable
 
 #: Characters that may not appear in label names (they have syntactic
 #: meaning in the textual formats).  Whitespace is excluded as well.
-RESERVED_LABEL_CHARS = frozenset(".-!+=:")
+RESERVED_LABEL_CHARS = frozenset(".-!+=:|")
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -191,12 +191,24 @@ class HostGraph:
     """A mutable graph value.  ``copy()`` is a deep copy; the type is safe
     to share between threads only as long as each thread works on its own
     copy.  Raw ``==`` is id-sensitive -- use :func:`gtx.explorer.isomorphic`
-    for equality up to node renaming."""
+    for equality up to node renaming.
+
+    ``edges`` is the source of truth, but it must change only through
+    ``add_edge``, ``remove_edge`` and ``delete_node_spo``: the first
+    ``successors``/``predecessors`` query builds a label-keyed adjacency
+    index from it, and only those methods drop the index again."""
 
     name: str = "g"
     nodes: dict[int, HostNode] = field(default_factory=dict)
     edges: set[HostEdge] = field(default_factory=set)
     _next_id: int = field(default=0, repr=False, compare=False)
+    #: (src, label name) -> targets and (tgt, label name) -> sources; None
+    #: until a query needs them, and again after every edge change.  Every
+    #: edge label is of the edge-label kind, so the name identifies it.
+    _out: dict[tuple[int, str], list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _in: dict[tuple[int, str], list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -230,12 +242,14 @@ class HostGraph:
         if edge in self.edges:
             return False
         self.edges.add(edge)
+        self._out = self._in = None
         return True
 
     def remove_edge(self, src: int, label: Label, tgt: int) -> bool:
         edge = HostEdge(src, label, tgt)
         if edge in self.edges:
             self.edges.remove(edge)
+            self._out = self._in = None
             return True
         return False
 
@@ -254,7 +268,9 @@ class HostGraph:
         edges removed.  A loop is one edge and counts once."""
         self._node(nid)
         incident = {e for e in self.edges if e.src == nid or e.tgt == nid}
-        self.edges -= incident
+        if incident:
+            self.edges -= incident
+            self._out = self._in = None
         del self.nodes[nid]
         return len(incident)
 
@@ -279,18 +295,42 @@ class HostGraph:
             key=HostEdge.key,
         )
 
-    def in_edges(self, tgt: int, label: Label | None = None) -> list[HostEdge]:
-        return sorted(
-            (e for e in self.edges
-             if e.tgt == tgt and (label is None or e.label == label)),
-            key=HostEdge.key,
-        )
+    def _build_index(self) -> None:
+        # lists, not sets: ``edges`` has no duplicate triples, and lists
+        # are cheaper to build and hold
+        out: dict[tuple[int, str], list[int]] = {}
+        in_: dict[tuple[int, str], list[int]] = {}
+        for e in self.edges:
+            name = e.label.name
+            ends = out.get((e.src, name))
+            if ends is None:
+                out[(e.src, name)] = [e.tgt]
+            else:
+                ends.append(e.tgt)
+            ends = in_.get((e.tgt, name))
+            if ends is None:
+                in_[(e.tgt, name)] = [e.src]
+            else:
+                ends.append(e.src)
+        self._out, self._in = out, in_
 
     def successors(self, nid: int, label: Label) -> set[int]:
-        return {e.tgt for e in self.edges if e.src == nid and e.label == label}
+        """Targets of ``label`` edges leaving ``nid``; the caller owns the
+        returned set."""
+        if label.kind is not LabelKind.EDGE_LABEL:
+            return set()
+        if self._out is None:
+            self._build_index()
+        return set(self._out.get((nid, label.name), ()))  # type: ignore[union-attr]
 
     def predecessors(self, nid: int, label: Label) -> set[int]:
-        return {e.src for e in self.edges if e.tgt == nid and e.label == label}
+        """Sources of ``label`` edges entering ``nid``; the caller owns the
+        returned set."""
+        if label.kind is not LabelKind.EDGE_LABEL:
+            return set()
+        if self._in is None:
+            self._build_index()
+        return set(self._in.get((nid, label.name), ()))  # type: ignore[union-attr]
 
     def display(self, nid: int) -> str:
         """Human-readable node reference for diagnostics."""

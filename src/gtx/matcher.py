@@ -7,12 +7,21 @@ rule asks for it.  Negative application conditions are checked per level:
 a candidate match survives only if every lone NAC group is unmatchable and
 every disjunction set has at least one unmatchable member group.
 
-The search itself is plain backtracking.  Rule patterns are small (a
-handful of nodes), so candidate ordering matters more than asymptotics:
-nodes with a type constraint go first, then more-constrained and
-better-connected ones.  Host candidates are tried in ascending id order and
-the final match list is sorted, so results are deterministic for a given
-host graph.
+The search is backtracking along a search plan, built per call of
+:func:`_extend` from the rule nodes still to bind.  The plan binds next a
+node that an edge or path links to an already-bound node, preferring
+typed, attribute-constrained and better-connected nodes among those.  Such
+a node's candidates are the host nodes reached from the bound neighbours'
+images -- by ``successors``/``predecessors`` for a plain edge, or by
+evaluating the path forward, or reversed when the bound end is the path's
+target -- intersected over all bound neighbours.  Only a node with no
+bound neighbour is tried against every host node.  The images of bound
+``neq`` partners are taken out of the candidates, and only edges from the
+node to itself remain to be checked per candidate; every other edge holds
+by construction.  Root levels, ``forall`` levels and NAC probes all run on
+this one search.  Candidates are tried in ascending id order and the
+final match list is sorted, so results are deterministic for a given host
+graph.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .rules import (
     ConstraintKind,
     NacGroup,
     POSITIVE_ROLES,
+    RegexAtom,
     RegexPath,
     Role,
     ROOT_QUANT,
@@ -125,25 +135,86 @@ def _search_order(rule: Rule, node_ids: list[str]) -> list[str]:
     return sorted(node_ids, key=key)
 
 
-def _constraints_hold(rule: Rule, g: HostGraph, assignment: dict[str, int],
-                      edges: list[RuleEdge]) -> bool:
+def _reverse(path: RegexPath) -> RegexPath:
+    """The path read backwards: ``t`` is reachable from ``s`` along ``path``
+    exactly when ``s`` is reachable from ``t`` along the result."""
+    return RegexPath(tuple(RegexAtom(a.label, not a.inverse)
+                           for a in reversed(path.atoms)))
+
+
+def _edge_holds(g: HostGraph, e: RuleEdge, src: int, tgt: int) -> bool:
+    if e.is_path():
+        return tgt in evaluate_regex_path(g, e.label, {src})
+    return g.has_edge(src, e.label, tgt)
+
+
+def _base_holds(rule: Rule, g: HostGraph, base: dict[str, int],
+                edges: list[RuleEdge]) -> bool:
+    """The constraints among nodes that were bound before the search."""
     for a, b in rule.injectivity_pairs:
-        ha = assignment.get(a)
-        hb = assignment.get(b)
-        if ha is not None and hb is not None and ha == hb:
+        if a in base and b in base and base[a] == base[b]:
             return False
-    for e in edges:
-        src = assignment.get(e.src)
-        tgt = assignment.get(e.tgt)
-        if src is None or tgt is None:
-            continue
-        if e.is_path():
-            if tgt not in evaluate_regex_path(g, e.label, {src}):
-                return False
-        else:
-            if not g.has_edge(src, e.label, tgt):
-                return False
-    return True
+    return all(_edge_holds(g, e, base[e.src], base[e.tgt]) for e in edges
+               if e.src in base and e.tgt in base)
+
+
+#: a way to reach a rule node from a bound one: the bound rule node, then
+#: either a path oriented to start there, or a plain label and whether it
+#: is followed against the edge direction
+_Source = tuple[str, Label | RegexPath, bool]
+
+
+def _far_ends(g: HostGraph, hid: int, label: Label | RegexPath,
+              inverse: bool) -> set[int]:
+    if isinstance(label, RegexPath):
+        return evaluate_regex_path(g, label, {hid})
+    return g.predecessors(hid, label) if inverse else g.successors(hid, label)
+
+
+@dataclass
+class _Step:
+    """How the search binds one rule node."""
+
+    nid: str
+    #: candidates are the host nodes every source reaches; none: all nodes
+    sources: list[_Source]
+    #: edges from the node to itself, checked per candidate
+    loops: list[RuleEdge]
+    #: other rule nodes, bound before it, that must map elsewhere
+    distinct: list[str]
+
+
+def _plan(rule: Rule, base: dict[str, int], new_nodes: list[str],
+          edges: list[RuleEdge]) -> list[_Step]:
+    bound = set(base)
+    remaining = _search_order(rule, new_nodes)
+    steps: list[_Step] = []
+    while remaining:
+        nid = next((n for n in remaining
+                    if any((e.src == n and e.tgt in bound)
+                           or (e.tgt == n and e.src in bound)
+                           for e in edges)),
+                   remaining[0])
+        remaining.remove(nid)
+        sources: list[_Source] = []
+        loops: list[RuleEdge] = []
+        for e in edges:
+            if e.src == nid and e.tgt == nid:
+                loops.append(e)
+            elif e.tgt == nid and e.src in bound:
+                sources.append((e.src, e.label, False))
+            elif e.src == nid and e.tgt in bound:
+                if isinstance(e.label, RegexPath):
+                    sources.append((e.tgt, _reverse(e.label), False))
+                else:
+                    sources.append((e.tgt, e.label, True))
+        bound.add(nid)
+        distinct = [b if a == nid else a
+                    for a, b in sorted(rule.injectivity_pairs)
+                    if nid in (a, b) and a != b
+                    and a in bound and b in bound]
+        steps.append(_Step(nid, sources, loops, distinct))
+    return steps
 
 
 def _extend(rule: Rule, g: HostGraph, base: dict[str, int],
@@ -151,30 +222,46 @@ def _extend(rule: Rule, g: HostGraph, base: dict[str, int],
             tgs: list[TypeGraph] | None,
             limit: int | None = None) -> list[dict[str, int]]:
     """All ways of assigning ``new_nodes`` consistently on top of ``base``."""
-    if not _constraints_hold(rule, g, base, edges):
-        return []
-    order = _search_order(rule, new_nodes)
+    if not _base_holds(rule, g, base, edges) or any(
+            (n, n) in rule.injectivity_pairs for n in new_nodes):
+        return []  # the latter: a node that must differ from itself
+    steps = _plan(rule, base, new_nodes, edges)
     results: list[dict[str, int]] = []
     assignment = dict(base)
-    host_ids = g.node_ids()
+    host_ids = (g.node_ids() if any(not s.sources for s in steps)
+                else [])
+
+    def candidates(step: _Step) -> list[int]:
+        taken = {assignment[m] for m in step.distinct}
+        if not step.sources:
+            return [h for h in host_ids if h not in taken]
+        (other, label, inverse), *rest = step.sources
+        found = _far_ends(g, assignment[other], label, inverse)
+        for other, label, inverse in rest:
+            if not found:
+                break
+            found &= _far_ends(g, assignment[other], label, inverse)
+        return sorted(found - taken)
 
     def backtrack(k: int) -> bool:
         if limit is not None and len(results) >= limit:
             return True
-        if k == len(order):
+        if k == len(steps):
             results.append(dict(assignment))
             return limit is not None and len(results) >= limit
-        nid = order[k]
-        node = rule.nodes[nid]
-        for hid in host_ids:
+        step = steps[k]
+        node = rule.nodes[step.nid]
+        for hid in candidates(step):
             if not _node_compatible(node, g.nodes[hid], tgs):
                 continue
-            assignment[nid] = hid
-            if _constraints_hold(rule, g, assignment, edges):
-                if backtrack(k + 1):
-                    del assignment[nid]
-                    return True
-            del assignment[nid]
+            if step.loops and not all(_edge_holds(g, e, hid, hid)
+                                      for e in step.loops):
+                continue
+            assignment[step.nid] = hid
+            stop = backtrack(k + 1)
+            del assignment[step.nid]
+            if stop:
+                return True
         return False
 
     backtrack(0)

@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import HostGraph, Label, Value
-from .matcher import Match, collect_level_matches, find_root_matches
+from .matcher import (
+    Match,
+    _tree_order,
+    collect_level_matches,
+    find_root_matches,
+)
 from .rules import (
     ConstraintKind,
     POSITIVE_ROLES,
@@ -165,14 +170,7 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                     edge_creations.append(triple)
         contexts[id(match)] = ctx
 
-    order = [ROOT_QUANT]
-    frontier = [ROOT_QUANT]
-    while frontier:
-        qid = frontier.pop(0)
-        for child in rule.children_of(qid):
-            order.append(child.id)
-            frontier.append(child.id)
-    for qid in order:
+    for qid in _tree_order(rule):
         for match in levels[qid].extensions:
             process(match, qid)
 

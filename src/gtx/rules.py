@@ -328,13 +328,6 @@ def level_elements(r: Rule, qid: str) -> tuple[list[RuleNode], list[RuleEdge]]:
     return nodes, edges
 
 
-def _node_in_group(r: Rule, nid: str) -> str | None:
-    for g in r.nac_groups.values():
-        if nid in g.node_ids:
-            return g.id
-    return None
-
-
 def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation]:
     """Full structural validation; with type graphs, also checks that every
     typed element is licensable by at least one of them."""

@@ -18,7 +18,7 @@ from pathlib import Path
 import gtx
 from gtx.cli import main
 from gtx.explorer import explore, isomorphic
-from gtx.graph import Value, edge_label, node_type
+from gtx.graph import HostGraph, Value, edge_label, node_type
 from gtx.rewriter import apply_rule
 from gtx.suite import (
     label_swap_oracle,
@@ -34,6 +34,7 @@ from gtx.typegraph import conforms
 FIXTURES = Path(gtx.__file__).parent / "fixtures" / "helloworld"
 
 EDGE = node_type("Edge")
+GRAPH = node_type("Graph")
 NODE = node_type("Node")
 
 
@@ -230,6 +231,55 @@ def test_c6_closure_fixpoint_equals_the_reachability_oracle():
             assert step_relation(g) == transitive_closure(rel), i
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"closure sweep took {elapsed:.2f}s"
+
+
+# -- C2/C6 at scale: counting and closure on a 100-node graph -----------
+
+
+def scaled_nodified_graph(n: int, seed: int) -> HostGraph:
+    """One Graph node, n Node nodes and 2n complete Edge nodes with random
+    ends: |V| = 3n + 1 and |E| = 7n."""
+    rng = random.Random(seed)
+    g = HostGraph(name="scaled")
+    gr = g.add_node([GRAPH])
+    nodes = []
+    for _ in range(n):
+        nid = g.add_node([NODE])
+        g.add_edge(gr, edge_label("nodes"), nid)
+        nodes.append(nid)
+    for _ in range(2 * n):
+        eid = g.add_node([EDGE])
+        g.add_edge(gr, edge_label("edges"), eid)
+        g.add_edge(eid, edge_label("src"), rng.choice(nodes))
+        g.add_edge(eid, edge_label("trg"), rng.choice(nodes))
+    return g
+
+
+def test_counting_and_closure_scale_to_100_nodes():
+    with criterion(2, "at scale: cycle count, one closure step, n=100, 1 s each"):
+        g = scaled_nodified_graph(100, seed=0)
+        assert (len(g.nodes), len(g.edges)) == (301, 700)
+
+        counting = load_fixture_grammar("counting")
+        started = time.monotonic()
+        res = apply_rule(counting.rules["countCyclesOfThree"], g,
+                         counting.type_graphs)
+        elapsed = time.monotonic() - started
+        assert res is not None
+        assert res.output == (
+            f"{oracle_counts(g)['cycles3']} cycles of three nodes")
+        assert elapsed < 1.0, f"countCyclesOfThree took {elapsed:.2f}s"
+
+        transitive = load_fixture_grammar("transitive")
+        rel = step_relation(g)
+        two_step = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+        started = time.monotonic()
+        res = apply_rule(transitive.rules["insertTransitiveEdges"], g,
+                         transitive.type_graphs)
+        elapsed = time.monotonic() - started
+        assert res is not None
+        assert step_relation(res.graph) == rel | two_step
+        assert elapsed < 1.0, f"insertTransitiveEdges took {elapsed:.2f}s"
 
 
 # -- C7: the whole fixture suite, one application each -----------------

@@ -284,6 +284,12 @@ def test_parse_regex_rejects_empty_atoms(bad):
     assert "empty regex atom" in err(parse_regex, bad).message
 
 
+@pytest.mark.parametrize("bad", ["src|trg", "-src.trg|x", "|"])
+def test_parse_regex_rejects_alternation(bad):
+    # no alternation yet: "|" must not read as part of one literal label
+    assert "reserved character '|'" in err(parse_regex, bad).message
+
+
 # -- rules -------------------------------------------------------------
 
 

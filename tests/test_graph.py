@@ -34,7 +34,7 @@ class TestLabel:
             edge_label(bad)
 
     def test_reserved_characters_all_rejected(self):
-        for ch in ".-!+=:":
+        for ch in ".-!+=:|":
             with pytest.raises(ValueError):
                 node_type(f"a{ch}b")
 
@@ -164,6 +164,8 @@ def test_successors_and_predecessors():
     assert g.successors(a, e) == {b}
     assert g.predecessors(a, e) == {c}
     assert g.successors(a, edge_label("other")) == set()
+    assert g.successors(a, node_type("e")) == set()
+    assert g.predecessors(a, flag("e")) == set()
 
 
 def test_out_edges_sorted_and_filtered():
@@ -199,3 +201,68 @@ def test_random_operation_sequences_preserve_integrity(seed):
         else:
             g.delete_node_spo(rng.choice(ids))
     assert g.integrity_errors() == []
+
+
+# -- the adjacency index -------------------------------------------------
+
+
+def assert_index_matches_scan(g: HostGraph, labels) -> None:
+    for nid in g.node_ids():
+        for lb in labels:
+            assert g.successors(nid, lb) == {
+                e.tgt for e in g.edges if e.src == nid and e.label == lb}
+            assert g.predecessors(nid, lb) == {
+                e.src for e in g.edges if e.tgt == nid and e.label == lb}
+
+
+def snapshot(g: HostGraph):
+    return (dict((nid, n.clone()) for nid, n in g.nodes.items()),
+            set(g.edges))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_adjacency_index_follows_every_mutation(seed):
+    rng = random.Random(seed)
+    labels = [edge_label(c) for c in "ab"]
+    g = HostGraph()
+    for _ in range(rng.randint(1, 4)):
+        g.add_node()
+    for _ in range(rng.randint(5, 30)):
+        op = rng.random()
+        ids = g.node_ids()
+        if op < 0.15 or not ids:
+            g.add_node()
+        elif op < 0.5:
+            g.add_edge(rng.choice(ids), rng.choice(labels), rng.choice(ids))
+        elif op < 0.7 and g.edges:
+            e = rng.choice(sorted(g.edges, key=lambda e: e.key()))
+            assert g.remove_edge(e.src, e.label, e.tgt)
+        elif op < 0.8:
+            g.delete_node_spo(rng.choice(ids))
+        else:
+            # mutate a copy of a graph whose index is already built
+            g.successors(ids[0], labels[0])
+            before = snapshot(g)
+            h = g.copy()
+            h_ids = h.node_ids()
+            h.add_edge(rng.choice(h_ids), rng.choice(labels),
+                       rng.choice(h_ids))
+            if h.edges:
+                e = rng.choice(sorted(h.edges, key=lambda e: e.key()))
+                h.remove_edge(e.src, e.label, e.tgt)
+            h.delete_node_spo(rng.choice(h_ids))
+            assert_index_matches_scan(h, labels)
+            assert snapshot(g) == before
+            if rng.random() < 0.5:
+                g = h
+        assert_index_matches_scan(g, labels)
+
+
+def test_query_results_belong_to_the_caller():
+    g, (a, b, _) = build_triangle()
+    e = edge_label("e")
+    g.successors(a, e).add(99)
+    g.predecessors(b, e).clear()
+    assert g.successors(a, e) == {b}
+    assert g.predecessors(b, e) == {a}

@@ -21,6 +21,9 @@ from gtx.rules import (
     POSITIVE_ROLES,
     AttrConstraint,
     ConstraintKind,
+    QuantKind,
+    Quantifier,
+    RegexPath,
     Role,
     Rule,
     RuleEdge,
@@ -88,17 +91,19 @@ def _b_group_matchable(rule: Rule, g: HostGraph, asg: dict[str, int],
     return False
 
 
-def brute_root_matches(rule: Rule, g: HostGraph) -> list[dict[str, int]]:
-    readers = sorted(nid for nid, n in rule.nodes.items()
-                     if n.role in POSITIVE_ROLES and n.level == "root")
+def brute_level_matches(rule: Rule, g: HostGraph, base: dict[str, int],
+                        level: str) -> list[dict[str, int]]:
+    """Every extension of ``base`` by the positive nodes of ``level``."""
+    free = sorted(nid for nid, n in rule.nodes.items()
+                  if n.role in POSITIVE_ROLES and n.level == level)
     pos_edges = [e for e in rule.edges
-                 if e.role in POSITIVE_ROLES and e.level == "root"]
+                 if e.role in POSITIVE_ROLES and e.level == level]
     in_disjunction = {gid for ds in rule.disjunction_sets
                       for gid in ds.group_ids}
     out = []
-    for combo in itertools.product(g.node_ids(), repeat=len(readers)):
-        asg = dict(zip(readers, combo))
-        if not all(_b_node_ok(rule.nodes[n], g, h) for n, h in asg.items()):
+    for combo in itertools.product(g.node_ids(), repeat=len(free)):
+        asg = dict(base) | dict(zip(free, combo))
+        if not all(_b_node_ok(rule.nodes[n], g, asg[n]) for n in free):
             continue
         if not _b_edges_ok(g, asg, pos_edges):
             continue
@@ -108,15 +113,19 @@ def brute_root_matches(rule: Rule, g: HostGraph) -> list[dict[str, int]]:
         blocked = any(
             _b_group_matchable(rule, g, asg, grp)
             for gid, grp in rule.nac_groups.items()
-            if gid not in in_disjunction and grp.level == "root")
+            if gid not in in_disjunction and grp.level == level)
         for ds in rule.disjunction_sets:
             members = [rule.nac_groups[gid] for gid in ds.group_ids]
-            if members[0].level == "root" and all(
+            if members[0].level == level and all(
                     _b_group_matchable(rule, g, asg, grp) for grp in members):
                 blocked = True
         if not blocked:
             out.append(asg)
     return sorted(out, key=lambda a: sorted(a.items()))
+
+
+def brute_root_matches(rule: Rule, g: HostGraph) -> list[dict[str, int]]:
+    return brute_level_matches(rule, g, {}, "root")
 
 
 # -- random instances --------------------------------------------------
@@ -136,35 +145,81 @@ def random_host(rng: random.Random) -> HostGraph:
     return g
 
 
+def random_path(rng: random.Random) -> RegexPath:
+    return parse_regex(".".join(rng.choice(["a", "b", "-a", "-b"])
+                                for _ in range(rng.randint(1, 3))))
+
+
+def random_edge(rng: random.Random, ends: list[str], role: Role,
+                level: str = "root") -> RuleEdge:
+    """A plain edge or sometimes a path (possibly with inverse atoms) from
+    one of ``ends`` to one of ``ends``."""
+    label = random_path(rng) if rng.random() < 0.4 else E(rng.choice("ab"))
+    return RuleEdge(rng.choice(ends), label, rng.choice(ends), role, level)
+
+
+def random_reader(rng: random.Random, nid: str, level: str) -> RuleNode:
+    node = RuleNode(nid, Role.READER, level=level)
+    if rng.random() < 0.4:
+        node.type_constraint = node_type(rng.choice("TU"))
+    if rng.random() < 0.3:
+        node.flag_ops.append(
+            (flag("m"), rng.choice([Role.READER, Role.EMBARGO])))
+    if rng.random() < 0.3:
+        node.attr_constraints["v"] = AttrConstraint(
+            ConstraintKind.MATCH, value=Value.int_(rng.randint(0, 2)))
+    return node
+
+
+def add_nac(rng: random.Random, r: Rule, anchors: list[str],
+            level: str) -> None:
+    """One embargo node hanging off an anchor, sometimes with a second
+    embargo node behind it in the same group, or a forbidden path between
+    two anchors."""
+    pick = rng.random()
+    if pick < 0.2:
+        r.edges.append(random_edge(rng, anchors, Role.EMBARGO, level))
+        return
+    x, y = f"x{level}", f"y{level}"
+    r.nodes[x] = RuleNode(x, Role.EMBARGO, level=level)
+    if rng.random() < 0.5:
+        r.nodes[x].type_constraint = node_type(rng.choice("TU"))
+    r.edges.append(RuleEdge(rng.choice(anchors), E(rng.choice("ab")), x,
+                            Role.EMBARGO, level))
+    if pick < 0.6:
+        r.nodes[y] = RuleNode(y, Role.EMBARGO, level=level)
+        e = random_edge(rng, [x], Role.EMBARGO, level)
+        if rng.random() < 0.5:
+            e.tgt = y
+        else:
+            e.src = y
+        r.edges.append(e)
+
+
 def random_rule(rng: random.Random) -> Rule:
     r = Rule("rand")
     names = ["p", "q", "s"][:rng.randint(1, 3)]
     for nm in names:
-        node = RuleNode(nm, Role.READER)
-        if rng.random() < 0.4:
-            node.type_constraint = node_type(rng.choice("TU"))
-        if rng.random() < 0.3:
-            node.flag_ops.append(
-                (flag("m"), rng.choice([Role.READER, Role.EMBARGO])))
-        if rng.random() < 0.3:
-            node.attr_constraints["v"] = AttrConstraint(
-                ConstraintKind.MATCH, value=Value.int_(rng.randint(0, 2)))
-        r.nodes[nm] = node
-    for _ in range(rng.randint(0, 2)):
-        e = RuleEdge(rng.choice(names), E(rng.choice("ab")),
-                     rng.choice(names), Role.READER)
-        if not any((x.src, x.label, x.tgt) == (e.src, e.label, e.tgt)
-                   for x in r.edges):
-            r.edges.append(e)
+        r.nodes[nm] = random_reader(rng, nm, "root")
+    for _ in range(rng.randint(0, 3)):
+        r.edges.append(random_edge(rng, names, Role.READER))
     if len(names) >= 2 and rng.random() < 0.4:
         r.injectivity_pairs |= expand_neq(names[:2])
     if rng.random() < 0.5:
-        x = RuleNode("x", Role.EMBARGO)
+        add_nac(rng, r, names, "root")
+    if rng.random() < 0.5:
+        r.quantifiers["each"] = Quantifier("each", QuantKind.FORALL,
+                                           parent="root")
+        inner = ["u", "w"][:rng.randint(1, 2)]
+        for nm in inner:
+            r.nodes[nm] = random_reader(rng, nm, "each")
+        for _ in range(rng.randint(1, 2)):
+            r.edges.append(random_edge(rng, names + inner, Role.READER,
+                                       "each"))
+        if rng.random() < 0.3:
+            r.injectivity_pairs |= expand_neq([names[0], inner[0]])
         if rng.random() < 0.5:
-            x.type_constraint = node_type(rng.choice("TU"))
-        r.nodes["x"] = x
-        r.edges.append(RuleEdge(rng.choice(names), E(rng.choice("ab")),
-                                "x", Role.EMBARGO))
+            add_nac(rng, r, names + inner, "each")
     r.nac_groups = group_embargo_elements(r.nodes, r.edges, r.quantifiers)
     return r
 
@@ -178,6 +233,39 @@ def test_root_matches_agree_with_brute_force():
         got = [m.assignment for m in find_root_matches(rule, g)]
         expected = brute_root_matches(rule, g)
         assert got == expected, f"seed {seed}: {got} != {expected}"
+
+
+def test_forall_levels_agree_with_brute_force():
+    levels_checked = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        rule = random_rule(rng)
+        g = random_host(rng)
+        if "each" not in rule.quantifiers:
+            continue
+        for root in find_root_matches(rule, g):
+            ext = collect_level_matches(rule, g, root)["each"].extensions
+            got = [m.assignment for m in ext]
+            expected = brute_level_matches(rule, g, root.assignment, "each")
+            assert got == expected, f"seed {seed}: {got} != {expected}"
+            assert all(m.parent is root for m in ext)
+            levels_checked += 1
+    assert levels_checked >= 100
+
+
+def test_path_target_bound_before_its_source():
+    # the typed end is bound first, so the source's candidates come from
+    # walking the path backwards from the target
+    g = parse_graph("graph g\nnode a\nnode b\nnode c\nnode t : T\n"
+                    "edge a -e-> b\nedge c -e-> b\nedge b -f-> t\n"
+                    "edge t -f-> a\n")
+    rule = parse_rule("rule r\nnode s role=reader\nnode d role=reader : T\n"
+                      "path s ~e.f~> d role=reader\n"
+                      "path d ~-f.-e~> s role=reader\n")
+    got = [m.assignment for m in find_root_matches(rule, g)]
+    assert got == brute_root_matches(rule, g)
+    names = {g.nodes[i].name: i for i in g.node_ids()}
+    assert [m["s"] for m in got] == [names["a"], names["c"]]
 
 
 def test_regex_paths_agree_with_relation_composition():
@@ -215,6 +303,10 @@ def test_matching_is_non_injective_by_default():
     strict = parse_rule("rule r\nnode a role=reader\nnode b role=reader\n"
                         "edge a -e-> b role=reader\nneq a b\n")
     assert find_root_matches(strict, g) == []
+    # unparseable, and flagged by validation, but still never a match
+    itself = Rule("r", nodes={"a": RuleNode("a", Role.READER)},
+                  injectivity_pairs={("a", "a")})
+    assert find_root_matches(itself, g) == []
 
 
 def test_eraser_elements_match_like_readers():
