@@ -5,6 +5,12 @@ cheap refinement-based certificate buckets candidate states, and an exact
 backtracking isomorphism check confirms hits inside a bucket, so hash
 collisions can never merge genuinely different states.
 
+The refined colours and the adjacency (labels between each pair of nodes,
+and each node's neighbours) are computed once per state and kept with it.
+The exact check is iterative, so graph size is not bounded by the
+recursion limit, and neighbour-local: extending the mapping by one node
+costs time in that node's degree, not in the size of the mapping.
+
 Exploration is breadth-first and deterministic: rules fire in name order,
 matches in canonical match order, and states are numbered in discovery
 order.  ``max_states``/``max_depth`` bound the search; the result is
@@ -16,6 +22,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import HostGraph, HostNode
 from .matcher import find_root_matches
@@ -62,27 +69,51 @@ def _refine_colors(g: HostGraph) -> dict[int, str]:
     return colors
 
 
+class _Shape(NamedTuple):
+    """What the isomorphism check needs of one graph, computed once."""
+
+    colors: dict[int, str]
+    #: (src, tgt) -> sorted names of the labels of the edges from src to tgt
+    labels: dict[tuple[int, int], tuple[str, ...]]
+    #: node -> the other nodes it has an edge to or from
+    nbrs: dict[int, tuple[int, ...]]
+
+
+def _shape(g: HostGraph) -> _Shape:
+    labels: dict[tuple[int, int], list[str]] = {}
+    nbrs: dict[int, set[int]] = {nid: set() for nid in g.nodes}
+    for e in g.edges:
+        labels.setdefault((e.src, e.tgt), []).append(e.label.name)
+        if e.src != e.tgt:
+            nbrs[e.src].add(e.tgt)
+            nbrs[e.tgt].add(e.src)
+    # Every stored state keeps its record: tuples take a quarter of the
+    # memory of small sets.
+    return _Shape(_refine_colors(g),
+                  {pair: tuple(sorted(names))
+                   for pair, names in labels.items()},
+                  {nid: tuple(ns) for nid, ns in nbrs.items()})
+
+
+def _certificate(g: HostGraph, shape: _Shape) -> str:
+    return _h("graph", ",".join(sorted(shape.colors.values())),
+              str(len(g.edges)))
+
+
 def certificate(g: HostGraph) -> str:
     """Isomorphism-invariant fingerprint (equal for isomorphic graphs;
     unequal graphs collide only with hash probability)."""
-    colors = _refine_colors(g)
-    return _h("graph", ",".join(sorted(colors.values())), str(len(g.edges)))
+    return _certificate(g, _shape(g))
 
 
 def _same_node_data(a: HostNode, b: HostNode) -> bool:
     return a.types == b.types and a.flags == b.flags and a.attrs == b.attrs
 
 
-def _labels_between(g: HostGraph, src: int, tgt: int) -> set[str]:
-    return {e.label.name for e in g.edges if e.src == src and e.tgt == tgt}
-
-
-def isomorphic(g: HostGraph, h: HostGraph) -> bool:
-    """Exact isomorphism on node structure, labels, flags and attributes."""
+def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
     if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
         return False
-    gc = _refine_colors(g)
-    hc = _refine_colors(h)
+    gc, hc = gs.colors, hs.colors
     if sorted(gc.values()) != sorted(hc.values()):
         return False
 
@@ -91,37 +122,54 @@ def isomorphic(g: HostGraph, h: HostGraph) -> bool:
         by_color.setdefault(c, []).append(nid)
     # Most-constrained first: smallest candidate classes early.
     g_order = sorted(g.nodes, key=lambda nid: (len(by_color[gc[nid]]), nid))
+    if not g_order:
+        return True
+    gl, hl = gs.labels, hs.labels
     mapping: dict[int, int] = {}
-    used: set[int] = set()
+    inverse: dict[int, int] = {}
 
     def compatible(a: int, b: int) -> bool:
         if not _same_node_data(g.nodes[a], h.nodes[b]):
             return False
-        if _labels_between(g, a, a) != _labels_between(h, b, b):
+        if gl.get((a, a)) != hl.get((b, b)):
             return False
-        for x, y in mapping.items():
-            if _labels_between(g, a, x) != _labels_between(h, b, y):
-                return False
-            if _labels_between(g, x, a) != _labels_between(h, y, b):
-                return False
-        return True
-
-    def backtrack(k: int) -> bool:
-        if k == len(g_order):
-            return True
-        a = g_order[k]
-        for b in by_color[gc[a]]:
-            if b in used or not compatible(a, b):
+        # Each mapped neighbour of a must map to a neighbour of b with the
+        # same labels both ways.  Equal counts mean b has no other mapped
+        # neighbour; equal edge totals imply that for a complete mapping,
+        # so the count only cuts dead branches early.
+        mapped = 0
+        for x in gs.nbrs[a]:
+            y = mapping.get(x)
+            if y is None:
                 continue
-            mapping[a] = b
-            used.add(b)
-            if backtrack(k + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
+            if gl.get((a, x)) != hl.get((b, y)) \
+                    or gl.get((x, a)) != hl.get((y, b)):
+                return False
+            mapped += 1
+        return mapped == sum(1 for y in hs.nbrs[b] if y in inverse)
 
-    return backtrack(0)
+    # Iterative backtracking: stack[k] iterates the candidates of g_order[k].
+    stack = [iter(by_color[gc[g_order[0]]])]
+    while stack:
+        a = g_order[len(stack) - 1]
+        if a in mapping:
+            del inverse[mapping.pop(a)]
+        for b in stack[-1]:
+            if b not in inverse and compatible(a, b):
+                mapping[a] = b
+                inverse[b] = a
+                if len(stack) == len(g_order):
+                    return True
+                stack.append(iter(by_color[gc[g_order[len(stack)]]]))
+                break
+        else:
+            stack.pop()
+    return False
+
+
+def isomorphic(g: HostGraph, h: HostGraph) -> bool:
+    """Exact isomorphism on node structure, labels, flags and attributes."""
+    return _isomorphic(g, _shape(g), h, _shape(h))
 
 
 @dataclass
@@ -130,6 +178,7 @@ class LtsState:
     graph: HostGraph
     cert: str
     depth: int
+    shape: _Shape | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -168,14 +217,16 @@ def explore(rules: list[Rule], start: HostGraph,
     seen_transitions: set[tuple[int, str, int]] = set()
 
     def intern(g: HostGraph, depth: int) -> int | None:
-        cert = certificate(g)
+        shape = _shape(g)
+        cert = _certificate(g, shape)
         for idx in by_cert.get(cert, []):
-            if isomorphic(lts.states[idx].graph, g):
+            state = lts.states[idx]
+            if _isomorphic(state.graph, state.shape, g, shape):
                 return idx
         if max_states is not None and len(lts.states) >= max_states:
             return None
         idx = len(lts.states)
-        lts.states.append(LtsState(idx, g, cert, depth))
+        lts.states.append(LtsState(idx, g, cert, depth, shape))
         by_cert.setdefault(cert, []).append(idx)
         queue.append(idx)
         return idx

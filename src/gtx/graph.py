@@ -288,13 +288,6 @@ class HostGraph:
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
 
-    def out_edges(self, src: int, label: Label | None = None) -> list[HostEdge]:
-        return sorted(
-            (e for e in self.edges
-             if e.src == src and (label is None or e.label == label)),
-            key=HostEdge.key,
-        )
-
     def _build_index(self) -> None:
         # lists, not sets: ``edges`` has no duplicate triples, and lists
         # are cheaper to build and hold

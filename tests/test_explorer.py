@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
 from gtx.dsl import parse_graph, parse_rule
-from gtx.explorer import certificate, explore, export_lts, isomorphic
+from gtx.explorer import (
+    _isomorphic,
+    _shape,
+    certificate,
+    explore,
+    export_lts,
+    isomorphic,
+)
 from gtx.graph import HostGraph, Value, edge_label, flag, node_type
 from gtx.suite import load_fixture_grammar
 
@@ -19,6 +28,15 @@ def cycle(n: int, label: str = "e") -> HostGraph:
     ids = [g.add_node() for _ in range(n)]
     for i, nid in enumerate(ids):
         g.add_edge(nid, E(label), ids[(i + 1) % n])
+    return g
+
+
+def two_three_cycles() -> HostGraph:
+    g = HostGraph("c33")
+    ids = [g.add_node() for _ in range(6)]
+    for base in (0, 3):
+        for i in range(3):
+            g.add_edge(ids[base + i], E("e"), ids[base + (i + 1) % 3])
     return g
 
 
@@ -89,11 +107,7 @@ def test_regular_graphs_defeat_refinement_but_not_the_checker():
     # one 6-cycle vs two 3-cycles: every node looks identical locally,
     # so colour refinement alone cannot tell them apart
     c6 = cycle(6)
-    c33 = HostGraph("c33")
-    ids = [c33.add_node() for _ in range(6)]
-    for base in (0, 3):
-        for i in range(3):
-            c33.add_edge(ids[base + i], E("e"), ids[base + (i + 1) % 3])
+    c33 = two_three_cycles()
     assert len(c6.nodes) == len(c33.nodes)
     assert len(c6.edges) == len(c33.edges)
     assert not isomorphic(c6, c33)
@@ -122,6 +136,121 @@ def test_names_do_not_matter_for_isomorphism():
     h = parse_graph("graph g\nnode bob\n")
     assert isomorphic(g, h)
     assert certificate(g) == certificate(h)
+
+
+def test_isomorphism_scales_past_the_recursion_limit():
+    g = HostGraph("g")
+    for _ in range(2000):
+        g.add_node()
+    h = g.copy()
+    started = time.monotonic()
+    assert isomorphic(g, h)
+    h.nodes[h.node_ids()[1000]].flags.add(flag("f"))
+    assert not isomorphic(g, h)
+    assert time.monotonic() - started < 1.0
+
+
+# -- brute-force differential test of the exact check --------------------
+
+
+def brute_isomorphic(g: HostGraph, h: HostGraph) -> bool:
+    """Try every bijection of node ids."""
+    if len(g.nodes) != len(h.nodes):
+        return False
+    gids = g.node_ids()
+    target = {(e.src, e.label, e.tgt) for e in h.edges}
+    for image in itertools.permutations(h.node_ids()):
+        m = dict(zip(gids, image))
+        if all(g.nodes[a].types == h.nodes[b].types
+               and g.nodes[a].flags == h.nodes[b].flags
+               and g.nodes[a].attrs == h.nodes[b].attrs
+               for a, b in m.items()) \
+                and {(m[e.src], e.label, m[e.tgt]) for e in g.edges} == target:
+            return True
+    return False
+
+
+def random_graph(rng: random.Random, n: int, labels: list[str],
+                 plain: bool) -> HostGraph:
+    """At most 6 nodes; ``plain`` graphs carry no node data, so colour
+    refinement separates little and the backtracking does the work."""
+    g = HostGraph("g")
+    for _ in range(n):
+        nid = g.add_node(
+            types=[] if plain or rng.random() < 0.5
+            else [node_type(rng.choice("AB"))],
+            flags=[] if plain or rng.random() < 0.7 else [flag("f")])
+        if not plain and rng.random() < 0.3:
+            g.set_attr(nid, "v", Value.int_(rng.randint(0, 1)))
+    ids = g.node_ids()
+    for _ in range(rng.randint(0, 2 * n) if labels else 0):
+        g.add_edge(rng.choice(ids), E(rng.choice(labels)), rng.choice(ids))
+    return g
+
+
+def perturbed(g: HostGraph, rng: random.Random, kind: str) -> HostGraph | None:
+    """A copy of ``g`` with one change of the given kind, or None when
+    ``g`` offers nothing to change."""
+    out = g.copy()
+    nid = rng.choice(out.node_ids())
+    node = out.nodes[nid]
+    edges = sorted(out.edges, key=lambda e: e.key())
+    if kind == "flag":
+        node.flags ^= {flag("f")}
+    elif kind == "type":
+        node.types ^= {node_type("A")}
+    elif kind == "attr":
+        old = node.attrs.get("v")
+        out.set_attr(nid, "v", Value.int_(2 if old is None else 1 - old.raw))
+    elif not edges:
+        return None
+    else:
+        e = rng.choice(edges)
+        out.remove_edge(e.src, e.label, e.tgt)
+        if kind == "retarget":
+            out.add_edge(e.src, e.label, rng.choice(out.node_ids()))
+        elif kind == "relabel":
+            out.add_edge(e.src, E(e.label.name + "x"), e.tgt)
+    return out
+
+
+def differential_pairs():
+    rng = random.Random(2006)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        labels = ["e", "f", "g"][:rng.randint(0, 3)]
+        plain = rng.random() < 0.5
+        g = random_graph(rng, n, labels, plain)
+        yield g, relabelled(g, rng)
+        for kind in ("flag", "type", "attr", "remove", "retarget", "relabel"):
+            h = perturbed(g, rng, kind)
+            if h is not None:
+                yield g, relabelled(h, rng)
+        # an independent graph of the same size, often isomorphic when
+        # there are few labels and no node data
+        yield g, random_graph(rng, n, labels, plain)
+    yield cycle(6), two_three_cycles()
+
+
+def uniform(g: HostGraph):
+    """The record of ``g`` with every node given the same colour, as if
+    every certificate collided: the exact check must not need refinement."""
+    return _shape(g)._replace(colors=dict.fromkeys(g.nodes, ""))
+
+
+def test_isomorphic_agrees_with_brute_force():
+    verdicts = []
+    for g, h in differential_pairs():
+        expected = brute_isomorphic(g, h)
+        assert isomorphic(g, h) == expected
+        assert isomorphic(h, g) == expected
+        assert _isomorphic(g, uniform(g), h, uniform(h)) == expected
+        if expected:
+            assert certificate(g) == certificate(h)
+        verdicts.append(expected)
+    # both answers are exercised, and not only by the relabelled copies
+    assert verdicts.count(True) > 200
+    assert verdicts.count(False) > 300
 
 
 # -- exploration -------------------------------------------------------

@@ -168,15 +168,6 @@ def test_successors_and_predecessors():
     assert g.predecessors(a, flag("e")) == set()
 
 
-def test_out_edges_sorted_and_filtered():
-    g = HostGraph()
-    a, b, c = (g.add_node() for _ in range(3))
-    g.add_edge(a, edge_label("z"), c)
-    g.add_edge(a, edge_label("a"), b)
-    assert [e.label.name for e in g.out_edges(a)] == ["a", "z"]
-    assert [e.label.name for e in g.out_edges(a, edge_label("z"))] == ["z"]
-
-
 def test_integrity_detects_hand_broken_graph():
     g, (a, _, _) = build_triangle()
     del g.nodes[a]  # bypass delete_node_spo on purpose
