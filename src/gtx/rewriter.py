@@ -9,10 +9,18 @@ node silently wins over sibling branches that would have written to it.
 
 Node deletion follows the single-pushout convention: deleting a node also
 removes every incident edge, whether or not the rule mentioned them.
+
+Every caller applies rules through one pipeline: :func:`applications`
+yields each effective ``(match, effect)`` pair, :func:`apply_rule` applies
+the first and renders its output, and :func:`apply_repeatedly` re-applies
+a rule until it is inapplicable or a limit is reached.  The explorer takes
+all pairs from :func:`applications` and applies each with
+:func:`apply_effect`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graph import HostGraph, Label, Value
@@ -320,14 +328,15 @@ def is_effective(rule: Rule, effect: Effect) -> bool:
     return rule.print_format is not None or not effect.is_empty()
 
 
-def apply_match(rule: Rule, g: HostGraph, match: Match,
-                tgs: list[TypeGraph] | None = None) -> ApplicationResult:
-    """Apply the rule at one specific root match."""
-    effect = plan_application(rule, g, match, tgs)
-    out_graph = apply_effect(g, effect)
-    output = (render_output(rule.print_format, effect.param_values)
-              if rule.print_format is not None else None)
-    return ApplicationResult(out_graph, effect, output, match)
+def applications(rule: Rule, g: HostGraph,
+                 tgs: list[TypeGraph] | None = None
+                 ) -> Iterator[tuple[Match, Effect]]:
+    """Each root match with its planned effect, in canonical match order,
+    skipping matches whose effect :func:`is_effective` rejects."""
+    for match in find_root_matches(rule, g, tgs):
+        effect = plan_application(rule, g, match, tgs)
+        if is_effective(rule, effect):
+            yield match, effect
 
 
 def apply_rule(rule: Rule, g: HostGraph,
@@ -335,12 +344,25 @@ def apply_rule(rule: Rule, g: HostGraph,
     """Apply the rule at the first effective match, or None if there is
     none (unmatched, or every match would leave the graph untouched with
     nothing to print)."""
-    for match in find_root_matches(rule, g, tgs):
-        effect = plan_application(rule, g, match, tgs)
-        if not is_effective(rule, effect):
-            continue
-        out_graph = apply_effect(g, effect)
+    for match, effect in applications(rule, g, tgs):
         output = (render_output(rule.print_format, effect.param_values)
                   if rule.print_format is not None else None)
-        return ApplicationResult(out_graph, effect, output, match)
+        return ApplicationResult(apply_effect(g, effect), effect, output, match)
     return None
+
+
+def apply_repeatedly(rule: Rule, g: HostGraph,
+                     tgs: list[TypeGraph] | None, limit: int
+                     ) -> tuple[HostGraph, list[str], int]:
+    """Apply the rule up to ``limit`` times, re-matching each time, and
+    stop early once it is inapplicable.  Returns the final graph, the
+    printed outputs in order and the number of applications."""
+    outputs: list[str] = []
+    for applied in range(limit):
+        result = apply_rule(rule, g, tgs)
+        if result is None:
+            return g, outputs, applied
+        g = result.graph
+        if result.output is not None:
+            outputs.append(result.output)
+    return g, outputs, limit

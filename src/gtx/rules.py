@@ -187,9 +187,6 @@ class Rule:
         path.reverse()
         return path
 
-    def level_depth(self, qid: str) -> int:
-        return len(self.level_path(qid)) - 1
-
     def positive_nodes_at(self, level: str) -> list[RuleNode]:
         return sorted(
             (n for n in self.nodes.values()
@@ -317,17 +314,6 @@ def group_embargo_elements(
     return groups
 
 
-def level_elements(r: Rule, qid: str) -> tuple[list[RuleNode], list[RuleEdge]]:
-    """All rule elements at the given quantifier level, in deterministic
-    order (nodes by id, edges by declaration position)."""
-    if qid not in r.quantifiers:
-        raise UnknownQuantifierError(f"unknown quantifier {qid!r}")
-    nodes = sorted((n for n in r.nodes.values() if n.level == qid),
-                   key=lambda n: n.id)
-    edges = [e for e in r.edges if e.level == qid]
-    return nodes, edges
-
-
 def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation]:
     """Full structural validation; with type graphs, also checks that every
     typed element is licensable by at least one of them."""
@@ -418,35 +404,27 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
         if any(n is None for n in endpoints):
             continue
         roles = {n.role for n in endpoints}  # type: ignore[union-attr]
-        if e.role in POSITIVE_ROLES:
-            if Role.EMBARGO in roles or Role.CREATOR in roles:
-                v.append(Violation(
-                    f"{e.role.value} edge {e.describe()} needs present "
-                    f"endpoints", e.span))
-            elif level_ok(e.level):
-                anc = ancestors(e.level)
-                for n in endpoints:
-                    if n.level not in anc:  # type: ignore[union-attr]
-                        v.append(Violation(
-                            f"edge {e.describe()} sits above its endpoint "
-                            f"{n.id!r}", e.span))  # type: ignore[union-attr]
-        elif e.role is Role.CREATOR:
-            if Role.EMBARGO in roles:
-                v.append(Violation(
-                    f"creator edge {e.describe()} cannot touch embargo nodes",
-                    e.span))
-            elif level_ok(e.level):
-                anc = ancestors(e.level)
-                for n in endpoints:
-                    if n.level not in anc:  # type: ignore[union-attr]
-                        v.append(Violation(
-                            f"edge {e.describe()} sits above its endpoint "
-                            f"{n.id!r}", e.span))  # type: ignore[union-attr]
+        if e.role in POSITIVE_ROLES and (Role.EMBARGO in roles
+                                         or Role.CREATOR in roles):
+            v.append(Violation(
+                f"{e.role.value} edge {e.describe()} needs present "
+                f"endpoints", e.span))
+        elif e.role is Role.CREATOR and Role.EMBARGO in roles:
+            v.append(Violation(
+                f"creator edge {e.describe()} cannot touch embargo nodes",
+                e.span))
         elif e.role is Role.EMBARGO:
             if Role.CREATOR in roles:
                 v.append(Violation(
                     f"embargo edge {e.describe()} cannot touch creator nodes",
                     e.span))
+        elif level_ok(e.level):
+            anc = ancestors(e.level)
+            for n in endpoints:
+                if n.level not in anc:  # type: ignore[union-attr]
+                    v.append(Violation(
+                        f"edge {e.describe()} sits above its endpoint "
+                        f"{n.id!r}", e.span))  # type: ignore[union-attr]
 
     # NAC groups: membership is total over embargo elements and level-uniform.
     grouped_nodes = [nid for g in r.nac_groups.values() for nid in g.node_ids]

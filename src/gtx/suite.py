@@ -21,7 +21,7 @@ from importlib import resources
 from .dsl import Grammar, build_grammar, parse_graph
 from .explorer import isomorphic
 from .graph import HostGraph, Value, edge_label, node_type
-from .rewriter import apply_rule
+from .rewriter import apply_repeatedly, apply_rule
 from .rules import Rule, validate_rule
 from .typegraph import conforms, validate_type_graph
 
@@ -466,29 +466,13 @@ def run_fixture(fixture: Fixture) -> FixtureResult:
         return FixtureResult(fixture, 0, "", problems)
 
     start = grammar.start
-    g = start
-    outputs: list[str] = []
-    applications = 0
-    if fixture.mode == "once":
-        res = apply_rule(rule, g, grammar.type_graphs)
-        if res is None:
-            problems.append("rule was inapplicable")
-        else:
-            applications = 1
-            g = res.graph
-            if res.output is not None:
-                outputs.append(res.output)
-    else:
-        while applications < _MAX_ITERATIONS:
-            res = apply_rule(rule, g, grammar.type_graphs)
-            if res is None:
-                break
-            applications += 1
-            g = res.graph
-            if res.output is not None:
-                outputs.append(res.output)
-        else:
-            problems.append("rule did not reach a fixpoint")
+    once = fixture.mode == "once"
+    g, outputs, applications = apply_repeatedly(
+        rule, start, grammar.type_graphs, 1 if once else _MAX_ITERATIONS)
+    if once and applications == 0:
+        problems.append("rule was inapplicable")
+    elif not once and applications == _MAX_ITERATIONS:
+        problems.append("rule did not reach a fixpoint")
 
     output = "".join(outputs)
     if applications != fixture.expected_applications:

@@ -131,9 +131,12 @@ def test_apply_inapplicable_rule_exits_3(tmp_path, capsys):
     d = write_grammar(tmp_path, DELETE_ALL)
     empty = tmp_path / "empty.gst"
     empty.write_text("graph e\n", encoding="utf-8")
-    code = main(["apply", d, "del", "--graph", str(empty)])
-    assert code == 3
-    assert "not applicable" in capsys.readouterr().err
+    for extra in ([], ["--all-matches"]):
+        code = main(["apply", d, "del", "--graph", str(empty), *extra])
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert "not applicable" in out.err
 
 
 def test_apply_unknown_rule_exits_2(capsys):
@@ -203,6 +206,15 @@ def test_explore_truncation_exits_4(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 4
     assert out.splitlines()[-1] == "truncated"
+
+
+def test_explore_rejects_max_states_below_one(capsys):
+    for bad in ("0", "-3"):
+        code = main(["explore", str(FIXTURES / "reverse"), "--max-states", bad])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "max_states must be at least 1" in out.err
 
 
 # -- suite -------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import random
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtx.dsl import parse_graph, parse_rule
@@ -300,6 +301,14 @@ def test_max_states_truncates_and_flags():
     assert lts.truncated
     # every kept transition stays within the kept states
     assert all(0 <= s < 4 and 0 <= t < 4 for s, _, t in lts.transitions)
+
+
+def test_max_states_below_one_is_rejected():
+    start = parse_graph("graph g\nnode seed\n")
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_states"):
+            explore([parse_rule(GROW)], start, max_states=bad)
+    assert len(explore([parse_rule(GROW)], start, max_states=1).states) == 1
 
 
 def test_max_depth_probes_the_frontier():

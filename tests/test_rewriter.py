@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from gtx.dsl import parse_graph, parse_rule, serialize_graph
@@ -10,11 +12,17 @@ from gtx.matcher import find_root_matches
 from gtx.rewriter import (
     FormatError,
     apply_effect,
-    apply_match,
+    apply_repeatedly,
     apply_rule,
+    applications,
     is_effective,
     plan_application,
     render_output,
+)
+from gtx.suite import (
+    fixture_grammar_names,
+    load_fixture_grammar,
+    random_nodified_graph,
 )
 
 
@@ -289,8 +297,50 @@ def test_apply_match_targets_a_specific_assignment():
     g = parse_graph("graph g\nnode a\nnode b\n")
     rule = parse_rule("rule r\nnode d role=eraser\n")
     matches = find_root_matches(rule, g)
-    second = apply_match(rule, g, matches[1])
-    assert {n.name for n in second.graph.nodes.values()} == {"a"}
+    second = apply_effect(g, plan_application(rule, g, matches[1]))
+    assert {n.name for n in second.nodes.values()} == {"a"}
+
+
+# -- the application pipeline ------------------------------------------
+
+
+def test_applications_agree_with_hand_built_pairs():
+    rng = random.Random(4)
+    hosts = [random_nodified_graph(rng) for _ in range(25)]
+    checked = 0
+    for name in fixture_grammar_names():
+        grammar = load_fixture_grammar(name)
+        tgs = grammar.type_graphs
+        for rule in grammar.rules.values():
+            for g in [grammar.start, *hosts]:
+                expected = []
+                for match in find_root_matches(rule, g, tgs):
+                    effect = plan_application(rule, g, match, tgs)
+                    if is_effective(rule, effect):
+                        expected.append((match, effect))
+                assert list(applications(rule, g, tgs)) == expected
+                checked += len(expected)
+    assert checked > 100
+
+
+def test_apply_repeatedly_stops_once_the_rule_is_inapplicable():
+    g = parse_graph("graph g\nnode a\nnode b\n")
+    rule = parse_rule("rule r\nnode d role=eraser\n")
+    out, outputs, applied = apply_repeatedly(rule, g, None, 10)
+    assert applied == 2
+    assert out.nodes == {}
+    assert outputs == []
+    assert len(g.nodes) == 2  # the input graph is untouched
+
+
+def test_apply_repeatedly_stops_at_the_limit():
+    # a print-only rule is always effective, so it never becomes inapplicable
+    g = parse_graph("graph g\nnode a\n")
+    rule = parse_rule('rule r\nnode n role=reader\nformat "x"\n')
+    out, outputs, applied = apply_repeatedly(rule, g, None, 3)
+    assert applied == 3
+    assert outputs == ["x", "x", "x"]
+    assert serialize_graph(out) == serialize_graph(g)
 
 
 # -- printed output ----------------------------------------------------

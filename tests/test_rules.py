@@ -18,7 +18,6 @@ from gtx.rules import (
     UnknownQuantifierError,
     expand_neq,
     group_embargo_elements,
-    level_elements,
     validate_rule,
 )
 
@@ -64,8 +63,6 @@ def test_root_quantifier_is_synthesized():
 def test_level_path_and_depth():
     r = Rule("r", quantifiers={"q": forall("q"), "p": forall("p", parent="q")})
     assert r.level_path("p") == ["root", "q", "p"]
-    assert r.level_depth("p") == 2
-    assert r.level_depth("root") == 0
     with pytest.raises(UnknownQuantifierError):
         r.level_path("ghost")
 
@@ -90,19 +87,6 @@ def test_positive_nodes_exclude_embargo_and_sort():
         "n": embargo("n"), "c": RuleNode("c", Role.CREATOR),
     })
     assert [n.id for n in r.positive_nodes_at("root")] == ["a", "z"]
-
-
-def test_level_elements_splits_by_quantifier():
-    r = Rule(
-        "r",
-        nodes={"a": reader("a"), "b": reader("b", level="q")},
-        edges=[RuleEdge("a", E("e"), "b", Role.READER, level="q")],
-        quantifiers={"q": forall("q")},
-    )
-    nodes, edges = level_elements(r, "q")
-    assert [n.id for n in nodes] == ["b"]
-    assert len(edges) == 1
-    assert level_elements(r, "root")[1] == []
 
 
 # -- read-only detection ----------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import gtx.suite
 from gtx.explorer import isomorphic
 from gtx.graph import HostGraph
 from gtx.suite import (
@@ -13,6 +14,7 @@ from gtx.suite import (
     NODE,
     SRC,
     TRG,
+    Fixture,
     OracleError,
     fixture_grammar_names,
     fixtures,
@@ -172,8 +174,6 @@ def test_greeting_fixture_prints_what_it_created():
 
 
 def test_failed_expectations_are_reported_not_raised():
-    from gtx.suite import Fixture
-
     wrong = Fixture(id="synthetic", grammar="counting", rule="countNodes",
                     mode="once", expected_applications=5)
     result = run_fixture(wrong)
@@ -181,6 +181,16 @@ def test_failed_expectations_are_reported_not_raised():
     assert any("expected 5 application" in p for p in result.problems)
     missing = Fixture(id="ghost", grammar="counting", rule="nope")
     assert "no rule named 'nope'" in run_fixture(missing).problems
+
+
+def test_a_rule_that_never_stops_is_reported(monkeypatch):
+    # reversing every edge is always effective, so it has no fixpoint
+    monkeypatch.setattr(gtx.suite, "_MAX_ITERATIONS", 3)
+    endless = Fixture(id="endless", grammar="reverse", rule="reverseEdges",
+                      mode="fixpoint")
+    result = run_fixture(endless)
+    assert result.applications == 3
+    assert "rule did not reach a fixpoint" in result.problems
 
 
 def test_counting_fixture_checks_rule_against_oracle_samples():
