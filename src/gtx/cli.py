@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dsl import Grammar, build_grammar, parse_graph, serialize_graph
+from .dsl import Grammar, load_grammar_dir, parse_graph, serialize_graph
 from .explorer import explore, export_lts
 from .graph import HostGraph
 from .matcher import find_root_matches
@@ -48,18 +48,6 @@ def _diag(message: str, span: SourceSpan | None = None) -> None:
     where = f"{span.caret()}: " if span is not None else ""
     label = "\x1b[31merror:\x1b[0m" if _color_enabled() else "error:"
     print(f"{where}{label} {message}", file=sys.stderr)
-
-
-def load_grammar_dir(path: str) -> Grammar:
-    directory = Path(path)
-    if not directory.is_dir():
-        raise OSError(f"{path}: not a directory")
-    files = {
-        entry.name: entry.read_text(encoding="utf-8")
-        for entry in sorted(directory.iterdir())
-        if entry.is_file()
-    }
-    return build_grammar(files, name=directory.name)
 
 
 def _load_start(args: argparse.Namespace, grammar: Grammar) -> HostGraph | None:

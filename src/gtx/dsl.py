@@ -33,21 +33,26 @@ Rule (``.gpr``)::
     neq ID ID [ID]*
     disjoin GID GID [GID]*
 
-Values: double-quoted strings (``\\"``, ``\\\\`` and ``\\n`` escapes),
-decimal integers, ``true``/``false``, and reals with a mandatory decimal
-point.  Elements without ``in QID`` belong to the root quantifier.
+Values: double-quoted strings (``\\"``, ``\\\\``, ``\\n``, ``\\r``, ``\\t``
+and ``\\uXXXX`` escapes, four hex digits), decimal integers,
+``true``/``false``, and reals with a mandatory decimal point.  Elements
+without ``in QID`` belong to the root quantifier.
 
 Serialization is deterministic (nodes sorted by name, then each node's
 attributes, then edges lexicographically) and stable: serializing a
-just-parsed graph twice yields identical bytes.
+just-parsed graph twice yields identical bytes.  Strings are written with
+the named escapes and ``\\uXXXX`` for other control characters.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from string import hexdigits
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .graph import (
     HostGraph,
@@ -57,7 +62,6 @@ from .graph import (
     ValueKind,
     edge_label,
     flag as flag_label,
-    format_real,
     node_type,
 )
 from .rules import (
@@ -79,6 +83,9 @@ from .rules import (
 from .source import ParseError, SourceSpan
 from .typegraph import EdgeDecl, TypeDecl, TypeGraph
 
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
+
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _REAL_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+([eE][+-]?[0-9]+)?\Z")
 _EDGE_ARROW_RE = re.compile(r"-(.+)->\Z")
@@ -86,13 +93,26 @@ _PATH_ARROW_RE = re.compile(r"~(.+)~>\Z")
 _VALUE_KINDS = {k.value: k for k in ValueKind}
 _ROLES = {r.value: r for r in Role}
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+# One token: a string (group 1 its well-formed body, group 2 its closing
+# quote, empty when the body stops at an invalid escape or the line's
+# end), a comment, or a bare word.
+_TOKEN_RE = re.compile(
+    r'"((?:[^"\\]|\\(?:[\\"nrt]|u[0-9a-fA-F]{4}))*)("?)|#|[^ \t\r#]+')
+_ESCAPE_RE = re.compile(r'\\([\\"nrt]|u[0-9a-fA-F]{4})')
+# What a Label name may not contain: for str patterns ``\s`` matches
+# exactly the characters str.isspace accepts.
+_RESERVED_RE = re.compile(
+    r"[\s" + re.escape("".join(sorted(RESERVED_LABEL_CHARS))) + "]")
+# Graph files repeat a few labels thousands of times; build each once.
+_edge_label = functools.lru_cache(maxsize=1024)(edge_label)
+_node_type = functools.lru_cache(maxsize=1024)(node_type)
 
 
 def _needs_u_escape(ch: str) -> bool:
     # Control characters and the exotic line boundaries str.splitlines
     # honours; leaving those raw would split a quoted string across lines.
     o = ord(ch)
-    return o < 0x20 or o == 0x7F or 0x80 <= o <= 0x9F or ch in "  "
+    return o < 0x20 or o == 0x7F or 0x80 <= o <= 0x9F or ch in "\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -102,66 +122,41 @@ class Token:
     quoted: bool = False
 
 
+def _unescape(m: re.Match) -> str:
+    esc = m.group(1)
+    return _STRING_ESCAPES.get(esc) or chr(int(esc[1:], 16))
+
+
 def _scan_line(text: str, file: str, lineno: int) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        start = i
-        if ch == '"':
-            i += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise ParseError(
-                        "unterminated string literal",
-                        SourceSpan(file, lineno, start + 1, n + 1))
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\\":
-                    esc = text[i + 1] if i + 1 < n else ""
-                    if esc in _STRING_ESCAPES:
-                        buf.append(_STRING_ESCAPES[esc])
-                        i += 2
-                        continue
-                    if esc == "u":
-                        digits = text[i + 2:i + 6]
-                        if len(digits) == 4 and all(d in hexdigits for d in digits):
-                            buf.append(chr(int(digits, 16)))
-                            i += 6
-                            continue
-                    raise ParseError(
-                        "invalid string escape",
-                        SourceSpan(file, lineno, i + 1, i + 3))
-                buf.append(c)
-                i += 1
-            tokens.append(Token("".join(buf),
-                                SourceSpan(file, lineno, start + 1, i + 1),
+    for m in _TOKEN_RE.finditer(text):
+        body, closed = m.group(1, 2)
+        start, end = m.span()
+        span = SourceSpan(file, lineno, start + 1, end + 1)
+        if body is None:
+            if m.group() == "#":
+                break
+            tokens.append(Token(m.group(), span))
+        elif closed:
+            tokens.append(Token(_ESCAPE_RE.sub(_unescape, body), span,
                                 quoted=True))
-            continue
-        while i < n and text[i] not in " \t\r" and text[i] != "#":
-            i += 1
-        tokens.append(Token(text[start:i],
-                            SourceSpan(file, lineno, start + 1, i + 1)))
+        elif end == len(text):
+            raise ParseError("unterminated string literal", span)
+        else:
+            raise ParseError("invalid string escape",
+                             SourceSpan(file, lineno, end + 1, end + 3))
     return tokens
 
 
-def _ident(tok: Token, what: str) -> str:
+def _ident(tok: Token, what: str, dots: int = 0) -> str:
+    """``tok`` as a name; its first ``dots`` dots separate names."""
     if tok.quoted or not tok.text:
         raise ParseError(f"expected {what}", tok.span)
-    for ch in tok.text:
-        if ch.isspace() or ch in RESERVED_LABEL_CHARS:
-            raise ParseError(
-                f"{what} {tok.text!r} contains reserved character {ch!r}",
-                tok.span)
+    found = _RESERVED_RE.search(tok.text.replace(".", "", dots))
+    if found:
+        raise ParseError(
+            f"{what} {tok.text!r} contains reserved character {found.group()!r}",
+            tok.span)
     return tok.text
 
 
@@ -172,18 +167,18 @@ def _int_index(tok: Token, what: str) -> int:
 
 
 def _dotted(tok: Token, what: str) -> tuple[str, str]:
-    if tok.quoted or "." not in tok.text:
+    left, dot, right = tok.text.partition(".")
+    if tok.quoted or not (left and dot and right):
         raise ParseError(f"expected {what} of the form A.B", tok.span)
-    left, _, right = tok.text.partition(".")
-    if not left or not right:
-        raise ParseError(f"expected {what} of the form A.B", tok.span)
-    for part in (left, right):
-        for ch in part:
-            if ch.isspace() or ch in RESERVED_LABEL_CHARS:
-                raise ParseError(
-                    f"{what} {tok.text!r} contains reserved character {ch!r}",
-                    tok.span)
+    _ident(tok, what, dots=1)
     return left, right
+
+
+def _label(make: Callable[[str], Label], name: str, span: SourceSpan) -> Label:
+    try:
+        return make(name)
+    except ValueError as exc:
+        raise ParseError(str(exc), span)
 
 
 def parse_value(tok: Token) -> Value:
@@ -208,24 +203,18 @@ _NAMED_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
 
 
 def serialize_value(v: Value) -> str:
-    if v.kind is ValueKind.STRING:
-        escaped = "".join(
-            _NAMED_ESCAPES.get(ch) or
-            (f"\\u{ord(ch):04x}" if _needs_u_escape(ch) else ch)
-            for ch in str(v.raw))
-        return f'"{escaped}"'
-    if v.kind is ValueKind.BOOL:
-        return "true" if v.raw else "false"
-    if v.kind is ValueKind.REAL:
-        return format_real(v.raw)  # type: ignore[arg-type]
-    return str(v.raw)
+    if v.kind is not ValueKind.STRING:
+        return v.to_text()
+    escaped = "".join(
+        _NAMED_ESCAPES.get(ch) or
+        (f"\\u{ord(ch):04x}" if _needs_u_escape(ch) else ch)
+        for ch in str(v.raw))
+    return f'"{escaped}"'
 
 
-def _expect(tokens: list[Token], i: int, literal: str, line_span: SourceSpan) -> None:
-    if i >= len(tokens):
-        raise ParseError(f"expected {literal!r}", line_span)
-    if tokens[i].quoted or tokens[i].text != literal:
-        raise ParseError(f"expected {literal!r}", tokens[i].span)
+def _expect(tok: Token, literal: str) -> None:
+    if tok.quoted or tok.text != literal:
+        raise ParseError(f"expected {literal!r}", tok.span)
 
 
 def _end_span(tokens: list[Token]) -> SourceSpan:
@@ -238,13 +227,27 @@ def _no_more(tokens: list[Token], i: int) -> None:
         raise ParseError(f"unexpected token {tokens[i].text!r}", tokens[i].span)
 
 
-def _name_list(tokens: list[Token], i: int, what: str) -> tuple[list[str], int]:
-    """Parse a comma-separated name list that may span several tokens.
+def _shape(tokens: list[Token], usage: str) -> None:
+    """Check a line's token count against its usage text: one token per
+    word of ``usage``, or at least as many as precede a final ``...``."""
+    more = usage.endswith(" ...")
+    n = usage.count(" ") + 1 - more
+    if len(tokens) < n:
+        raise ParseError(f"expected: {usage}", _end_span(tokens))
+    if len(tokens) > n and not more:
+        raise ParseError(f"expected: {usage}", tokens[n].span)
+
+
+def _type_list(tokens: list[Token], i: int, what: str) -> tuple[list[Label], int]:
+    """Parse the comma-separated type names after the keyword at
+    ``tokens[i]``; the list may span several tokens.
 
     ``A,B``, ``A, B`` and ``A , B`` all work: a comma at a token edge
     continues the list into the next token.  A name with no comma before
     it ends the list instead.
     """
+    keyword = tokens[i]
+    i += 1
     names: list[str] = []
     owing = True  # the list still expects a name
     while i < len(tokens) and not tokens[i].quoted:
@@ -269,40 +272,42 @@ def _name_list(tokens: list[Token], i: int, what: str) -> tuple[list[str], int]:
         raise ParseError(
             f"expected a {what}",
             tokens[i].span if i < len(tokens) else _end_span(tokens))
-    return names, i
+    return [_label(_node_type, n, keyword.span) for n in names], i
 
 
-def _meaningful_lines(text: str, file: str) -> list[list[Token]]:
+def _declarations(text: str, file: str,
+                  keyword: str) -> tuple[str, list[list[Token]]]:
+    """Scan a file: the name from its ``KEYWORD NAME`` header line, and
+    the tokens of each declaration line after it."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _scan_line(raw, file, lineno)
         if tokens:
             lines.append(tokens)
-    return lines
-
-
-def _header(lines: list[list[Token]], keyword: str, file: str) -> str:
     if not lines:
         raise ParseError(f"empty file, expected a {keyword!r} header",
                          SourceSpan(file, 1, 1, 2))
-    first = lines[0]
-    _expect(first, 0, keyword, first[0].span)
-    if len(first) < 2:
-        raise ParseError(f"{keyword!r} header needs a name", _end_span(first))
-    name = _ident(first[1], f"{keyword} name")
-    _no_more(first, 2)
-    return name
+    header = lines[0]
+    _expect(header[0], keyword)
+    if len(header) < 2:
+        raise ParseError(f"{keyword!r} header needs a name", _end_span(header))
+    name = _ident(header[1], f"{keyword} name")
+    _no_more(header, 2)
+    return name, lines[1:]
+
+
+def _keyword(tokens: list[Token]) -> str:
+    head = tokens[0]
+    if head.quoted:
+        raise ParseError("expected a declaration keyword", head.span)
+    return head.text
 
 
 def _edge_label_token(tok: Token) -> Label:
     m = None if tok.quoted else _EDGE_ARROW_RE.match(tok.text)
     if not m:
         raise ParseError("expected an edge arrow of the form -label->", tok.span)
-    name = m.group(1)
-    try:
-        return edge_label(name)
-    except ValueError as exc:
-        raise ParseError(str(exc), tok.span)
+    return _label(_edge_label, m.group(1), tok.span)
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +315,16 @@ def _edge_label_token(tok: Token) -> Label:
 
 
 def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
-    lines = _meaningful_lines(text, filename)
-    name = _header(lines, "graph", filename)
+    name, lines = _declarations(text, filename, "graph")
 
     node_specs: dict[str, tuple[list[Label], list[Label]]] = {}
-    attr_specs: list[tuple[Token, str, Value]] = []
+    attr_specs: list[tuple[Token, str, str, Value]] = []
     edge_specs: list[tuple[Token, Label, Token]] = []
     seen_triples: set[tuple[str, str, str]] = set()
 
-    for tokens in lines[1:]:
-        head = tokens[0]
-        if head.quoted:
-            raise ParseError("expected a declaration keyword", head.span)
-        if head.text == "node":
+    for tokens in lines:
+        keyword = _keyword(tokens)
+        if keyword == "node":
             if len(tokens) < 2:
                 raise ParseError("node line needs a name", _end_span(tokens))
             nid = _ident(tokens[1], "node name")
@@ -332,36 +334,21 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             flags: list[Label] = []
             i = 2
             if i < len(tokens) and not tokens[i].quoted and tokens[i].text == ":":
-                type_tok = tokens[i]
-                names, i = _name_list(tokens, i + 1, "type name")
-                for tname in names:
-                    try:
-                        types.append(node_type(tname))
-                    except ValueError as exc:
-                        raise ParseError(str(exc), type_tok.span)
+                types, i = _type_list(tokens, i, "type name")
             while i < len(tokens):
-                _expect(tokens, i, "flag", tokens[i].span)
+                _expect(tokens[i], "flag")
                 if i + 1 >= len(tokens):
                     raise ParseError("expected a flag name", _end_span(tokens))
-                try:
-                    flags.append(flag_label(_ident(tokens[i + 1], "flag name")))
-                except ValueError as exc:
-                    raise ParseError(str(exc), tokens[i + 1].span)
+                flags.append(flag_label(_ident(tokens[i + 1], "flag name")))
                 i += 2
             node_specs[nid] = (types, flags)
-        elif head.text == "attr":
-            if len(tokens) != 4:
-                raise ParseError("expected: attr ID.NAME = VALUE",
-                                 _end_span(tokens) if len(tokens) < 4
-                                 else tokens[4].span)
-            nid, attr = _dotted(tokens[1], "attribute reference")
-            _expect(tokens, 2, "=", tokens[2].span)
-            attr_specs.append((tokens[1], attr, parse_value(tokens[3])))
-        elif head.text == "edge":
-            if len(tokens) != 4:
-                raise ParseError("expected: edge SRC -LABEL-> TGT",
-                                 _end_span(tokens) if len(tokens) < 4
-                                 else tokens[4].span)
+        elif keyword == "attr":
+            _shape(tokens, "attr ID.NAME = VALUE")
+            owner, attr = _dotted(tokens[1], "attribute reference")
+            _expect(tokens[2], "=")
+            attr_specs.append((tokens[1], owner, attr, parse_value(tokens[3])))
+        elif keyword == "edge":
+            _shape(tokens, "edge SRC -LABEL-> TGT")
             src = _ident(tokens[1], "edge source")
             lbl = _edge_label_token(tokens[2])
             tgt = _ident(tokens[3], "edge target")
@@ -372,7 +359,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             seen_triples.add(triple)
             edge_specs.append((tokens[1], lbl, tokens[3]))
         else:
-            raise ParseError(f"unknown declaration {head.text!r}", head.span)
+            raise ParseError(f"unknown declaration {keyword!r}", tokens[0].span)
 
     g = HostGraph(name=name)
     ids: dict[str, int] = {}
@@ -383,8 +370,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
         ids[nid] = g.add_node(types, flags, name=nid)
 
     seen_attrs: set[tuple[str, str]] = set()
-    for tok, attr, value in attr_specs:
-        owner = tok.text.partition(".")[0]
+    for tok, owner, attr, value in attr_specs:
         if owner not in ids:
             raise ParseError(f"attribute on unknown node {owner!r}", tok.span)
         if (owner, attr) in seen_attrs:
@@ -442,57 +428,42 @@ def serialize_graph(g: HostGraph) -> str:
 
 
 def parse_type_graph(text: str, filename: str = "<typegraph>") -> TypeGraph:
-    lines = _meaningful_lines(text, filename)
-    name = _header(lines, "typegraph", filename)
+    name, lines = _declarations(text, filename, "typegraph")
     tg = TypeGraph(name=name)
-    attr_lines: list[tuple[Token, str, ValueKind]] = []
+    attr_lines: list[tuple[Token, str, str, ValueKind]] = []
 
-    for tokens in lines[1:]:
-        head = tokens[0]
-        if head.quoted:
-            raise ParseError("expected a declaration keyword", head.span)
-        if head.text == "type":
+    for tokens in lines:
+        keyword = _keyword(tokens)
+        if keyword == "type":
             if len(tokens) < 2:
                 raise ParseError("type line needs a name", _end_span(tokens))
             tname = _ident(tokens[1], "type name")
             if tname in tg.types:
                 raise ParseError(f"duplicate type {tname!r}", tokens[1].span)
             abstract = False
-            supertypes: set[Label] = set()
+            supertypes: list[Label] = []
             i = 2
             if i < len(tokens) and tokens[i].text == "abstract" and not tokens[i].quoted:
                 abstract = True
                 i += 1
             if i < len(tokens):
-                _expect(tokens, i, "extends", tokens[i].span)
-                extends_tok = tokens[i]
-                names, i = _name_list(tokens, i + 1, "supertype name")
-                for sname in names:
-                    try:
-                        supertypes.add(node_type(sname))
-                    except ValueError as exc:
-                        raise ParseError(str(exc), extends_tok.span)
+                _expect(tokens[i], "extends")
+                supertypes, i = _type_list(tokens, i, "supertype name")
             _no_more(tokens, i)
-            tg.types[tname] = TypeDecl(node_type(tname), abstract, supertypes,
-                                       span=tokens[1].span)
-        elif head.text == "attr":
-            if len(tokens) != 4:
-                raise ParseError("expected: attr TYPE.NAME : KIND",
-                                 _end_span(tokens) if len(tokens) < 4
-                                 else tokens[4].span)
-            _expect(tokens, 2, ":", tokens[2].span)
+            tg.types[tname] = TypeDecl(node_type(tname), abstract,
+                                       set(supertypes), span=tokens[1].span)
+        elif keyword == "attr":
+            _shape(tokens, "attr TYPE.NAME : KIND")
+            _expect(tokens[2], ":")
             kind = _VALUE_KINDS.get(tokens[3].text if not tokens[3].quoted else "")
             if kind is None:
                 raise ParseError(
                     "expected a value kind (string, int, bool or real)",
                     tokens[3].span)
             attr_lines.append(
-                (tokens[1], _dotted(tokens[1], "attribute")[1], kind))
-        elif head.text == "edge":
-            if len(tokens) != 4:
-                raise ParseError("expected: edge TYPE -LABEL-> TYPE",
-                                 _end_span(tokens) if len(tokens) < 4
-                                 else tokens[4].span)
+                (tokens[1], *_dotted(tokens[1], "attribute"), kind))
+        elif keyword == "edge":
+            _shape(tokens, "edge TYPE -LABEL-> TYPE")
             src = node_type(_ident(tokens[1], "source type"))
             lbl = _edge_label_token(tokens[2])
             tgt = node_type(_ident(tokens[3], "target type"))
@@ -503,10 +474,9 @@ def parse_type_graph(text: str, filename: str = "<typegraph>") -> TypeGraph:
                     tokens[2].span)
             tg.edge_decls.append(EdgeDecl(src, lbl, tgt, span=tokens[2].span))
         else:
-            raise ParseError(f"unknown declaration {head.text!r}", head.span)
+            raise ParseError(f"unknown declaration {keyword!r}", tokens[0].span)
 
-    for tok, attr, kind in attr_lines:
-        owner = tok.text.partition(".")[0]
+    for tok, owner, attr, kind in attr_lines:
         decl = tg.types.get(owner)
         if decl is None:
             raise ParseError(f"attribute on undeclared type {owner!r}", tok.span)
@@ -523,17 +493,19 @@ def parse_type_graph(text: str, filename: str = "<typegraph>") -> TypeGraph:
 def _parse_regex_text(text: str, span: SourceSpan) -> RegexPath:
     atoms = []
     for part in text.split("."):
-        if not part:
-            raise ParseError("empty regex atom", span)
         inverse = part.startswith("-")
         name = part[1:] if inverse else part
         if not name:
             raise ParseError("empty regex atom", span)
-        try:
-            atoms.append(RegexAtom(edge_label(name), inverse))
-        except ValueError as exc:
-            raise ParseError(str(exc), span)
+        atoms.append(RegexAtom(_label(_edge_label, name, span), inverse))
     return RegexPath(tuple(atoms))
+
+
+def _path_token(tok: Token) -> RegexPath:
+    m = None if tok.quoted else _PATH_ARROW_RE.match(tok.text)
+    if not m:
+        raise ParseError("expected a path arrow of the form ~regex~>", tok.span)
+    return _parse_regex_text(m.group(1), tok.span)
 
 
 def parse_regex(text: str) -> RegexPath:
@@ -542,115 +514,92 @@ def parse_regex(text: str) -> RegexPath:
     return _parse_regex_text(text, span)
 
 
-def _kv_option(tok: Token, key: str) -> str | None:
-    prefix = key + "="
-    if not tok.quoted and tok.text.startswith(prefix):
-        return tok.text[len(prefix):]
-    return None
-
-
 def _parse_role(tok: Token) -> Role:
-    value = _kv_option(tok, "role")
-    if value is None:
+    if tok.quoted or not tok.text.startswith("role="):
         raise ParseError("expected role=READER|eraser|creator|embargo", tok.span)
+    value = tok.text[len("role="):]
     role = _ROLES.get(value)
     if role is None:
         raise ParseError(f"unknown role {value!r}", tok.span)
     return role
 
 
-def _parse_tail(
-    tokens: list[Token], i: int, *, allow_group: bool
-) -> tuple[str | None, str | None, int]:
-    """Parse the optional ``in QID`` / ``group GID`` suffix of a line."""
-    level: str | None = None
-    group: str | None = None
+#: line suffix keyword -> (what its argument is, the argument's reader)
+_SUFFIXES: dict[str, tuple[str, Callable[[Token, str], object]]] = {
+    "in": ("quantifier id", _ident),
+    "group": ("NAC group id", _ident),
+    "count": ("parameter index", _int_index),
+}
+
+
+def _suffixes(tokens: list[Token], i: int,
+              allowed: tuple[str, ...]) -> list[Token | None]:
+    """Read the ``KEY ARG`` suffixes of a line from ``tokens[i]`` on, each
+    of the ``allowed`` keys at most once; returns the checked argument
+    token of each allowed key, or None where it is absent."""
+    found: dict[str, Token] = {}
     while i < len(tokens):
-        t = tokens[i]
-        if not t.quoted and t.text == "in" and level is None:
-            if i + 1 >= len(tokens):
-                raise ParseError("expected a quantifier id", _end_span(tokens))
-            level = _ident(tokens[i + 1], "quantifier id")
-            i += 2
-        elif allow_group and not t.quoted and t.text == "group" and group is None:
-            if i + 1 >= len(tokens):
-                raise ParseError("expected a NAC group id", _end_span(tokens))
-            group = _ident(tokens[i + 1], "NAC group id")
-            i += 2
-        else:
-            raise ParseError(f"unexpected token {t.text!r}", t.span)
-    return level, group, i
+        key = tokens[i].text
+        if tokens[i].quoted or key not in allowed or key in found:
+            raise ParseError(f"unexpected token {key!r}", tokens[i].span)
+        what, read = _SUFFIXES[key]
+        if i + 1 == len(tokens):
+            raise ParseError(f"expected a {what}", _end_span(tokens))
+        read(tokens[i + 1], what)
+        found[key] = tokens[i + 1]
+        i += 2
+    return [found.get(key) for key in allowed]
+
+
+#: attribute constraint keyword -> (usage, operator, constraint kind)
+_CONSTRAINTS = {
+    "match": ("match ID.NAME == VALUE", "==", ConstraintKind.MATCH),
+    "assign": ("assign ID.NAME = VALUE", "=", ConstraintKind.ASSIGN),
+    "rewrite": ("rewrite ID.OLD -> NEW", "->", ConstraintKind.RENAME),
+}
 
 
 def parse_rule(text: str, filename: str = "<rule>") -> Rule:
-    lines = _meaningful_lines(text, filename)
-    name = _header(lines, "rule", filename)
+    name, lines = _declarations(text, filename, "rule")
 
     quantifiers: dict[str, Quantifier] = {
         ROOT_QUANT: Quantifier(ROOT_QUANT, QuantKind.ROOT)
     }
     nodes: dict[str, RuleNode] = {}
     edges: list[RuleEdge] = []
+    seen_edges: set[tuple[str, str, str, Role]] = set()
     injectivity: set[tuple[str, str]] = set()
     params: dict[int, tuple[str, str]] = {}
     print_format: str | None = None
     disjoins: list[tuple[list[str], SourceSpan]] = []
-    pending_levels: list[tuple[str, Token]] = []  # resolved after the pass
+    pending_levels: list[Token | None] = []  # resolved after the pass
 
-    def attach_constraint(tok: Token, nid: str, attr: str,
-                          constraint: AttrConstraint) -> None:
+    def known(nid: str, tok: Token) -> RuleNode:
         node = nodes.get(nid)
         if node is None:
             raise ParseError(f"unknown rule node {nid!r}", tok.span)
-        if attr in node.attr_constraints:
-            raise ParseError(
-                f"conflicting constraint for attribute {nid}.{attr}", tok.span)
-        node.attr_constraints[attr] = constraint
+        return node
 
     # Pass 1: nodes and quantifiers, so that later lines can refer to them
     # regardless of ordering.
-    body = lines[1:]
-    for tokens in body:
-        head = tokens[0]
-        if head.quoted:
-            raise ParseError("expected a declaration keyword", head.span)
-        if head.text == "quant":
-            if len(tokens) < 3:
-                raise ParseError("expected: quant QID forall ...",
-                                 _end_span(tokens))
+    for tokens in lines:
+        keyword = _keyword(tokens)
+        if keyword == "quant":
+            _shape(tokens, "quant QID forall ...")
             qid = _ident(tokens[1], "quantifier id")
             if qid == ROOT_QUANT:
                 raise ParseError("quantifier id 'root' is reserved",
                                  tokens[1].span)
             if qid in quantifiers:
                 raise ParseError(f"duplicate quantifier {qid!r}", tokens[1].span)
-            _expect(tokens, 2, "forall", tokens[2].span)
-            parent = ROOT_QUANT
-            count_param: int | None = None
-            i = 3
-            while i < len(tokens):
-                t = tokens[i]
-                if not t.quoted and t.text == "in":
-                    if i + 1 >= len(tokens):
-                        raise ParseError("expected a quantifier id",
-                                         _end_span(tokens))
-                    parent = _ident(tokens[i + 1], "quantifier id")
-                    pending_levels.append((parent, tokens[i + 1]))
-                    i += 2
-                elif not t.quoted and t.text == "count":
-                    if i + 1 >= len(tokens):
-                        raise ParseError("expected a parameter index",
-                                         _end_span(tokens))
-                    count_param = _int_index(tokens[i + 1], "parameter index")
-                    i += 2
-                else:
-                    raise ParseError(f"unexpected token {t.text!r}", t.span)
-            quantifiers[qid] = Quantifier(qid, QuantKind.FORALL, parent,
-                                          count_param, span=tokens[1].span)
-        elif head.text == "node":
-            if len(tokens) < 3:
-                raise ParseError("expected: node ID role=ROLE ...",
-                                 _end_span(tokens))
+            _expect(tokens[2], "forall")
+            parent, count = _suffixes(tokens, 3, ("in", "count"))
+            pending_levels.append(parent)
+            quantifiers[qid] = Quantifier(
+                qid, QuantKind.FORALL, parent.text if parent else ROOT_QUANT,
+                int(count.text) if count else None, span=tokens[1].span)
+        elif keyword == "node":
+            _shape(tokens, "node ID role=ROLE ...")
             nid = _ident(tokens[1], "rule node id")
             if nid in nodes:
                 raise ParseError(f"duplicate rule node {nid!r}", tokens[1].span)
@@ -660,144 +609,98 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
             if i < len(tokens) and not tokens[i].quoted and tokens[i].text == ":":
                 if i + 1 >= len(tokens):
                     raise ParseError("expected a type name", _end_span(tokens))
-                try:
-                    type_constraint = node_type(_ident(tokens[i + 1], "type name"))
-                except ValueError as exc:
-                    raise ParseError(str(exc), tokens[i + 1].span)
+                type_constraint = node_type(_ident(tokens[i + 1], "type name"))
                 i += 2
-            level, _, i = _parse_tail(tokens, i, allow_group=False)
-            if level is not None:
-                pending_levels.append((level, tokens[-1]))
-            nodes[nid] = RuleNode(nid, role, type_constraint,
-                                  level=level or ROOT_QUANT,
-                                  span=tokens[1].span)
+            (level,) = _suffixes(tokens, i, ("in",))
+            pending_levels.append(level)
+            nodes[nid] = RuleNode(
+                nid, role, type_constraint,
+                level=level.text if level else ROOT_QUANT, span=tokens[1].span)
 
     # Pass 2: everything that references nodes or quantifiers.
-    for tokens in body:
-        head = tokens[0]
-        if head.text in ("quant", "node"):
+    for tokens in lines:
+        keyword = tokens[0].text
+        if keyword in ("quant", "node"):
             continue
-        if head.text == "edge" or head.text == "path":
-            is_path = head.text == "path"
-            if len(tokens) < 5:
-                raise ParseError(
-                    f"expected: {head.text} SRC arrow TGT role=ROLE ...",
-                    _end_span(tokens))
+        if keyword == "edge" or keyword == "path":
+            _shape(tokens, f"{keyword} SRC arrow TGT role=ROLE ...")
             src = _ident(tokens[1], "edge source")
-            if is_path:
-                m = None if tokens[2].quoted else _PATH_ARROW_RE.match(tokens[2].text)
-                if not m:
-                    raise ParseError(
-                        "expected a path arrow of the form ~regex~>",
-                        tokens[2].span)
-                lbl: Label | RegexPath = _parse_regex_text(m.group(1),
-                                                           tokens[2].span)
-            else:
-                lbl = _edge_label_token(tokens[2])
+            lbl: Label | RegexPath = (
+                _path_token if keyword == "path" else _edge_label_token)(tokens[2])
             tgt = _ident(tokens[3], "edge target")
             role = _parse_role(tokens[4])
-            if is_path and role not in (Role.READER, Role.EMBARGO):
+            if keyword == "path" and role not in (Role.READER, Role.EMBARGO):
                 raise ParseError(
                     "path edges must be role=reader or role=embargo",
                     tokens[4].span)
-            level, group, _ = _parse_tail(tokens, 5, allow_group=True)
-            if group is not None and role is not Role.EMBARGO:
+            level, group = _suffixes(tokens, 5, ("in", "group"))
+            if group and role is not Role.EMBARGO:
                 raise ParseError("only embargo edges take a NAC group",
                                  tokens[4].span)
-            for endpoint, tok in ((src, tokens[1]), (tgt, tokens[3])):
-                if endpoint not in nodes:
-                    raise ParseError(f"unknown rule node {endpoint!r}", tok.span)
-            if level is not None and level not in quantifiers:
-                raise ParseError(f"unknown quantifier {level!r}", tokens[-1].span)
+            known(src, tokens[1])
+            known(tgt, tokens[3])
+            if level and level.text not in quantifiers:
+                raise ParseError(f"unknown quantifier {level.text!r}", level.span)
             lbl_key = lbl.text() if isinstance(lbl, RegexPath) else lbl.name
-            for e in edges:
-                existing = (e.label.text() if e.is_path() else e.label.name)
-                if (e.src, existing, e.tgt, e.role) == (src, lbl_key, tgt, role):
-                    raise ParseError(
-                        f"duplicate edge {src} -{lbl_key}-> {tgt}",
-                        tokens[2].span)
-            edges.append(RuleEdge(src, lbl, tgt, role,
-                                  level=level or ROOT_QUANT, group=group,
-                                  span=tokens[2].span))
-        elif head.text == "flag":
-            if len(tokens) != 4:
-                raise ParseError("expected: flag ID ROLE FLAGNAME",
-                                 _end_span(tokens))
-            nid = _ident(tokens[1], "rule node id")
-            node = nodes.get(nid)
-            if node is None:
-                raise ParseError(f"unknown rule node {nid!r}", tokens[1].span)
+            if (src, lbl_key, tgt, role) in seen_edges:
+                raise ParseError(f"duplicate edge {src} -{lbl_key}-> {tgt}",
+                                 tokens[2].span)
+            seen_edges.add((src, lbl_key, tgt, role))
+            edges.append(RuleEdge(
+                src, lbl, tgt, role, level=level.text if level else ROOT_QUANT,
+                group=group.text if group else None, span=tokens[2].span))
+        elif keyword == "flag":
+            _shape(tokens, "flag ID ROLE FLAGNAME")
+            node = known(_ident(tokens[1], "rule node id"), tokens[1])
             role = _ROLES.get(tokens[2].text if not tokens[2].quoted else "")
             if role is None:
                 raise ParseError(f"unknown role {tokens[2].text!r}",
                                  tokens[2].span)
-            try:
-                node.flag_ops.append(
-                    (flag_label(_ident(tokens[3], "flag name")), role))
-            except ValueError as exc:
-                raise ParseError(str(exc), tokens[3].span)
-        elif head.text == "match":
-            if len(tokens) != 4:
-                raise ParseError("expected: match ID.NAME == VALUE",
-                                 _end_span(tokens))
+            node.flag_ops.append(
+                (flag_label(_ident(tokens[3], "flag name")), role))
+        elif keyword in _CONSTRAINTS:
+            usage, operator, kind = _CONSTRAINTS[keyword]
+            _shape(tokens, usage)
             nid, attr = _dotted(tokens[1], "attribute reference")
-            _expect(tokens, 2, "==", tokens[2].span)
-            attach_constraint(tokens[1], nid, attr,
-                              AttrConstraint(ConstraintKind.MATCH,
-                                             value=parse_value(tokens[3])))
-        elif head.text == "assign":
-            if len(tokens) != 4:
-                raise ParseError("expected: assign ID.NAME = VALUE",
-                                 _end_span(tokens))
-            nid, attr = _dotted(tokens[1], "attribute reference")
-            _expect(tokens, 2, "=", tokens[2].span)
-            attach_constraint(tokens[1], nid, attr,
-                              AttrConstraint(ConstraintKind.ASSIGN,
-                                             value=parse_value(tokens[3])))
-        elif head.text == "rewrite":
-            if len(tokens) != 4:
-                raise ParseError("expected: rewrite ID.OLD -> NEW",
-                                 _end_span(tokens))
-            nid, attr = _dotted(tokens[1], "attribute reference")
-            _expect(tokens, 2, "->", tokens[2].span)
-            new_name = _ident(tokens[3], "attribute name")
-            attach_constraint(tokens[1], nid, attr,
-                              AttrConstraint(ConstraintKind.RENAME,
-                                             new_name=new_name))
-        elif head.text == "bind":
-            if len(tokens) != 4:
-                raise ParseError("expected: bind PIDX = ID.NAME",
-                                 _end_span(tokens))
+            _expect(tokens[2], operator)
+            if kind is ConstraintKind.RENAME:
+                constraint = AttrConstraint(
+                    kind, new_name=_ident(tokens[3], "attribute name"))
+            else:
+                constraint = AttrConstraint(kind, value=parse_value(tokens[3]))
+            node = known(nid, tokens[1])
+            if attr in node.attr_constraints:
+                raise ParseError(
+                    f"conflicting constraint for attribute {nid}.{attr}",
+                    tokens[1].span)
+            node.attr_constraints[attr] = constraint
+        elif keyword == "bind":
+            _shape(tokens, "bind PIDX = ID.NAME")
             idx = _int_index(tokens[1], "parameter index")
-            _expect(tokens, 2, "=", tokens[2].span)
+            _expect(tokens[2], "=")
             nid, attr = _dotted(tokens[3], "attribute reference")
-            if nid not in nodes:
-                raise ParseError(f"unknown rule node {nid!r}", tokens[3].span)
+            known(nid, tokens[3])
             if idx in params:
                 raise ParseError(f"duplicate parameter index {idx}",
                                  tokens[1].span)
             params[idx] = (nid, attr)
-        elif head.text == "neq":
-            if len(tokens) < 3:
-                raise ParseError("expected: neq ID ID ...", _end_span(tokens))
+        elif keyword == "neq":
+            _shape(tokens, "neq ID ID ...")
             ids = []
             for tok in tokens[1:]:
                 nid = _ident(tok, "rule node id")
-                if nid not in nodes:
-                    raise ParseError(f"unknown rule node {nid!r}", tok.span)
+                known(nid, tok)
                 if nid in ids:
                     raise ParseError(
                         f"node {nid!r} repeated in injectivity declaration",
                         tok.span)
                 ids.append(nid)
             injectivity |= expand_neq(ids)
-        elif head.text == "disjoin":
-            if len(tokens) < 3:
-                raise ParseError("expected: disjoin GID GID ...",
-                                 _end_span(tokens))
+        elif keyword == "disjoin":
+            _shape(tokens, "disjoin GID GID ...")
             gids = [_ident(tok, "NAC group id") for tok in tokens[1:]]
             disjoins.append((gids, tokens[1].span))
-        elif head.text == "format":
+        elif keyword == "format":
             if len(tokens) != 2 or not tokens[1].quoted:
                 raise ParseError('expected: format "FMT"',
                                  tokens[1].span if len(tokens) > 1
@@ -806,15 +709,11 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
                 raise ParseError("duplicate format line", tokens[0].span)
             print_format = tokens[1].text
         else:
-            raise ParseError(f"unknown declaration {head.text!r}", head.span)
+            raise ParseError(f"unknown declaration {keyword!r}", tokens[0].span)
 
-    for level, tok in pending_levels:
-        if level not in quantifiers:
-            raise ParseError(f"unknown quantifier {level!r}", tok.span)
-    for node in nodes.values():
-        if node.level not in quantifiers:
-            raise ParseError(f"unknown quantifier {node.level!r}",
-                             node.span or SourceSpan(filename, 1, 1, 2))
+    for tok in pending_levels:
+        if tok and tok.text not in quantifiers:
+            raise ParseError(f"unknown quantifier {tok.text!r}", tok.span)
 
     nac_groups = group_embargo_elements(nodes, edges, quantifiers)
     disjunction_sets = []
@@ -848,13 +747,12 @@ def parse_config(text: str, filename: str = "<config>") -> list[tuple[str, str, 
         stripped = raw.split("#", 1)[0]
         if not stripped.strip():
             continue
+        span = SourceSpan(filename, lineno, 1, len(raw) + 1)
         if "=" not in stripped:
-            raise ParseError("expected KEY = VALUE",
-                             SourceSpan(filename, lineno, 1, len(raw) + 1))
+            raise ParseError("expected KEY = VALUE", span)
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        span = SourceSpan(filename, lineno, 1, len(raw) + 1)
         if not key or any(ch.isspace() for ch in key):
             raise ParseError("malformed config key", span)
         if not value:
@@ -939,3 +837,14 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
         start=graphs[start_file] if start_file is not None else None,
         start_file=start_file,
     )
+
+
+def load_grammar_dir(path: str | os.PathLike[str] | Traversable) -> Grammar:
+    """The grammar in a directory, named after it: a file-system path or an
+    ``importlib.resources`` Traversable such as a packaged fixture."""
+    directory = Path(path) if isinstance(path, (str, os.PathLike)) else path
+    if not directory.is_dir():
+        raise OSError(f"{path}: not a directory")
+    files = {entry.name: entry.read_text(encoding="utf-8")
+             for entry in directory.iterdir() if entry.is_file()}
+    return build_grammar(files, name=directory.name)

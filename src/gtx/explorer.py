@@ -205,9 +205,12 @@ def explore(rules: list[Rule], start: HostGraph,
     """Breadth-first state space of ``rules`` from ``start``.
 
     ``max_states`` must be at least 1: the start state is always kept.
+    ``max_depth`` must be at least 0; depth 0 keeps the start state alone.
     """
     if max_states is not None and max_states < 1:
         raise ValueError(f"max_states must be at least 1, not {max_states}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, not {max_depth}")
     ordered_rules = sorted(rules, key=lambda r: r.name)
     lts = Lts()
     by_cert: dict[str, list[int]] = {}

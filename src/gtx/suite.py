@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .dsl import Grammar, build_grammar, parse_graph
+from .dsl import Grammar, load_grammar_dir, parse_graph
 from .explorer import isomorphic
 from .graph import HostGraph, Value, edge_label, node_type
 from .rewriter import apply_repeatedly, apply_rule
@@ -191,7 +191,8 @@ class Fixture:
     #: until it reports itself inapplicable
     mode: str = "fixpoint"
     expected_applications: int = 1
-    expected_output: Callable[[HostGraph], str] | None = None
+    #: the output expected from the start graph and the loaded rule
+    expected_output: Callable[[HostGraph, Rule], str] | None = None
     check: Callable[[FixtureContext], list[str]] | None = None
 
 
@@ -225,15 +226,8 @@ class SuiteReport:
 
 
 def load_fixture_grammar(name: str) -> Grammar:
-    root = resources.files("gtx").joinpath(FIXTURE_ROOT).joinpath(name)
-    files = {
-        entry.name: entry.read_text(encoding="utf-8")
-        for entry in root.iterdir()
-        if entry.is_file()
-    }
-    if not files:
-        raise FileNotFoundError(f"no fixture grammar named {name!r}")
-    return build_grammar(files, name=name)
+    return load_grammar_dir(
+        resources.files("gtx").joinpath(FIXTURE_ROOT).joinpath(name))
 
 
 def fixture_grammar_names() -> list[str]:
@@ -392,11 +386,11 @@ def _check_transitive(ctx: FixtureContext) -> list[str]:
 def fixtures() -> list[Fixture]:
     out = [
         Fixture(id="makeGreeting", grammar="greeting", rule="makeGreeting",
-                expected_output=lambda start: "Hello World\n",
+                expected_output=lambda start, rule: "Hello World\n",
                 check=_isomorphic_to(_GREETING_EXPECTED)),
         Fixture(id="helloMessage", grammar="hello", rule="helloMessage",
                 mode="once",
-                expected_output=lambda start:
+                expected_output=lambda start, rule:
                     "The output is Hello TTC Participants \n",
                 check=_check_hello),
     ]
@@ -409,7 +403,7 @@ def fixtures() -> list[Fixture]:
     ]:
         out.append(Fixture(
             id=rule, grammar="counting", rule=rule, mode="once",
-            expected_output=_oracle_count_output(key, rule),
+            expected_output=_oracle_count_output(key),
             check=_counting_check(key)))
     out += [
         Fixture(id="reverseEdges", grammar="reverse", rule="reverseEdges",
@@ -428,10 +422,8 @@ def fixtures() -> list[Fixture]:
     return out
 
 
-def _oracle_count_output(key: str, rule_name: str) -> Callable[[HostGraph], str]:
-    def expected(start: HostGraph) -> str:
-        grammar = load_fixture_grammar("counting")
-        rule = grammar.rules[rule_name]
+def _oracle_count_output(key: str) -> Callable[[HostGraph, Rule], str]:
+    def expected(start: HostGraph, rule: Rule) -> str:
         return _render_count(rule, oracle_counts(start)[key])
     return expected
 
@@ -480,7 +472,7 @@ def run_fixture(fixture: Fixture) -> FixtureResult:
             f"expected {fixture.expected_applications} application(s), "
             f"got {applications}")
     if fixture.expected_output is not None and not problems:
-        want = fixture.expected_output(start)
+        want = fixture.expected_output(start, rule)
         if output != want:
             problems.append(f"output {output!r}, expected {want!r}")
     if fixture.check is not None and not problems:

@@ -1,14 +1,16 @@
-"""The names the benchmark tracer (perfbench/tracer.py) wraps still exist.
+"""The names the benchmark (perfbench/) uses still exist.
 
 The tracer times gtx from outside by replacing functions and HostGraph
-methods it names, and it reads ``LevelMatchSet.extensions``.  This suite
-does not run the benchmark's own self-tests, so a rename here would
-otherwise break the benchmark silently.  The tracer file is only loaded,
-never changed.
+methods it names, and it reads ``LevelMatchSet.extensions``; the
+workloads call gtx functions by their module paths.  This suite does not
+run the benchmark's own self-tests, so a rename or a move here would
+otherwise break the benchmark silently.  The benchmark files are only
+loaded or read, never changed.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -19,7 +21,9 @@ from gtx.dsl import parse_graph, parse_rule
 from gtx.graph import HostGraph
 from gtx.matcher import collect_level_matches, find_root_matches
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +52,28 @@ def test_level_match_sets_expose_their_extensions():
     (match,) = find_root_matches(rule, g)
     levels = collect_level_matches(rule, g, match)
     assert [len(s.extensions) for s in levels.values()] == [1, 2]
+
+
+def _workload_calls() -> set[str]:
+    """``module.name`` of every ``gtx.<module>.<name>`` in the workloads,
+    reached through a ``gtx`` name or a ``.gtx`` attribute."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    calls = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)):
+            root = node.value.value
+            if ((isinstance(root, ast.Name) and root.id == "gtx")
+                    or (isinstance(root, ast.Attribute) and root.attr == "gtx")):
+                calls.add(f"{node.value.attr}.{node.attr}")
+    return calls
+
+
+def test_every_workload_entry_point_exists():
+    calls = _workload_calls()
+    assert {"cli.load_grammar_dir", "cli.main", "dsl.parse_graph",
+            "rewriter.apply_rule"} <= calls
+    for call in sorted(calls):
+        module, name = call.split(".")
+        assert callable(getattr(importlib.import_module(f"gtx.{module}"),
+                                name, None)), f"gtx.{call}"

@@ -217,6 +217,18 @@ def test_explore_rejects_max_states_below_one(capsys):
         assert "max_states must be at least 1" in out.err
 
 
+def test_explore_rejects_negative_max_depth(capsys):
+    code = main(["explore", str(FIXTURES / "reverse"), "--max-depth", "-1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: max_depth must be at least 0, not -1\n"
+    # depth 0 stays legal: the start state alone, truncated
+    code = main(["explore", str(FIXTURES / "reverse"), "--max-depth", "0"])
+    assert code == 4
+    assert capsys.readouterr().out.splitlines()[-1] == "truncated"
+
+
 # -- suite -------------------------------------------------------------
 
 

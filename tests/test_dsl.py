@@ -106,6 +106,12 @@ def test_value_round_trips_through_text(v):
     assert parse_value(toks[3]) == v
 
 
+def test_serialized_strings_escape_only_line_breaking_characters():
+    text = 'a b\té\u00a0\n\x85\u2028\u2029"\\'
+    assert serialize_value(Value.string(text)) == \
+        '"a b\\t\u00e9\u00a0\\n\\u0085\\u2028\\u2029\\"\\\\"'
+
+
 def test_serialized_real_always_has_a_point():
     assert "." in serialize_value(Value.real(4.0)) or \
         "e" in serialize_value(Value.real(4.0)).lower()
@@ -445,3 +451,297 @@ def test_build_grammar_without_any_graph_has_no_start():
 def test_build_grammar_diagnostics(files, needle):
     e = err(build_grammar, files)
     assert needle in e.message
+
+
+# -- diagnostics table -------------------------------------------------
+
+
+# One row per diagnostic the parsers report: the parser, its input, and
+# the exact message and span (line, col, end_col).  Each parser and the
+# scanner, value and regex readers, config and grammar assembly appear.
+DIAGNOSTICS = [
+    ('rule', 'rule r\nformat "oops',
+     'unterminated string literal', 2, 8, 13),
+    ('rule', 'rule r\nformat "a\\qb"',
+     'invalid string escape', 2, 10, 12),
+    ('rule', 'rule r\nformat "a\\u12"',
+     'invalid string escape', 2, 10, 12),
+    ('graph', 'graph g\nnode "a"',
+     'expected node name', 2, 6, 9),
+    ('graph', 'graph g\nnode a:b',
+     "node name 'a:b' contains reserved character ':'", 2, 6, 9),
+    ('graph', 'graph g\n\nnode a\nattr ab = 1',
+     'expected attribute reference of the form A.B', 4, 6, 8),
+    ('graph', 'graph g\nnode a\nattr a.b-c = 1',
+     "attribute reference 'a.b-c' contains reserved character '-'", 3, 6, 11),
+    ('graph', 'graph g\nnode a\nattr a.x = 99999999999999999999',
+     'integer literal out of 64-bit range', 3, 12, 32),
+    ('graph', 'graph g\nnode a\nattr a.x = banana',
+     "invalid value literal 'banana'", 3, 12, 18),
+    ('graph', 'graph g\nnode a\nattr a.x : 1',
+     "expected '='", 3, 10, 11),
+    ('graph', 'graph g extra',
+     "unexpected token 'extra'", 1, 9, 14),
+    ('graph', '# nothing here\n',
+     "empty file, expected a 'graph' header", 1, 1, 2),
+    ('graph', 'node a\n',
+     "expected 'graph'", 1, 1, 5),
+    ('graph', 'graph g\nnode a : A,,B',
+     'empty type name in list', 2, 10, 14),
+    ('graph', 'graph g\nnode a :',
+     'expected a type name', 2, 9, 10),
+    ('graph', 'graph g\nnode a\nedge a =e=> a',
+     'expected an edge arrow of the form -label->', 3, 8, 12),
+    ('graph', 'graph g\nnode a\nedge a -e-f-> a',
+     "label name 'e-f' contains reserved character '-'", 3, 8, 14),
+    ('graph', 'graph g\nnode',
+     'node line needs a name', 2, 5, 6),
+    ('graph', 'graph g\nnode a\nnode a',
+     "duplicate node 'a'", 3, 6, 7),
+    ('graph', 'graph g\nnode a : bad.type',
+     "label name 'bad.type' contains reserved character '.'", 2, 8, 9),
+    ('graph', 'graph g\nnode a flog f',
+     "expected 'flag'", 2, 8, 12),
+    ('graph', 'graph g\nnode a flag',
+     'expected a flag name', 2, 12, 13),
+    ('graph', 'graph g\nnode a\nattr a.x =',
+     'expected: attr ID.NAME = VALUE', 3, 11, 12),
+    ('graph', 'graph g\nnode a\nattr a.x = 1 2',
+     'expected: attr ID.NAME = VALUE', 3, 14, 15),
+    ('graph', 'graph g\nedge a -e->',
+     'expected: edge SRC -LABEL-> TGT', 2, 12, 13),
+    ('graph', 'graph g\nedge a -e-> b c',
+     'expected: edge SRC -LABEL-> TGT', 2, 15, 16),
+    ('graph', 'graph g\nnode a\nedge a -e-> a\nedge a -e-> a',
+     'duplicate edge a -e-> a', 4, 8, 12),
+    ('graph', 'graph g\nfrobnicate a',
+     "unknown declaration 'frobnicate'", 2, 1, 11),
+    ('graph', 'graph g\n"node" a',
+     'expected a declaration keyword', 2, 1, 7),
+    ('graph', 'graph g\nattr ghost.x = 1',
+     "attribute on unknown node 'ghost'", 2, 6, 13),
+    ('graph', 'graph g\nnode a\nattr a.x = 1\nattr a.x = 2',
+     'duplicate attribute a.x', 4, 6, 9),
+    ('graph', 'graph g\nnode a\nedge a -e-> b',
+     "edge references unknown node 'b'", 3, 13, 14),
+    ('typegraph', 'typegraph',
+     "'typegraph' header needs a name", 1, 10, 11),
+    ('typegraph', 'typegraph t\ntype',
+     'type line needs a name', 2, 5, 6),
+    ('typegraph', 'typegraph t\ntype A\ntype A',
+     "duplicate type 'A'", 3, 6, 7),
+    ('typegraph', 'typegraph t\ntype A extends ,B',
+     "expected a supertype name before ','", 2, 16, 18),
+    ('typegraph', 'typegraph t\ntype A extends B,',
+     'expected a supertype name', 2, 18, 19),
+    ('typegraph', 'typegraph t\ntype A extends B.C',
+     "label name 'B.C' contains reserved character '.'", 2, 8, 15),
+    ('typegraph', 'typegraph t\ntype A abstract B',
+     "expected 'extends'", 2, 17, 18),
+    ('typegraph', 'typegraph t\ntype A extends B C',
+     "unexpected token 'C'", 2, 18, 19),
+    ('typegraph', 'typegraph t\ntype A\nattr A.x :',
+     'expected: attr TYPE.NAME : KIND', 3, 11, 12),
+    ('typegraph', 'typegraph t\ntype A\nattr A.x = int',
+     "expected ':'", 3, 10, 11),
+    ('typegraph', 'typegraph t\ntype A\nattr A.x : complex',
+     'expected a value kind (string, int, bool or real)', 3, 12, 19),
+    ('typegraph', 'typegraph t\ntype A\nedge A -e-> A A',
+     'expected: edge TYPE -LABEL-> TYPE', 3, 15, 16),
+    ('typegraph', 'typegraph t\nattr Ghost.x : int',
+     "attribute on undeclared type 'Ghost'", 2, 6, 13),
+    ('typegraph', 'typegraph t\ntype A\nattr A.x : int\nattr A.x : int',
+     'duplicate attribute A.x', 4, 6, 9),
+    ('typegraph', 'typegraph t\ntype A\nedge A -e-> A\nedge A -e-> A',
+     'duplicate edge A -e-> A', 4, 8, 12),
+    ('typegraph', 'typegraph t\nedge A -e-> B.C',
+     "target type 'B.C' contains reserved character '.'", 2, 13, 16),
+    ('regex', 'a..b',
+     'empty regex atom', 1, 1, 5),
+    ('regex', 'a.b-c',
+     "label name 'b-c' contains reserved character '-'", 1, 1, 6),
+    ('rule', 'rule r\nnode a reader',
+     'expected role=READER|eraser|creator|embargo', 2, 8, 14),
+    ('rule', 'rule r\nnode a role=chef',
+     "unknown role 'chef'", 2, 8, 17),
+    ('rule', 'rule r\nnode a role=reader in',
+     'expected a quantifier id', 2, 22, 23),
+    ('rule', 'rule r\nnode a role=reader\nedge a -e-> a role=embargo group',
+     'expected a NAC group id', 3, 33, 34),
+    ('rule', 'rule r\nnode a role=reader group g',
+     "unexpected token 'group'", 2, 20, 25),
+    ('rule', 'rule r\nquant q',
+     'expected: quant QID forall ...', 2, 8, 9),
+    ('rule', 'rule r\nquant root forall',
+     "quantifier id 'root' is reserved", 2, 7, 11),
+    ('rule', 'rule r\nquant q forall\nquant q forall',
+     "duplicate quantifier 'q'", 3, 7, 8),
+    ('rule', 'rule r\nquant q forall count',
+     'expected a parameter index', 2, 21, 22),
+    ('rule', 'rule r\nquant q forall count -1',
+     'expected parameter index (a non-negative integer)', 2, 22, 24),
+    ('rule', 'rule r\nquant q exists',
+     "expected 'forall'", 2, 9, 15),
+    ('rule', 'rule r\nquant q forall in ghost',
+     "unknown quantifier 'ghost'", 2, 19, 24),
+    ('rule', 'rule r\nquant q forall bogus',
+     "unexpected token 'bogus'", 2, 16, 21),
+    ('rule', 'rule r\nnode a',
+     'expected: node ID role=ROLE ...', 2, 7, 8),
+    ('rule', 'rule r\nnode a role=reader\nnode a role=reader',
+     "duplicate rule node 'a'", 3, 6, 7),
+    ('rule', 'rule r\nnode a role=reader :',
+     'expected a type name', 2, 21, 22),
+    ('rule', 'rule r\nnode a role=reader : T in ghost',
+     "unknown quantifier 'ghost'", 2, 27, 32),
+    ('rule', 'rule r\nnode a role=reader\nedge a -e-> a',
+     'expected: edge SRC arrow TGT role=ROLE ...', 3, 14, 15),
+    ('rule', 'rule r\nnode a role=reader\npath a -e-> a role=reader',
+     'expected a path arrow of the form ~regex~>', 3, 8, 12),
+    ('rule', 'rule r\nnode a role=reader\npath a ~e..f~> a role=reader',
+     'empty regex atom', 3, 8, 15),
+    ('rule', 'rule r\nnode a role=reader\npath a ~e~> a role=creator',
+     'path edges must be role=reader or role=embargo', 3, 15, 27),
+    ('rule', 'rule r\nnode a role=reader\nedge a -e-> a role=reader group g',
+     'only embargo edges take a NAC group', 3, 15, 26),
+    ('rule', 'rule r\nedge a -e-> b role=reader',
+     "unknown rule node 'a'", 2, 6, 7),
+    ('rule', 'rule r\nnode a role=reader\nedge a -e-> a role=reader in ghost',
+     "unknown quantifier 'ghost'", 3, 30, 35),
+    ('rule', 'rule r\nnode a role=reader\nedge a -e-> a role=reader\n'
+             'edge a -e-> a role=reader',
+     'duplicate edge a -e-> a', 4, 8, 12),
+    ('rule', 'rule r\nnode a role=reader\nflag a reader',
+     'expected: flag ID ROLE FLAGNAME', 3, 14, 15),
+    ('rule', 'rule r\nnode a role=reader\nflag a chef f',
+     "unknown role 'chef'", 3, 8, 12),
+    ('rule', 'rule r\nflag a reader f',
+     "unknown rule node 'a'", 2, 6, 7),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.x ==',
+     'expected: match ID.NAME == VALUE', 3, 13, 14),
+    ('rule', 'rule r\nnode a role=reader\nassign a.x =',
+     'expected: assign ID.NAME = VALUE', 3, 13, 14),
+    ('rule', 'rule r\nnode a role=reader\nrewrite a.x ->',
+     'expected: rewrite ID.OLD -> NEW', 3, 15, 16),
+    ('rule', 'rule r\nnode a role=reader\nbind 0 =',
+     'expected: bind PIDX = ID.NAME', 3, 9, 10),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.x = 1',
+     "expected '=='", 3, 11, 12),
+    ('rule', 'rule r\nnode a role=reader\nassign a.x == 1',
+     "expected '='", 3, 12, 14),
+    ('rule', 'rule r\nnode a role=reader\nrewrite a.x => y',
+     "expected '->'", 3, 13, 15),
+    ('rule', 'rule r\nnode a role=reader\nbind 0 == a.x',
+     "expected '='", 3, 8, 10),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.x == 1\nassign a.x = 2',
+     'conflicting constraint for attribute a.x', 4, 8, 11),
+    ('rule', 'rule r\nmatch a.x == 1',
+     "unknown rule node 'a'", 2, 7, 10),
+    ('rule', 'rule r\nnode a role=reader\nrewrite a.x -> y.z',
+     "attribute name 'y.z' contains reserved character '.'", 3, 16, 19),
+    ('rule', 'rule r\nnode a role=reader\nbind 0 = a.x\nbind 0 = a.y',
+     'duplicate parameter index 0', 4, 6, 7),
+    ('rule', 'rule r\nbind 0 = a.x',
+     "unknown rule node 'a'", 2, 10, 13),
+    ('rule', 'rule r\nnode a role=reader\nneq a',
+     'expected: neq ID ID ...', 3, 6, 7),
+    ('rule', 'rule r\nnode a role=reader\nneq a a',
+     "node 'a' repeated in injectivity declaration", 3, 7, 8),
+    ('rule', 'rule r\nnode a role=reader\nneq a b',
+     "unknown rule node 'b'", 3, 7, 8),
+    ('rule', 'rule r\ndisjoin g',
+     'expected: disjoin GID GID ...', 2, 10, 11),
+    ('rule', 'rule r\ndisjoin g h',
+     "unknown NAC group 'g'", 2, 9, 10),
+    ('rule', 'rule r\nformat bare',
+     'expected: format "FMT"', 2, 8, 12),
+    ('rule', 'rule r\nformat "a" "b"',
+     'expected: format "FMT"', 2, 8, 11),
+    ('rule', 'rule r\nformat "a"\nformat "b"',
+     'duplicate format line', 3, 1, 7),
+    ('rule', 'rule r\npaint a red',
+     "unknown declaration 'paint'", 2, 1, 6),
+    ('rule', 'rule r\n"node" a',
+     'expected a declaration keyword', 2, 1, 7),
+    # the three diagnostics the shared line readers mend
+    ('rule', 'rule r\nquant q forall in a in b count 0 count 1',
+     "unexpected token 'in'", 2, 21, 23),
+    ('rule', 'rule r\nquant q forall count 0 count 1',
+     "unexpected token 'count'", 2, 24, 29),
+    ('rule', 'rule r\nnode a role=reader\nnode b role=reader\n'
+             'edge a -e-> b role=embargo in zz group g',
+     "unknown quantifier 'zz'", 4, 31, 33),
+    ('rule', 'rule r\nnode a role=reader\nflag a reader f extra',
+     'expected: flag ID ROLE FLAGNAME', 3, 17, 22),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.x == 1 extra',
+     'expected: match ID.NAME == VALUE', 3, 16, 21),
+    ('rule', 'rule r\nnode a role=reader\nassign a.x = 1 extra',
+     'expected: assign ID.NAME = VALUE', 3, 16, 21),
+    ('rule', 'rule r\nnode a role=reader\nrewrite a.x -> y extra',
+     'expected: rewrite ID.OLD -> NEW', 3, 18, 23),
+    ('rule', 'rule r\nnode a role=reader\nbind 0 = a.x extra',
+     'expected: bind PIDX = ID.NAME', 3, 14, 19),
+    ('config', 'start a.gst',
+     'expected KEY = VALUE', 1, 1, 12),
+    ('config', 'two words = x',
+     'malformed config key', 1, 1, 14),
+    ('config', 'start =',
+     "config key 'start' has no value", 1, 1, 8),
+    ('grammar', {'a.gpr': 'rule one\n', 'b.gpr': 'rule one\n'},
+     "rule 'one' is defined more than once", 1, 1, 2),
+    ('grammar', {'a.gst': 'graph h\n',
+                 'grammar.cfg': 'start = a.gst\nstart = a.gst\n'},
+     "duplicate config key 'start'", 2, 1, 14),
+    ('grammar', {'grammar.cfg': 'start = ghost.gst\n'},
+     "start graph 'ghost.gst' not found", 1, 1, 18),
+    ('grammar', {'grammar.cfg': 'typegraph = t.gty\n'},
+     "type graph 't.gty' not found", 1, 1, 18),
+    ('grammar', {'t.gty': 'typegraph t\n',
+                 'grammar.cfg': 'typegraph = t.gty\ntypegraph = t.gty\n'},
+     "type graph 't.gty' enabled twice", 2, 1, 18),
+    ('grammar', {'grammar.cfg': 'flavour = mint\n'},
+     "unknown config key 'flavour'", 1, 1, 15),
+    ('grammar', {'a.gst': 'graph h\n', 'b.gst': 'graph k\n'},
+     "several .gst files; pick one with 'start = FILE' in grammar.cfg",
+     1, 1, 2),
+
+]
+
+PARSERS = {"graph": parse_graph, "typegraph": parse_type_graph,
+           "rule": parse_rule, "regex": parse_regex, "config": parse_config,
+           "grammar": build_grammar}
+
+
+def test_diagnostics_table():
+    actual = []
+    for parser, source, *_ in DIAGNOSTICS:
+        e = err(PARSERS[parser], source)
+        actual.append((parser, source, e.message,
+                       e.span.line, e.span.col, e.span.end_col))
+    assert actual == DIAGNOSTICS
+
+
+def test_quant_suffixes_may_not_repeat():
+    for line, repeated, col in [("quant q forall in a in b", "in", 21),
+                                ("quant q forall count 0 count 1", "count",
+                                 24)]:
+        e = err(parse_rule, f"rule r\nquant a forall\nquant b forall\n{line}")
+        assert e.message == f"unexpected token {repeated!r}"
+        assert (e.span.line, e.span.col) == (4, col)
+
+
+def test_unknown_edge_quantifier_points_at_its_id():
+    e = err(parse_rule, "rule r\nnode a role=reader\n"
+                        "edge a -e-> a role=embargo in zz group g\n")
+    assert e.message == "unknown quantifier 'zz'"
+    assert (e.span.col, e.span.end_col) == (31, 33)
+
+
+@pytest.mark.parametrize("line", [
+    "flag a reader f", "match a.x == 1", "assign a.x = 1",
+    "rewrite a.x -> y", "bind 0 = a.x",
+])
+def test_overlong_rule_line_points_at_the_first_extra_token(line):
+    e = err(parse_rule, f"rule r\nnode a role=reader\n{line} extra more\n")
+    assert e.message.startswith(f"expected: {line.split()[0]} ")
+    assert (e.span.col, e.span.end_col) == (len(line) + 2, len(line) + 7)

@@ -311,6 +311,15 @@ def test_max_states_below_one_is_rejected():
     assert len(explore([parse_rule(GROW)], start, max_states=1).states) == 1
 
 
+def test_negative_max_depth_is_rejected():
+    start = parse_graph("graph g\nnode seed\n")
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="max_depth must be at least 0"):
+            explore([parse_rule(GROW)], start, max_depth=bad)
+    lts = explore([parse_rule(GROW)], start, max_depth=0)
+    assert len(lts.states) == 1 and lts.truncated
+
+
 def test_max_depth_probes_the_frontier():
     start = parse_graph("graph g\nnode seed\n")
     lts = explore([parse_rule(GROW)], start, max_depth=2)
