@@ -21,7 +21,7 @@ Rule (``.gpr``)::
 
     rule NAME
     format "FMT"
-    quant QID forall [in QID] [count PIDX]
+    quant QID forall [in QID] [count PIDX]   # PIDX: ASCII decimal digits
     node ID role=ROLE [: TYPE] [in QID]
     edge SRC -LABEL-> TGT role=ROLE [in QID] [group GID]
     path SRC ~REGEX~> TGT role=ROLE [in QID] [group GID]   # reader|embargo
@@ -161,7 +161,7 @@ def _ident(tok: Token, what: str, dots: int = 0) -> str:
 
 
 def _int_index(tok: Token, what: str) -> int:
-    if tok.quoted or not tok.text.isdigit():
+    if tok.quoted or not re.fullmatch(r"[0-9]+", tok.text):
         raise ParseError(f"expected {what} (a non-negative integer)", tok.span)
     return int(tok.text)
 
@@ -845,6 +845,13 @@ def load_grammar_dir(path: str | os.PathLike[str] | Traversable) -> Grammar:
     directory = Path(path) if isinstance(path, (str, os.PathLike)) else path
     if not directory.is_dir():
         raise OSError(f"{path}: not a directory")
-    files = {entry.name: entry.read_text(encoding="utf-8")
-             for entry in directory.iterdir() if entry.is_file()}
+    files = {}
+    for entry in directory.iterdir():
+        name = entry.name
+        if entry.is_file() and (name == CONFIG_FILE
+                                or name.endswith((".gpr", ".gty", ".gst"))):
+            try:
+                files[name] = entry.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise OSError(f"{entry}: not UTF-8 at byte {exc.start}") from None
     return build_grammar(files, name=directory.name)

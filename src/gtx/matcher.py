@@ -7,21 +7,25 @@ rule asks for it.  Negative application conditions are checked per level:
 a candidate match survives only if every lone NAC group is unmatchable and
 every disjunction set has at least one unmatchable member group.
 
-The search is backtracking along a search plan, built per call of
-:func:`_extend` from the rule nodes still to bind.  The plan binds next a
-node that an edge or path links to an already-bound node, preferring
-typed, attribute-constrained and better-connected nodes among those.  Such
-a node's candidates are the host nodes reached from the bound neighbours'
+A search plan depends only on the rule, so each rule is compiled once, on
+its first match, into one search per level, in tree order.  A level's
+search also holds its NAC conditions.  A condition is a lone NAC group or a
+disjunction set, with one search per group, and blocks a match when every
+search in it succeeds.
+
+A search first checks the edges between the nodes bound before it, then
+backtracks over one step per node to bind.  It binds next a node that an
+edge or path links to an already-bound node, preferring typed,
+attribute-constrained and better-connected nodes among those.  Such a
+node's candidates are the host nodes reached from the bound neighbours'
 images -- by ``successors``/``predecessors`` for a plain edge, or by
 evaluating the path forward, or reversed when the bound end is the path's
-target -- intersected over all bound neighbours.  Only a node with no
-bound neighbour is tried against every host node.  The images of bound
-``neq`` partners are taken out of the candidates, and only edges from the
-node to itself remain to be checked per candidate; every other edge holds
-by construction.  Root levels, ``forall`` levels and NAC probes all run on
-this one search.  Candidates are tried in ascending id order and the
-final match list is sorted, so results are deterministic for a given host
-graph.
+target -- intersected over all bound neighbours.  Only a node with no bound
+neighbour is tried against every host node.  The images of bound ``neq``
+partners are taken out of the candidates, and only edges from the node to
+itself remain to be checked per candidate; every other edge holds by
+construction.  Candidates are tried in ascending id order and the final
+match list is sorted, so results are deterministic for a given host graph.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 from .graph import HostGraph, HostNode, Label, Value
 from .rules import (
     ConstraintKind,
-    NacGroup,
     POSITIVE_ROLES,
     RegexAtom,
     RegexPath,
@@ -119,22 +122,6 @@ def _node_compatible(node: RuleNode, host: HostNode,
     return True
 
 
-def _search_order(rule: Rule, node_ids: list[str]) -> list[str]:
-    def degree(nid: str) -> int:
-        return sum(1 for e in rule.edges
-                   if not e.is_path() and e.role in POSITIVE_ROLES
-                   and nid in (e.src, e.tgt))
-
-    def key(nid: str) -> tuple:
-        node = rule.nodes[nid]
-        return (0 if node.type_constraint is not None else 1,
-                -len(node.attr_constraints),
-                -degree(nid),
-                nid)
-
-    return sorted(node_ids, key=key)
-
-
 def _reverse(path: RegexPath) -> RegexPath:
     """The path read backwards: ``t`` is reachable from ``s`` along ``path``
     exactly when ``s`` is reachable from ``t`` along the result."""
@@ -146,16 +133,6 @@ def _edge_holds(g: HostGraph, e: RuleEdge, src: int, tgt: int) -> bool:
     if e.is_path():
         return tgt in evaluate_regex_path(g, e.label, {src})
     return g.has_edge(src, e.label, tgt)
-
-
-def _base_holds(rule: Rule, g: HostGraph, base: dict[str, int],
-                edges: list[RuleEdge]) -> bool:
-    """The constraints among nodes that were bound before the search."""
-    for a, b in rule.injectivity_pairs:
-        if a in base and b in base and base[a] == base[b]:
-            return False
-    return all(_edge_holds(g, e, base[e.src], base[e.tgt]) for e in edges
-               if e.src in base and e.tgt in base)
 
 
 #: a way to reach a rule node from a bound one: the bound rule node, then
@@ -175,7 +152,7 @@ def _far_ends(g: HostGraph, hid: int, label: Label | RegexPath,
 class _Step:
     """How the search binds one rule node."""
 
-    nid: str
+    node: RuleNode
     #: candidates are the host nodes every source reaches; none: all nodes
     sources: list[_Source]
     #: edges from the node to itself, checked per candidate
@@ -184,10 +161,34 @@ class _Step:
     distinct: list[str]
 
 
-def _plan(rule: Rule, base: dict[str, int], new_nodes: list[str],
-          edges: list[RuleEdge]) -> list[_Step]:
-    bound = set(base)
-    remaining = _search_order(rule, new_nodes)
+@dataclass
+class _Search:
+    """How to extend an assignment of the nodes bound before the search."""
+
+    #: None when a node to bind must differ from itself: it never succeeds
+    steps: list[_Step] | None
+    #: edges between nodes bound before the search, checked first
+    checks: list[RuleEdge]
+    #: a level's NAC conditions; each blocks a result of the level's search
+    #: when every search in it succeeds
+    nacs: list[list[_Search]] = field(default_factory=list)
+
+
+def _plan(rule: Rule, bound: set[str], new_nodes: list[str],
+          edges: list[RuleEdge]) -> _Search:
+    """The search that binds ``new_nodes`` on top of the ``bound`` ones."""
+    checks = [e for e in edges if e.src in bound and e.tgt in bound]
+    if any((n, n) in rule.injectivity_pairs for n in new_nodes):
+        return _Search(None, checks)
+
+    def key(nid: str) -> tuple:  # typed, constrained, connected first
+        node = rule.nodes[nid]
+        return (node.type_constraint is None, -len(node.attr_constraints),
+                -sum(nid in (e.src, e.tgt) for e in rule.edges
+                     if not e.is_path() and e.role in POSITIVE_ROLES), nid)
+
+    remaining = sorted(new_nodes, key=key)
+    bound = set(bound)
     steps: list[_Step] = []
     while remaining:
         nid = next((n for n in remaining
@@ -213,23 +214,49 @@ def _plan(rule: Rule, base: dict[str, int], new_nodes: list[str],
                     for a, b in sorted(rule.injectivity_pairs)
                     if nid in (a, b) and a != b
                     and a in bound and b in bound]
-        steps.append(_Step(nid, sources, loops, distinct))
-    return steps
+        steps.append(_Step(rule.nodes[nid], sources, loops, distinct))
+    return _Search(steps, checks)
 
 
-def _extend(rule: Rule, g: HostGraph, base: dict[str, int],
-            new_nodes: list[str], edges: list[RuleEdge],
+def _compile(rule: Rule) -> dict[str, _Search]:
+    """The rule's levels in tree order, compiled on its first match."""
+    if rule.compiled is not None:
+        return rule.compiled
+
+    def nac(gid: str, bound: set[str]) -> _Search:
+        grp = rule.nac_groups[gid]
+        return _plan(rule, bound, [n for n in grp.node_ids if n not in bound],
+                     [rule.edges[i] for i in grp.edge_indexes])
+
+    grouped = {gid for ds in rule.disjunction_sets for gid in ds.group_ids}
+    conditions = [(gid,) for gid in sorted(rule.nac_groups)
+                  if gid not in grouped]
+    conditions += [ds.group_ids for ds in rule.disjunction_sets]
+    levels: dict[str, _Search] = {}
+    frontier: list[tuple[str, set[str]]] = [(ROOT_QUANT, set())]
+    for qid, bound in frontier:  # grows while it is walked: breadth first
+        nodes = [n.id for n in rule.positive_nodes_at(qid)]
+        edges = [e for _, e in rule.edges_at(qid) if e.role in POSITIVE_ROLES]
+        inner = bound | set(nodes)
+        levels[qid] = search = _plan(rule, bound, nodes, edges)
+        search.nacs = [[nac(gid, inner) for gid in c] for c in conditions
+                       if rule.nac_groups[c[0]].level == qid]
+        frontier += [(q.id, inner) for q in rule.children_of(qid)]
+    rule.compiled = levels
+    return levels
+
+
+def _extend(search: _Search, g: HostGraph, base: dict[str, int],
             tgs: list[TypeGraph] | None,
             limit: int | None = None) -> list[dict[str, int]]:
-    """All ways of assigning ``new_nodes`` consistently on top of ``base``."""
-    if not _base_holds(rule, g, base, edges) or any(
-            (n, n) in rule.injectivity_pairs for n in new_nodes):
-        return []  # the latter: a node that must differ from itself
-    steps = _plan(rule, base, new_nodes, edges)
+    """All ways of running ``search`` on top of ``base``."""
+    steps = search.steps
+    if steps is None or not all(_edge_holds(g, e, base[e.src], base[e.tgt])
+                                for e in search.checks):
+        return []
     results: list[dict[str, int]] = []
     assignment = dict(base)
-    host_ids = (g.node_ids() if any(not s.sources for s in steps)
-                else [])
+    host_ids = g.node_ids() if any(not s.sources for s in steps) else []
 
     def candidates(step: _Step) -> list[int]:
         taken = {assignment[m] for m in step.distinct}
@@ -250,16 +277,15 @@ def _extend(rule: Rule, g: HostGraph, base: dict[str, int],
             results.append(dict(assignment))
             return limit is not None and len(results) >= limit
         step = steps[k]
-        node = rule.nodes[step.nid]
         for hid in candidates(step):
-            if not _node_compatible(node, g.nodes[hid], tgs):
+            if not _node_compatible(step.node, g.nodes[hid], tgs):
                 continue
             if step.loops and not all(_edge_holds(g, e, hid, hid)
                                       for e in step.loops):
                 continue
-            assignment[step.nid] = hid
+            assignment[step.node.id] = hid
             stop = backtrack(k + 1)
-            del assignment[step.nid]
+            del assignment[step.node.id]
             if stop:
                 return True
         return False
@@ -268,31 +294,11 @@ def _extend(rule: Rule, g: HostGraph, base: dict[str, int],
     return results
 
 
-def _nac_matchable(rule: Rule, g: HostGraph, assignment: dict[str, int],
-                   grp: NacGroup, tgs: list[TypeGraph] | None) -> bool:
-    edges = [rule.edges[i] for i in grp.edge_indexes]
-    new_nodes = [nid for nid in grp.node_ids if nid not in assignment]
-    return bool(_extend(rule, g, assignment, new_nodes, edges, tgs, limit=1))
-
-
 def nacs_satisfied(rule: Rule, g: HostGraph, assignment: dict[str, int],
                    level: str, tgs: list[TypeGraph] | None = None) -> bool:
     """True if no forbidden pattern at ``level`` blocks this assignment."""
-    grouped = {gid for ds in rule.disjunction_sets for gid in ds.group_ids}
-    for gid in sorted(rule.nac_groups):
-        grp = rule.nac_groups[gid]
-        if grp.level != level or gid in grouped:
-            continue
-        if _nac_matchable(rule, g, assignment, grp, tgs):
-            return False
-    for ds in rule.disjunction_sets:
-        members = [rule.nac_groups[gid] for gid in ds.group_ids]
-        if members[0].level != level:
-            continue
-        if all(_nac_matchable(rule, g, assignment, grp, tgs)
-               for grp in members):
-            return False
-    return True
+    return not any(all(_extend(s, g, assignment, tgs, limit=1) for s in c)
+                   for c in _compile(rule)[level].nacs)
 
 
 def _bind_params(rule: Rule, g: HostGraph,
@@ -322,9 +328,7 @@ def _level_assignments(rule: Rule, g: HostGraph, qid: str,
                        base: dict[str, int],
                        tgs: list[TypeGraph] | None) -> list[dict[str, int]]:
     """The NAC-respecting assignments of level ``qid`` on top of ``base``."""
-    node_ids = [n.id for n in rule.positive_nodes_at(qid)]
-    edges = [e for _, e in rule.edges_at(qid) if e.role in POSITIVE_ROLES]
-    return [a for a in _extend(rule, g, base, node_ids, edges, tgs)
+    return [a for a in _extend(_compile(rule)[qid], g, base, tgs)
             if nacs_satisfied(rule, g, a, qid, tgs)]
 
 
@@ -340,32 +344,19 @@ def find_root_matches(rule: Rule, g: HostGraph,
     return matches
 
 
-def _tree_order(rule: Rule) -> list[str]:
-    order = [ROOT_QUANT]
-    frontier = [ROOT_QUANT]
-    while frontier:
-        qid = frontier.pop(0)
-        for child in rule.children_of(qid):
-            order.append(child.id)
-            frontier.append(child.id)
-    return order
-
-
 def collect_level_matches(
     rule: Rule, g: HostGraph, root_match: Match,
     tgs: list[TypeGraph] | None = None,
 ) -> dict[str, LevelMatchSet]:
-    """Matches for every quantification level under one root match.
+    """Matches for every level under one root match, in tree order.
 
     Universal levels are matched against the unmodified host graph, parents
     before children; each extension records its parent match so rewrite
     planning can walk back up the tree.
     """
     result = {ROOT_QUANT: LevelMatchSet([root_match])}
-    for qid in _tree_order(rule):
-        if qid == ROOT_QUANT:
-            continue
-        parent = rule.quantifiers[qid].parent or ROOT_QUANT
+    for qid in list(_compile(rule))[1:]:
+        parent = rule.quantifiers[qid].parent
         extensions = [
             Match(assignment, parent=pm)
             for pm in result[parent].extensions

@@ -24,12 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graph import HostGraph, Label, Value
-from .matcher import (
-    Match,
-    _tree_order,
-    collect_level_matches,
-    find_root_matches,
-)
+from .matcher import Match, collect_level_matches, find_root_matches
 from .rules import (
     ConstraintKind,
     POSITIVE_ROLES,
@@ -178,8 +173,8 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                     edge_creations.append(triple)
         contexts[id(match)] = ctx
 
-    for qid in _tree_order(rule):
-        for match in levels[qid].extensions:
+    for qid, level_set in levels.items():
+        for match in level_set.extensions:
             process(match, qid)
 
     # Deletion takes precedence over concurrent writes from other branches.

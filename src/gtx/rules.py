@@ -150,6 +150,10 @@ class DisjunctionSet:
 
 @dataclass
 class Rule:
+    """A rule graph.  Not changed after its first match, by the same
+    convention as :class:`TypeGraph`: the matcher compiles a rule once and
+    keeps the result in ``compiled``."""
+
     name: str
     nodes: dict[str, RuleNode] = field(default_factory=dict)
     edges: list[RuleEdge] = field(default_factory=list)
@@ -161,6 +165,9 @@ class Rule:
     #: live on their quantifier instead and do not appear here
     params: dict[int, tuple[str, str]] = field(default_factory=dict)
     print_format: str | None = None
+    #: the matcher's search per level, built on the first match
+    compiled: dict | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if ROOT_QUANT not in self.quantifiers:

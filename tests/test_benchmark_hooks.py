@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,41 @@ def test_level_match_sets_expose_their_extensions():
     (match,) = find_root_matches(rule, g)
     levels = collect_level_matches(rule, g, match)
     assert [len(s.extensions) for s in levels.values()] == [1, 2]
+
+
+def _gtx_bindings() -> dict[tuple[str, str], object]:
+    return {(name, attr): value
+            for name, module in sys.modules.items()
+            if name == "gtx" or name.startswith("gtx.")
+            for attr, value in vars(module).items()}
+
+
+def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
+    for layer in tracer.FUNCTIONS:
+        importlib.import_module(f"gtx.{layer}")
+    matcher = importlib.import_module("gtx.matcher")
+    g = parse_graph("graph g\nnode a\nnode b\nnode c\nedge a -e-> b\n")
+    rule = parse_rule("rule r\nquant q forall\nnode n role=reader in q\n"
+                      "node x role=embargo in q\n"
+                      "edge n -e-> x role=embargo in q\n")
+    before = _gtx_bindings()
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        (root,) = matcher.find_root_matches(rule, g)
+        levels = matcher.collect_level_matches(rule, g, root)
+    finally:
+        restored = spans.uninstall()
+    assert len(levels["q"].extensions) == 2  # a has an e-successor
+    calls = {name: rec[tracer.CALLS] for name, rec in spans.totals().items()}
+    assert calls.get("matcher.find_root_matches") == 1
+    assert calls.get("matcher.collect_level_matches") == 1
+    # one NAC check per root match and per candidate of the level
+    assert calls.get("matcher.nacs_satisfied") == 4
+    assert restored
+    after = _gtx_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
 
 
 def _workload_calls() -> set[str]:

@@ -87,6 +87,36 @@ def test_missing_directory_is_an_io_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["bind \u00b2 = a.x",
+                                  "quant q forall count \u00b2"])
+def test_non_ascii_parameter_index_is_a_diagnostic(tmp_path, capsys, line):
+    d = write_grammar(tmp_path, {
+        "r.gpr": f"rule r\nnode a role=reader\n{line}\n",
+        "h.gst": "graph h\n",
+    })
+    code = main(["validate", d])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(r"r\.gpr:3:\d+: error: expected parameter index "
+                        r"\(a non-negative integer\)\n", err)
+
+
+def test_files_the_grammar_does_not_use_are_not_read(tmp_path, capsys):
+    d = write_grammar(tmp_path, DELETE_ALL)
+    (Path(d) / "picture.png").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    assert main(["validate", d]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_grammar_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys):
+    d = write_grammar(tmp_path, DELETE_ALL)
+    (Path(d) / "bad.gpr").write_bytes(b"rule bad\nnode \xff role=reader\n")
+    assert main(["validate", d]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: .*bad\.gpr: not UTF-8 at byte 14\n", err)
+
+
 # -- apply -------------------------------------------------------------
 
 

@@ -580,6 +580,12 @@ DIAGNOSTICS = [
      'expected a parameter index', 2, 21, 22),
     ('rule', 'rule r\nquant q forall count -1',
      'expected parameter index (a non-negative integer)', 2, 22, 24),
+    # only ASCII digits: int() rejects superscripts, and other scripts'
+    # digits are no parameter index either
+    ('rule', 'rule r\nquant q forall count \u00b2',
+     'expected parameter index (a non-negative integer)', 2, 22, 23),
+    ('rule', 'rule r\nquant q forall count \u0663',
+     'expected parameter index (a non-negative integer)', 2, 22, 23),
     ('rule', 'rule r\nquant q exists',
      "expected 'forall'", 2, 9, 15),
     ('rule', 'rule r\nquant q forall in ghost',
@@ -643,6 +649,10 @@ DIAGNOSTICS = [
      'duplicate parameter index 0', 4, 6, 7),
     ('rule', 'rule r\nbind 0 = a.x',
      "unknown rule node 'a'", 2, 10, 13),
+    ('rule', 'rule r\nnode a role=reader\nbind \u00b2 = a.x',
+     'expected parameter index (a non-negative integer)', 3, 6, 7),
+    ('rule', 'rule r\nnode a role=reader\nbind \u0661\u0662 = a.x',
+     'expected parameter index (a non-negative integer)', 3, 6, 8),
     ('rule', 'rule r\nnode a role=reader\nneq a',
      'expected: neq ID ID ...', 3, 6, 7),
     ('rule', 'rule r\nnode a role=reader\nneq a a',

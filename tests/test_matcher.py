@@ -12,6 +12,8 @@ import random
 
 from gtx.dsl import parse_graph, parse_regex, parse_rule, parse_type_graph
 from gtx.graph import HostGraph, Value, edge_label, flag, node_type
+from gtx.rewriter import apply_rule
+from gtx import matcher
 from gtx.matcher import (
     collect_level_matches,
     evaluate_regex_path,
@@ -21,6 +23,7 @@ from gtx.rules import (
     POSITIVE_ROLES,
     AttrConstraint,
     ConstraintKind,
+    DisjunctionSet,
     QuantKind,
     Quantifier,
     RegexPath,
@@ -172,28 +175,44 @@ def random_reader(rng: random.Random, nid: str, level: str) -> RuleNode:
 
 
 def add_nac(rng: random.Random, r: Rule, anchors: list[str],
-            level: str) -> None:
+            level: str, group: str | None = None) -> None:
     """One embargo node hanging off an anchor, sometimes with a second
     embargo node behind it in the same group, or a forbidden path between
-    two anchors."""
+    two anchors.  ``group`` names the group instead of the grouping."""
     pick = rng.random()
     if pick < 0.2:
-        r.edges.append(random_edge(rng, anchors, Role.EMBARGO, level))
+        e = random_edge(rng, anchors, Role.EMBARGO, level)
+        e.group = group
+        r.edges.append(e)
         return
-    x, y = f"x{level}", f"y{level}"
+    x, y = f"x{group or level}", f"y{group or level}"
     r.nodes[x] = RuleNode(x, Role.EMBARGO, level=level)
     if rng.random() < 0.5:
         r.nodes[x].type_constraint = node_type(rng.choice("TU"))
     r.edges.append(RuleEdge(rng.choice(anchors), E(rng.choice("ab")), x,
-                            Role.EMBARGO, level))
+                            Role.EMBARGO, level, group))
     if pick < 0.6:
         r.nodes[y] = RuleNode(y, Role.EMBARGO, level=level)
         e = random_edge(rng, [x], Role.EMBARGO, level)
+        e.group = group
         if rng.random() < 0.5:
             e.tgt = y
         else:
             e.src = y
         r.edges.append(e)
+
+
+def add_nacs(rng: random.Random, r: Rule, anchors: list[str],
+             level: str) -> None:
+    """One NAC group, or sometimes two joined by a disjunction set, which
+    blocks a match only when both are matchable."""
+    if rng.random() < 0.6:
+        add_nac(rng, r, anchors, level)
+        return
+    gids = (f"{level}A", f"{level}B")
+    for gid in gids:
+        add_nac(rng, r, anchors, level, gid)
+    r.disjunction_sets.append(DisjunctionSet(gids))
 
 
 def random_rule(rng: random.Random) -> Rule:
@@ -206,7 +225,7 @@ def random_rule(rng: random.Random) -> Rule:
     if len(names) >= 2 and rng.random() < 0.4:
         r.injectivity_pairs |= expand_neq(names[:2])
     if rng.random() < 0.5:
-        add_nac(rng, r, names, "root")
+        add_nacs(rng, r, names, "root")
     if rng.random() < 0.5:
         r.quantifiers["each"] = Quantifier("each", QuantKind.FORALL,
                                            parent="root")
@@ -219,7 +238,7 @@ def random_rule(rng: random.Random) -> Rule:
         if rng.random() < 0.3:
             r.injectivity_pairs |= expand_neq([names[0], inner[0]])
         if rng.random() < 0.5:
-            add_nac(rng, r, names + inner, "each")
+            add_nacs(rng, r, names + inner, "each")
     r.nac_groups = group_embargo_elements(r.nodes, r.edges, r.quantifiers)
     return r
 
@@ -278,6 +297,31 @@ def test_regex_paths_agree_with_relation_composition():
         for start in g.node_ids():
             assert evaluate_regex_path(g, path, {start}) == \
                 _b_path_targets(g, path, start)
+
+
+def test_a_rule_is_planned_once(monkeypatch):
+    calls = []
+    real_plan = matcher._plan
+
+    def plan(*args):
+        calls.append(args)
+        return real_plan(*args)
+
+    monkeypatch.setattr(matcher, "_plan", plan)
+    rule = parse_rule("rule r\nquant q forall count 0\nformat \"%s\"\n"
+                      "node p role=reader\nnode x role=embargo\n"
+                      "edge p -a-> x role=embargo\n"
+                      "node n role=reader in q\nnode y role=embargo in q\n"
+                      "edge p -b-> n role=reader in q\n"
+                      "edge n -a-> y role=embargo in q\n")
+    rng = random.Random(7)
+    applied = sum(apply_rule(rule, random_host(rng)) is not None
+                  for _ in range(25))
+    assert applied >= 20
+    # one search per level and one per NAC group: root, q and their NACs
+    assert len(calls) == 4
+    assert sum(1 + sum(map(len, level.nacs))
+               for level in rule.compiled.values()) == 4
 
 
 # -- targeted behaviour ------------------------------------------------
