@@ -16,7 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from .dsl import Grammar, load_grammar_dir, parse_graph, serialize_graph
+from .dsl import (Grammar, load_grammar_dir, parse_graph, read_utf8,
+                  serialize_graph)
 from .explorer import explore, export_lts
 from .graph import HostGraph
 from .matcher import find_root_matches
@@ -52,8 +53,7 @@ def _diag(message: str, span: SourceSpan | None = None) -> None:
 
 def _load_start(args: argparse.Namespace, grammar: Grammar) -> HostGraph | None:
     if getattr(args, "graph", None):
-        return parse_graph(Path(args.graph).read_text(encoding="utf-8"),
-                           args.graph)
+        return parse_graph(read_utf8(Path(args.graph)), args.graph)
     return grammar.start
 
 

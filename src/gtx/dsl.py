@@ -839,6 +839,14 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
     )
 
 
+def read_utf8(path: Path | Traversable) -> str:
+    """A file's text; a file that is not UTF-8 is an OSError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
 def load_grammar_dir(path: str | os.PathLike[str] | Traversable) -> Grammar:
     """The grammar in a directory, named after it: a file-system path or an
     ``importlib.resources`` Traversable such as a packaged fixture."""
@@ -850,8 +858,5 @@ def load_grammar_dir(path: str | os.PathLike[str] | Traversable) -> Grammar:
         name = entry.name
         if entry.is_file() and (name == CONFIG_FILE
                                 or name.endswith((".gpr", ".gty", ".gst"))):
-            try:
-                files[name] = entry.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise OSError(f"{entry}: not UTF-8 at byte {exc.start}") from None
+            files[name] = read_utf8(entry)
     return build_grammar(files, name=directory.name)

@@ -11,7 +11,7 @@ untyped scratch graphs legal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .graph import HostGraph, HostEdge, Label, LabelKind, ValueKind
 from .source import SourceSpan, Violation
@@ -44,102 +44,55 @@ class EdgeDecl:
 
 @dataclass
 class TypeGraph:
-    """Immutable after construction by convention: validators and the
-    conformance check never modify it."""
+    """Not changed after its first query, by convention: validators and
+    the conformance check never modify it, and the first query computes
+    the supertype closure of every declared type once, into
+    ``_closures``."""
 
     name: str = "typegraph"
     types: dict[str, TypeDecl] = field(default_factory=dict)
     edge_decls: list[EdgeDecl] = field(default_factory=list)
+    #: type name -> its supertype closure, filled on the first query
+    _closures: dict[str, frozenset[str]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def declared(self, type_name: str) -> bool:
         return type_name in self.types
 
-    def supertype_closure(self, type_name: str) -> set[str]:
+    def supertype_closure(self, type_name: str) -> frozenset[str]:
         """All declared ancestors of a type, the type itself included.
         Tolerates cyclic hierarchies (they are reported by validation but
         must not hang the query)."""
-        if type_name not in self.types:
+        if self._closures is None:
+            self._closures = {name: self._walk(name) for name in self.types}
+        closure = self._closures.get(type_name)
+        if closure is None:
             raise UnknownTypeError(f"type {type_name!r} is not declared in {self.name!r}")
-        seen: set[str] = set()
+        return closure
+
+    def _walk(self, type_name: str) -> frozenset[str]:
+        seen = {type_name}
         work = [type_name]
         while work:
-            current = work.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            decl = self.types.get(current)
-            if decl is None:
-                continue  # unresolved reference; validation reports it
-            for sup in decl.supertypes:
-                work.append(sup.name)
-        return seen
+            for sup in self.types[work.pop()].supertypes:
+                if sup.name in self.types and sup.name not in seen:
+                    seen.add(sup.name)
+                    work.append(sup.name)
+        return frozenset(seen)
 
 
 def is_subtype(tg: TypeGraph, a: Label, b: Label) -> bool:
     """Reflexive-transitive subtype test within one type graph."""
-    if not tg.declared(a.name):
-        raise UnknownTypeError(f"type {a.name!r} is not declared in {tg.name!r}")
+    closure = tg.supertype_closure(a.name)
     if not tg.declared(b.name):
         raise UnknownTypeError(f"type {b.name!r} is not declared in {tg.name!r}")
-    return b.name in tg.supertype_closure(a.name)
+    return b.name in closure
 
 
-def _inheritance_sccs(tg: TypeGraph) -> list[list[str]]:
-    """Strongly connected components of the supertype graph, via Tarjan."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = [0]
-
-    def edges_of(name: str) -> list[str]:
-        decl = tg.types.get(name)
-        if decl is None:
-            return []
-        return [s.name for s in decl.supertypes if s.name in tg.types]
-
-    def strongconnect(v: str) -> None:
-        # Iterative Tarjan to stay clear of recursion limits.
-        work = [(v, iter(edges_of(v)))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(edges_of(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(scc)
-
-    for name in sorted(tg.types):
-        if name not in index:
-            strongconnect(name)
-    return sccs
+def _ancestors(tg: TypeGraph, types: Iterable[Label]) -> set[str]:
+    """The supertype closures of those of ``types`` that ``tg`` declares."""
+    return set().union(*(tg.supertype_closure(t.name)
+                         for t in types if tg.declared(t.name)))
 
 
 def validate_type_graph(tg: TypeGraph) -> list[Violation]:
@@ -156,25 +109,25 @@ def validate_type_graph(tg: TypeGraph) -> list[Violation]:
                     decl.span,
                 ))
 
-    # One violation per inheritance cycle, not per participating type.
-    for scc in _inheritance_sccs(tg):
-        cyclic = len(scc) > 1 or any(
-            s.name == scc[0] for s in tg.types[scc[0]].supertypes
-        )
-        if cyclic:
-            members = ", ".join(sorted(scc))
-            span = tg.types[sorted(scc)[0]].span
-            violations.append(Violation(f"inheritance cycle: {members}", span))
+    # One violation per inheritance cycle, reported at its smallest member:
+    # a type is on a cycle when a direct supertype's closure holds it, and
+    # the cycle is the part of its closure whose closures hold it too.
+    for name in sorted(tg.types):
+        if any(name in tg.supertype_closure(s.name)
+               for s in tg.types[name].supertypes if tg.declared(s.name)):
+            members = sorted(t for t in tg.supertype_closure(name)
+                             if name in tg.supertype_closure(t))
+            if members[0] == name:
+                violations.append(Violation(
+                    f"inheritance cycle: {', '.join(members)}",
+                    tg.types[name].span))
 
     # Attribute redeclaration with a different value type, own or inherited.
     for name in sorted(tg.types):
         decl = tg.types[name]
         kinds_by_attr: dict[str, dict[ValueKind, list[str]]] = {}
         for anc in sorted(tg.supertype_closure(name)):
-            anc_decl = tg.types.get(anc)
-            if anc_decl is None:
-                continue
-            for attr, kind in anc_decl.attr_decls.items():
+            for attr, kind in tg.types[anc].attr_decls.items():
                 kinds_by_attr.setdefault(attr, {}).setdefault(kind, []).append(anc)
         for attr in sorted(kinds_by_attr):
             if len(kinds_by_attr[attr]) > 1:
@@ -201,51 +154,36 @@ def validate_type_graph(tg: TypeGraph) -> list[Violation]:
     return violations
 
 
-def _subtype_safe(tg: TypeGraph, sub: str, sup: str) -> bool:
-    if not tg.declared(sub) or not tg.declared(sup):
-        return False
-    return sup in tg.supertype_closure(sub)
-
-
 def attr_licensed(
     tgs: Sequence[TypeGraph],
-    types: Iterable[Label],
+    types: Collection[Label],
     attr: str,
     kind: ValueKind | None,
 ) -> bool:
     """True when some enabled type graph declares `attr` (of `kind`, if
     given) on one of the types or an ancestor of it."""
     for tg in tgs:
-        for t in types:
-            if not tg.declared(t.name):
-                continue
-            for anc in tg.supertype_closure(t.name):
-                anc_decl = tg.types.get(anc)
-                if anc_decl is None or attr not in anc_decl.attr_decls:
-                    continue
-                if kind is None or anc_decl.attr_decls[attr] is kind:
-                    return True
+        for anc in _ancestors(tg, types):
+            declared = tg.types[anc].attr_decls
+            if attr in declared and (kind is None or declared[attr] is kind):
+                return True
     return False
 
 
 def edge_licensed(
     tgs: Sequence[TypeGraph],
-    src_types: Iterable[Label],
+    src_types: Collection[Label],
     label: Label,
-    tgt_types: Iterable[Label],
+    tgt_types: Collection[Label],
 ) -> bool:
     """True when some enabled type graph has an edge declaration covering
     the given endpoint types under its own subtype relation."""
-    src_types = list(src_types)
-    tgt_types = list(tgt_types)
     for tg in tgs:
-        for ed in tg.edge_decls:
-            if ed.label.name != label.name:
-                continue
-            if not any(_subtype_safe(tg, s.name, ed.src_type.name) for s in src_types):
-                continue
-            if any(_subtype_safe(tg, t.name, ed.tgt_type.name) for t in tgt_types):
-                return True
+        srcs = _ancestors(tg, src_types)
+        tgts = _ancestors(tg, tgt_types)
+        if any(ed.label.name == label.name and ed.src_type.name in srcs
+               and ed.tgt_type.name in tgts for ed in tg.edge_decls):
+            return True
     return False
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gtx.dsl import parse_graph, parse_rule
+from gtx.dsl import parse_graph, parse_rule, parse_type_graph
 from gtx.graph import HostGraph
 from gtx.matcher import collect_level_matches, find_root_matches
 
@@ -70,20 +70,28 @@ def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
     rule = parse_rule("rule r\nquant q forall\nnode n role=reader in q\n"
                       "node x role=embargo in q\n"
                       "edge n -e-> x role=embargo in q\n")
+    # only the declared supertype satisfies the constraint
+    tg = parse_type_graph("typegraph t\ntype Part abstract\n"
+                          "type Wheel extends Part\n")
+    typed = parse_rule("rule typed\nnode p role=reader : Part\n")
+    wheel = parse_graph("graph w\nnode w : Wheel\n")
     before = _gtx_bindings()
     spans = tracer.Tracer()
     spans.install()
     try:
         (root,) = matcher.find_root_matches(rule, g)
         levels = matcher.collect_level_matches(rule, g, root)
+        typed_matches = matcher.find_root_matches(typed, wheel, [tg])
     finally:
         restored = spans.uninstall()
     assert len(levels["q"].extensions) == 2  # a has an e-successor
+    assert len(typed_matches) == 1
     calls = {name: rec[tracer.CALLS] for name, rec in spans.totals().items()}
-    assert calls.get("matcher.find_root_matches") == 1
+    assert calls.get("matcher.find_root_matches") == 2
     assert calls.get("matcher.collect_level_matches") == 1
     # one NAC check per root match and per candidate of the level
-    assert calls.get("matcher.nacs_satisfied") == 4
+    assert calls.get("matcher.nacs_satisfied") == 4 + len(typed_matches)
+    assert calls.get("typegraph.is_subtype", 0) >= 1
     assert restored
     after = _gtx_bindings()
     assert after.keys() == before.keys()

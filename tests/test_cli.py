@@ -117,6 +117,18 @@ def test_grammar_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys):
     assert re.fullmatch(r"error: .*bad\.gpr: not UTF-8 at byte 14\n", err)
 
 
+@pytest.mark.parametrize("command", [["validate"], ["apply", "del"]],
+                         ids=["validate", "apply"])
+def test_graph_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys,
+                                                       command):
+    d = write_grammar(tmp_path, DELETE_ALL)
+    bad = tmp_path / "bad.gst"
+    bad.write_bytes(b"graph h\nnode \xff\n")
+    code = main([command[0], d, *command[1:], "--graph", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 at byte 13\n"
+
+
 # -- apply -------------------------------------------------------------
 
 

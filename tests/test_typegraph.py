@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import gtx
 from gtx.dsl import parse_graph, parse_type_graph
 from gtx.typegraph import (
+    TypeGraph,
     UnknownTypeError,
     conforms,
     is_subtype,
@@ -74,6 +83,122 @@ type D
                         if "cycle" in v.message]
     assert len(cycle_violations) == 1
     assert all(name in cycle_violations[0].message for name in "ABC")
+
+
+def random_hierarchy(seed: int) -> str:
+    """A type graph of up to 7 types, each extending up to 3 of the
+    types, itself and two undeclared names included, in random order."""
+    rnd = random.Random(seed)
+    names = [f"T{i}" for i in range(rnd.randint(1, 7))]
+    lines = ["typegraph t"]
+    for name in rnd.sample(names, len(names)):
+        sups = rnd.sample(names + ["Ghost", "Nope"],
+                          rnd.choice((0, 1, 1, 2, 2, 3)))
+        lines.append(f"type {name}"
+                     + (f" extends {', '.join(sups)}" if sups else ""))
+    return "\n".join(lines) + "\n"
+
+
+def strict_reach(tg: TypeGraph) -> dict[tuple[str, str], bool]:
+    """Warshall: (a, b) when a path of at least one ``extends`` step
+    among declared types leads from a to b."""
+    names = sorted(tg.types)
+    reach = {(a, b): any(s.name == b for s in tg.types[a].supertypes)
+             for a in names for b in names}
+    for k in names:
+        for a in names:
+            for b in names:
+                reach[a, b] = reach[a, b] or (reach[a, k] and reach[k, b])
+    return reach
+
+
+def test_subtyping_and_cycles_match_brute_force_reachability():
+    seen = Counter()
+    for seed in range(300):
+        tg = parse_type_graph(random_hierarchy(seed))
+        reach = strict_reach(tg)
+        names = sorted(tg.types)
+        for a in names:
+            closure = {b for b in names if a == b or reach[a, b]}
+            assert tg.supertype_closure(a) == closure, seed
+            for b in names + ["Ghost"]:
+                if b == "Ghost":
+                    with pytest.raises(UnknownTypeError):
+                        is_subtype(tg, node_type(a), node_type(b))
+                    with pytest.raises(UnknownTypeError):
+                        is_subtype(tg, node_type(b), node_type(a))
+                else:
+                    assert is_subtype(tg, node_type(a), node_type(b)) \
+                        == (b in closure), seed
+        with pytest.raises(UnknownTypeError):
+            tg.supertype_closure("Ghost")
+
+        cycles = {frozenset([a] + [b for b in names
+                                   if reach[a, b] and reach[b, a]])
+                  for a in names if reach[a, a]}
+        expected = [(f"inheritance cycle: {', '.join(sorted(c))}",
+                     tg.types[min(c)].span)
+                    for c in sorted(cycles, key=min)]
+        got = [(v.message, v.span) for v in validate_type_graph(tg)
+               if "cycle" in v.message]
+        assert got == expected, seed
+
+        seen["self"] += any(s.name == a for a in names
+                            for s in tg.types[a].supertypes)
+        seen["long"] += any(len(c) >= 3 for c in cycles)
+        seen["several"] += len(cycles) >= 2
+        seen["undeclared"] += any(not tg.declared(s.name)
+                                  for d in tg.types.values()
+                                  for s in d.supertypes)
+    assert min(seen[k] for k in ("self", "long", "several", "undeclared")) \
+        >= 20, seen
+
+
+def test_each_closure_is_walked_once_per_type_graph(monkeypatch, gc):
+    walks = Counter()
+    walk = TypeGraph._walk
+
+    def counting(self, type_name):
+        walks[self.name, type_name] += 1
+        return walk(self, type_name)
+
+    monkeypatch.setattr(TypeGraph, "_walk", counting)
+    names = [node_type(n) for n in sorted(gc.types)]
+    for _ in range(3):
+        assert validate_type_graph(gc) == []
+        assert conforms([gc], parse_graph(HOST_OK)) == []
+        for a in names:
+            for b in names:
+                is_subtype(gc, a, b)
+    assert walks == {("gc", n): 1 for n in gc.types}
+
+
+def test_inheritance_cycles_print_in_a_fixed_order(tmp_path):
+    # three cycles under A; the declaration order is not the name order
+    (tmp_path / "t.gty").write_text(
+        "typegraph t\n"
+        "type S extends S\n"
+        "type A extends S, Q1, P1\n"
+        "type Q3 extends Q1\n"
+        "type P2 extends P1\n"
+        "type Q1 extends Q2\n"
+        "type P1 extends P2\n"
+        "type Q2 extends Q3\n", encoding="utf-8")
+    src = str(Path(gtx.__file__).resolve().parents[1])
+    errs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), GTX_COLOR="never",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "gtx", "validate",
+                              str(tmp_path)], env=env, capture_output=True)
+        assert run.returncode == 1
+        errs.add(run.stderr)
+    (err,) = errs
+    assert err.decode() == (
+        "t.gty:7:6: error: inheritance cycle: P1, P2\n"
+        "t.gty:6:6: error: inheritance cycle: Q1, Q2, Q3\n"
+        "t.gty:2:6: error: inheritance cycle: S\n")
 
 
 def test_conflicting_attribute_kinds_across_closure():
