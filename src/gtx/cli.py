@@ -21,7 +21,7 @@ from .dsl import (Grammar, load_grammar_dir, parse_graph, read_utf8,
 from .explorer import explore, export_lts
 from .graph import HostGraph
 from .matcher import find_root_matches
-from .rewriter import apply_repeatedly, apply_rule
+from .rewriter import FormatError, apply_repeatedly, apply_rule
 from .source import ParseError, SourceSpan
 from .suite import run_suite
 from .typegraph import conforms, validate_type_graph
@@ -212,6 +212,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _diag(exc.message, exc.span)
         return EXIT_IO
+    except FormatError as exc:
+        _diag(f"rule {args.rule!r}: {exc}")
+        return EXIT_VIOLATIONS
     except OSError as exc:
         _diag(str(exc))
         return EXIT_IO

@@ -194,7 +194,10 @@ def parse_value(tok: Token) -> Value:
         except ValueError:
             raise ParseError("integer literal out of 64-bit range", tok.span)
     if _REAL_RE.match(tok.text):
-        return Value.real(float(tok.text))
+        try:
+            return Value.real(float(tok.text))
+        except ValueError:  # overflows to infinity
+            raise ParseError("real literal out of range", tok.span)
     raise ParseError(f"invalid value literal {tok.text!r}", tok.span)
 
 

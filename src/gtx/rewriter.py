@@ -4,8 +4,11 @@ Application is all-at-once: every universal level is matched against the
 unmodified host graph first, the combined change set is collected into an
 :class:`Effect`, and only then is anything mutated (on a copy — the input
 graph is never touched).  Overlapping universal branches therefore see the
-same pre-state, duplicate deletions collapse, and a branch that deletes a
-node silently wins over sibling branches that would have written to it.
+same pre-state and duplicate changes collapse.  Where branches conflict,
+deletion beats writes: a deleted node gets no flag, attribute or new
+edge.  An addition beats a removal: a flag both added and removed is
+set, and an edge both deleted and created stays.  Of several values
+written to one attribute, the greatest by :meth:`Value.sort_key` wins.
 
 Node deletion follows the single-pushout convention: deleting a node also
 removes every incident edge, whether or not the rule mentioned them.
@@ -20,6 +23,7 @@ all pairs from :func:`applications` and applies each with
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -27,10 +31,12 @@ from .graph import HostGraph, Label, Value
 from .matcher import Match, collect_level_matches, find_root_matches
 from .rules import (
     ConstraintKind,
+    FORMAT_DIRECTIVE,
     POSITIVE_ROLES,
     Role,
     ROOT_QUANT,
     Rule,
+    RuleNode,
 )
 from .typegraph import TypeGraph
 
@@ -100,125 +106,86 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                      tgs: list[TypeGraph] | None = None) -> Effect:
     levels = collect_level_matches(rule, g, root_match, tgs)
 
+    # per level, in id order: each creator node with the types, flags and
+    # attributes of what it creates, and the positive nodes
+    creators: dict[str, list[tuple[str, tuple]]] = {}
+    positives: dict[str, list[RuleNode]] = {}
+    for node in sorted(rule.nodes.values(), key=lambda n: n.id):
+        if node.role is Role.CREATOR:
+            creators.setdefault(node.level, []).append((node.id, (
+                (node.type_constraint,)
+                if node.type_constraint is not None else (),
+                tuple(sorted((fl for fl, r in node.flag_ops
+                              if r is Role.CREATOR), key=lambda lb: lb.name)),
+                tuple(sorted((attr, c.value)
+                             for attr, c in node.attr_constraints.items()
+                             if c.kind is ConstraintKind.ASSIGN
+                             and c.value is not None)))))
+        elif node.role in POSITIVE_ROLES:
+            positives.setdefault(node.level, []).append(node)
+
     node_deletions: set[int] = set()
     edge_deletions: set[tuple[int, Label, int]] = set()
     node_creations: list[NodeCreation] = []
-    edge_creations: list[tuple[Endpoint, Label, Endpoint]] = []
-    seen_edge_creations: set[tuple] = set()
-    attr_writes: set[tuple[int, str, Value]] = set()
+    edge_creations: set[tuple[Endpoint, Label, Endpoint]] = set()
     attr_deletions: set[tuple[int, str]] = set()
-    flag_changes: set[tuple[int, Label, bool]] = set()
+    # conflicts are resolved as changes are collected: of several writes
+    # to one attribute the greatest value by sort key wins, and of several
+    # changes to one flag an addition wins
+    writes: dict[tuple[int, str], Value] = {}
+    flags: dict[tuple[int, Label], bool] = {}
 
-    serial = 0
     # per-match creator context: rule node id -> NewNodeRef, keyed by the
-    # identity of the Match object (matches chain via .parent)
+    # identity of the Match object (matches chain via .parent; the root
+    # match has none)
     contexts: dict[int, dict[str, NewNodeRef]] = {}
-
-    def process(match: Match, level: str) -> None:
-        nonlocal serial
-        parent_ctx = (contexts[id(match.parent)]
-                      if match.parent is not None else {})
-        ctx = dict(parent_ctx)
-        for node in sorted(rule.nodes.values(), key=lambda n: n.id):
-            if node.level != level:
-                continue
-            if node.role is Role.CREATOR:
-                ref = NewNodeRef(serial)
-                serial += 1
-                ctx[node.id] = ref
-                types = ((node.type_constraint,)
-                         if node.type_constraint is not None else ())
-                flags = tuple(sorted(
-                    (fl for fl, r in node.flag_ops if r is Role.CREATOR),
-                    key=lambda lb: lb.name))
-                attrs = tuple(sorted(
-                    (attr, c.value)
-                    for attr, c in node.attr_constraints.items()
-                    if c.kind is ConstraintKind.ASSIGN and c.value is not None))
-                node_creations.append(NodeCreation(ref, types, flags, attrs))
-                continue
-            if node.role not in POSITIVE_ROLES:
-                continue
-            hid = match.assignment[node.id]
-            if node.role is Role.ERASER:
-                node_deletions.add(hid)
-            for fl, r in node.flag_ops:
-                if r is Role.CREATOR:
-                    flag_changes.add((hid, fl, True))
-                elif r is Role.ERASER:
-                    flag_changes.add((hid, fl, False))
-            for attr, c in node.attr_constraints.items():
-                if c.kind is ConstraintKind.ASSIGN and c.value is not None:
-                    attr_writes.add((hid, attr, c.value))
-                elif c.kind is ConstraintKind.RENAME and c.new_name is not None:
-                    if c.new_name == attr:
-                        continue  # renaming to itself changes nothing
-                    old = g.nodes[hid].attrs.get(attr)
-                    if old is not None:
-                        attr_deletions.add((hid, attr))
-                        attr_writes.add((hid, c.new_name, old))
-        for _, edge in rule.edges_at(level):
-            if edge.is_path():
-                continue
-            if edge.role is Role.ERASER:
-                src = match.assignment[edge.src]
-                tgt = match.assignment[edge.tgt]
-                edge_deletions.add((src, edge.label, tgt))
-            elif edge.role is Role.CREATOR:
-                src = ctx.get(edge.src, match.assignment.get(edge.src))
-                tgt = ctx.get(edge.tgt, match.assignment.get(edge.tgt))
-                triple = (src, edge.label, tgt)
-                if triple not in seen_edge_creations:
-                    seen_edge_creations.add(triple)
-                    edge_creations.append(triple)
-        contexts[id(match)] = ctx
-
     for qid, level_set in levels.items():
+        edges = [e for _, e in rule.edges_at(qid) if not e.is_path()]
         for match in level_set.extensions:
-            process(match, qid)
+            ctx = dict(contexts.get(id(match.parent), {}))
+            for nid, fields in creators.get(qid, ()):
+                ctx[nid] = ref = NewNodeRef(len(node_creations))
+                node_creations.append(NodeCreation(ref, *fields))
+            for node in positives.get(qid, ()):
+                hid = match.assignment[node.id]
+                if node.role is Role.ERASER:
+                    node_deletions.add(hid)
+                for fl, r in node.flag_ops:
+                    if r is Role.CREATOR or r is Role.ERASER:
+                        flags[(hid, fl)] = (flags.get((hid, fl), False)
+                                            or r is Role.CREATOR)
+                pre = g.nodes[hid].attrs
+                for attr, c in node.attr_constraints.items():
+                    if c.kind is ConstraintKind.ASSIGN and c.value is not None:
+                        key, value = (hid, attr), c.value
+                    elif (c.kind is ConstraintKind.RENAME
+                          and c.new_name not in (None, attr) and attr in pre):
+                        attr_deletions.add((hid, attr))
+                        key, value = (hid, c.new_name), pre[attr]
+                    else:
+                        continue
+                    if (key not in writes
+                            or value.sort_key() > writes[key].sort_key()):
+                        writes[key] = value
+            for edge in edges:
+                if edge.role is Role.ERASER:
+                    edge_deletions.add((match.assignment[edge.src], edge.label,
+                                        match.assignment[edge.tgt]))
+                elif edge.role is Role.CREATOR:
+                    edge_creations.add(
+                        (ctx.get(edge.src, match.assignment.get(edge.src)),
+                         edge.label,
+                         ctx.get(edge.tgt, match.assignment.get(edge.tgt))))
+            contexts[id(match)] = ctx
 
-    # Deletion takes precedence over concurrent writes from other branches.
-    attr_writes = {w for w in attr_writes if w[0] not in node_deletions}
-    attr_deletions = {d for d in attr_deletions if d[0] not in node_deletions}
-    flag_changes = {f for f in flag_changes if f[0] not in node_deletions}
-    edge_creations = [
-        (s, lbl, t) for s, lbl, t in edge_creations
-        if not (isinstance(s, int) and s in node_deletions)
-        and not (isinstance(t, int) and t in node_deletions)
-    ]
-
-    # Normalize to the exact delta against the pre-state: deleting and
-    # recreating the same edge cancels out, creations the host already
-    # satisfies vanish, and of several writes to one attribute only the
-    # canonical last one survives.  This is what makes is_empty() mean
-    # "application would be the identity".
-    recreated = {t for t in edge_creations
-                 if isinstance(t[0], int) and isinstance(t[2], int)}
-    edge_deletions = {d for d in edge_deletions if d not in recreated}
-    edge_creations = [
-        (s, lbl, t) for s, lbl, t in edge_creations
-        if isinstance(s, NewNodeRef) or isinstance(t, NewNodeRef)
-        or not g.has_edge(s, lbl, t)
-    ]
-
-    flag_final = {}
-    for nid, fl, add in sorted(flag_changes,
-                               key=lambda f: (f[0], f[1].name, f[2])):
-        # removal sorts before addition, so an add wins a conflict
-        flag_final[(nid, fl)] = add
-    flag_changes = {(nid, fl, add) for (nid, fl), add in flag_final.items()
-                    if add != (fl in g.nodes[nid].flags)}
-
-    write_winner: dict[tuple[int, str], Value] = {}
-    for nid, attr, v in sorted(attr_writes,
-                               key=lambda w: (w[0], w[1], w[2].sort_key())):
-        write_winner[(nid, attr)] = v
-    attr_deletions = {(nid, attr) for nid, attr in attr_deletions
-                      if (nid, attr) not in write_winner
-                      and attr in g.nodes[nid].attrs}
-    attr_writes = {(nid, attr, v) for (nid, attr), v in write_winner.items()
-                   if g.nodes[nid].attrs.get(attr) != v}
-
+    # Normalize to the exact delta against the pre-state.  Deletion wins
+    # over every change to a deleted node; deleting and recreating the
+    # same edge cancels out; creations the host already satisfies and
+    # writes that change nothing vanish; a renamed-away attribute is
+    # deleted only if nothing writes to it.  This is what makes is_empty()
+    # mean "application would be the identity".
+    edge_creations = {(s, lbl, t) for s, lbl, t in edge_creations
+                      if s not in node_deletions and t not in node_deletions}
     counts = {qid: levels[qid].count for qid in levels if qid != ROOT_QUANT}
     param_values = dict(root_match.bound_params)
     for qid, idx in rule.count_params().items():
@@ -226,17 +193,23 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
 
     return Effect(
         node_deletions=sorted(node_deletions),
-        edge_deletions=sorted(edge_deletions,
+        edge_deletions=sorted(edge_deletions - edge_creations,
                               key=lambda e: (e[0], e[1].name, e[2])),
         node_creations=node_creations,
         edge_creations=sorted(
-            edge_creations,
+            ((s, lbl, t) for s, lbl, t in edge_creations
+             if isinstance(s, NewNodeRef) or isinstance(t, NewNodeRef)
+             or not g.has_edge(s, lbl, t)),
             key=lambda e: (_endpoint_key(e[0]), e[1].name, _endpoint_key(e[2]))),
-        attr_writes=sorted(attr_writes,
-                           key=lambda w: (w[0], w[1], w[2].sort_key())),
-        attr_deletions=sorted(attr_deletions),
-        flag_changes=sorted(flag_changes,
-                            key=lambda f: (f[0], f[1].name, f[2])),
+        attr_writes=[(nid, attr, v) for (nid, attr), v in sorted(writes.items())
+                     if nid not in node_deletions
+                     and g.nodes[nid].attrs.get(attr) != v],
+        attr_deletions=sorted(d for d in attr_deletions
+                              if d[0] not in node_deletions and d not in writes),
+        flag_changes=[(nid, fl, add) for (nid, fl), add in sorted(
+                          flags.items(), key=lambda f: (f[0][0], f[0][1].name))
+                      if nid not in node_deletions
+                      and add != (fl in g.nodes[nid].flags)],
         param_values=param_values,
         counts=counts,
     )
@@ -284,33 +257,20 @@ def render_output(fmt: str, param_values: dict[int, Value]) -> str:
     ``%``-sequences pass through unchanged; running out of parameters is an
     error (extras are ignored).
     """
-    ordered = [param_values[i] for i in sorted(param_values)]
-    out: list[str] = []
-    next_param = 0
-    i = 0
-    while i < len(fmt):
-        ch = fmt[i]
-        if ch != "%" or i + 1 >= len(fmt):
-            out.append(ch)
-            i += 1
-            continue
-        nxt = fmt[i + 1]
-        if nxt == "s":
-            if next_param >= len(ordered):
-                raise FormatError(
-                    f"format needs parameter #{next_param} but only "
-                    f"{len(ordered)} are bound")
-            out.append(ordered[next_param].to_text())
-            next_param += 1
-        elif nxt == "n":
-            out.append("\n")
-        elif nxt == "%":
-            out.append("%")
-        else:
-            out.append(ch)
-            out.append(nxt)
-        i += 2
-    return "".join(out)
+    params = (param_values[i] for i in sorted(param_values))
+
+    def expand(directive: re.Match[str]) -> str:
+        ch = directive.group(1)
+        if ch != "s":
+            return {"n": "\n", "%": "%"}.get(ch, directive.group(0))
+        value = next(params, None)
+        if value is None:
+            raise FormatError(
+                f"format needs parameter #{len(param_values)} but only "
+                f"{len(param_values)} are bound")
+        return value.to_text()
+
+    return FORMAT_DIRECTIVE.sub(expand, fmt)
 
 
 def is_effective(rule: Rule, effect: Effect) -> bool:

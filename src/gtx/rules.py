@@ -27,6 +27,7 @@ pairs say otherwise.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,6 +36,9 @@ from .source import SourceSpan, Violation
 from .typegraph import TypeGraph, attr_licensed, edge_licensed
 
 ROOT_QUANT = "root"
+
+#: a print-format directive: ``%`` and the character after it
+FORMAT_DIRECTIVE = re.compile(r"%(.)", re.DOTALL)
 
 
 class RuleError(Exception):
@@ -525,6 +529,10 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
         v.append(Violation(
             f"parameter indices must be dense from 0, got "
             f"{sorted(indices)}"))
+    holes = FORMAT_DIRECTIVE.findall(r.print_format or "").count("s")
+    if holes > len(indices):
+        v.append(Violation(f"rule {r.name!r}: format has more %s holes "
+                           f"({holes}) than parameters ({len(indices)})"))
 
     if tgs:
         v.extend(_validate_against_typegraphs(r, tgs))

@@ -66,6 +66,8 @@ def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
     for layer in tracer.FUNCTIONS:
         importlib.import_module(f"gtx.{layer}")
     matcher = importlib.import_module("gtx.matcher")
+    rewriter = importlib.import_module("gtx.rewriter")
+    explorer = importlib.import_module("gtx.explorer")
     g = parse_graph("graph g\nnode a\nnode b\nnode c\nedge a -e-> b\n")
     rule = parse_rule("rule r\nquant q forall\nnode n role=reader in q\n"
                       "node x role=embargo in q\n"
@@ -75,6 +77,15 @@ def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
                           "type Wheel extends Part\n")
     typed = parse_rule("rule typed\nnode p role=reader : Part\n")
     wheel = parse_graph("graph w\nnode w : Wheel\n")
+    # a two-level rule with one root match, and a rule to explore with
+    wire = parse_rule("rule wire\nnode h role=reader\nflag h reader hub\n"
+                      "quant q forall\nnode n role=reader in q\n"
+                      "edge h -sees-> n role=creator in q\n")
+    hub = parse_graph("graph h\nnode a flag hub\nnode b\n")
+    unmark = parse_rule("rule unmark\nnode n role=reader\n"
+                        "flag n eraser todo\n")
+    marked = parse_graph("graph m\nnode a flag todo\nnode b flag todo\n"
+                         "node c\n")
     before = _gtx_bindings()
     spans = tracer.Tracer()
     spans.install()
@@ -92,6 +103,32 @@ def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
     # one NAC check per root match and per candidate of the level
     assert calls.get("matcher.nacs_satisfied") == 4 + len(typed_matches)
     assert calls.get("typegraph.is_subtype", 0) >= 1
+    assert restored
+
+    # the rewriter spans and parents that the rewriter and explorer
+    # metrics read
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        wired = rewriter.apply_rule(wire, hub)
+        lts = explorer.explore([unmark], marked)
+    finally:
+        restored = spans.uninstall()
+    assert wired is not None
+    assert len(lts.states) == 3  # the two one-mark graphs are isomorphic
+    parents = {(name, parent) for name, parent in spans.records}
+    assert {("rewriter.plan_application", "rewriter.apply_rule"),
+            ("matcher.collect_level_matches", "rewriter.plan_application"),
+            ("rewriter.plan_application", "explorer.explore"),
+            ("rewriter.apply_effect", "explorer.explore")} <= parents
+    rewriter_roots = sum(rec[tracer.ITEMS]
+                         for (name, parent), rec in spans.records.items()
+                         if name == "matcher.find_root_matches"
+                         and parent != tracer.ROOT)
+    assert rewriter_roots == 1 + 2 + 1  # wire on hub; unmark per state
+    calls = {name: rec[tracer.CALLS] for name, rec in spans.totals().items()}
+    assert calls.get("rewriter.is_effective") == rewriter_roots
+    assert calls.get("rewriter.plan_application") == rewriter_roots
     assert restored
     after = _gtx_bindings()
     assert after.keys() == before.keys()

@@ -101,6 +101,44 @@ def test_non_ascii_parameter_index_is_a_diagnostic(tmp_path, capsys, line):
                         r"\(a non-negative integer\)\n", err)
 
 
+@pytest.mark.parametrize("files, where", [
+    ({"h.gst": "graph h\nnode a\nattr a.x = 1.0e999\n"}, "h.gst:3:12"),
+    ({"r.gpr": "rule r\nnode a role=reader\nmatch a.x == -1.0e999\n",
+      "h.gst": "graph h\n"}, "r.gpr:3:14"),
+], ids=["gst", "gpr"])
+def test_overflowing_real_literal_is_a_diagnostic(tmp_path, capsys, files,
+                                                  where):
+    code = main(["validate", write_grammar(tmp_path, files)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"{where}: error: real literal out of range\n")
+
+
+UNBOUND_FORMAT = {
+    "say.gpr": 'rule say\nnode n role=reader\nformat "value %s"\n',
+    "h.gst": "graph h\nnode a\n",
+}
+
+
+def test_validate_reports_a_format_with_unbound_holes(tmp_path, capsys):
+    code = main(["validate", write_grammar(tmp_path, UNBOUND_FORMAT)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: rule 'say': format has more %s holes (1) than parameters "
+        "(0)\n")
+
+
+@pytest.mark.parametrize("command", ["apply", "count"])
+def test_format_with_unbound_holes_is_one_diagnostic(tmp_path, capsys,
+                                                     command):
+    code = main([command, write_grammar(tmp_path, UNBOUND_FORMAT), "say"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == ("error: rule 'say': format needs parameter #0 but "
+                       "only 0 are bound\n")
+
+
 def test_files_the_grammar_does_not_use_are_not_read(tmp_path, capsys):
     d = write_grammar(tmp_path, DELETE_ALL)
     (Path(d) / "picture.png").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")

@@ -476,6 +476,19 @@ DIAGNOSTICS = [
      "attribute reference 'a.b-c' contains reserved character '-'", 3, 6, 11),
     ('graph', 'graph g\nnode a\nattr a.x = 99999999999999999999',
      'integer literal out of 64-bit range', 3, 12, 32),
+    # a real literal that overflows to infinity
+    ('graph', 'graph g\nnode a\nattr a.x = 1.0e999',
+     'real literal out of range', 3, 12, 19),
+    ('graph', 'graph g\nnode a\nattr a.x = -1.0e999',
+     'real literal out of range', 3, 12, 20),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.x == 1.0e999',
+     'real literal out of range', 3, 14, 21),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.x == -1.0e999',
+     'real literal out of range', 3, 14, 22),
+    ('rule', 'rule r\nnode a role=reader\nassign a.x = 1.0e999',
+     'real literal out of range', 3, 14, 21),
+    ('rule', 'rule r\nnode a role=reader\nassign a.x = -1.0e999',
+     'real literal out of range', 3, 14, 22),
     ('graph', 'graph g\nnode a\nattr a.x = banana',
      "invalid value literal 'banana'", 3, 12, 18),
     ('graph', 'graph g\nnode a\nattr a.x : 1',

@@ -208,6 +208,39 @@ def test_rename_reads_the_pre_state_value():
     assert by_name["b"].attrs == {"v": Value.int_(2)}
 
 
+@pytest.mark.parametrize("lines, host, expected, changes", [
+    # of two values written to one attribute the greater by sort key wins;
+    # sort keys compare printed text, so 9 beats 10
+    ("assign x.v = 9\nassign y.v = 10\n",
+     "node a\nattr a.v = 1\n", "node a\nattr a.v = 9\n", 1),
+    # an addition beats a removal
+    ("flag x creator f\nflag y eraser f\n",
+     "node a flag f\n", "node a flag f\n", 0),
+    # the renamed value and the assigned one conflict; the rename still
+    # deletes the old name
+    ('rewrite x.a -> v\nassign y.v = "z"\n',
+     'node a\nattr a.a = "q"\n', 'node a\nattr a.v = "z"\n', 2),
+    # every forall match creates the same edge between root nodes
+    ("flag x reader h\nflag y reader h\nquant q forall\n"
+     "node n role=reader in q\nedge x -e-> y role=creator in q\n",
+     "node a flag h\nnode b\nnode c\n",
+     "node a flag h\nnode b\nnode c\nedge a -e-> a\n", 1),
+], ids=["writes", "flags", "rename-and-write", "shared-creator-edge"])
+def test_rule_nodes_on_one_host_node_resolve_conflicts(lines, host, expected,
+                                                        changes):
+    # x and y both match the host node a
+    rule = parse_rule("rule r\nnode x role=reader\nnode y role=reader\n"
+                      + lines)
+    g = parse_graph("graph g\n" + host)
+    effect = plan_application(rule, g, single_match(rule, g))
+    assert sum(len(getattr(effect, f)) for f in (
+        "node_deletions", "edge_deletions", "node_creations",
+        "edge_creations", "attr_writes", "attr_deletions",
+        "flag_changes")) == changes
+    assert serialize_graph(apply_effect(g, effect)) == serialize_graph(
+        parse_graph("graph g\n" + expected))
+
+
 # -- whole-rule behaviour ----------------------------------------------
 
 

@@ -20,6 +20,7 @@ from gtx.rules import (
     group_embargo_elements,
     validate_rule,
 )
+from gtx.rewriter import FormatError, render_output
 
 E = edge_label
 
@@ -379,3 +380,27 @@ def test_duplicate_parameter_index_across_kinds():
              quantifiers={"q": forall("q", count=0)},
              params={0: ("a", "attr")})
     assert_flags(r, "used more than once")
+
+
+@pytest.mark.parametrize("fmt, holes, counted", [
+    ("value %s", 1, 0), ("value %s", 1, 1), ("%s and %s", 2, 1),
+    ("%s%%s", 1, 1), ("100%% sure%n", 0, 0), ("%%%s", 1, 0),
+    ("%q %", 0, 0), ("%%s", 0, 0),
+])
+def test_format_holes_are_checked_as_render_output_counts_them(fmt, holes,
+                                                               counted):
+    # validation flags a format exactly when rendering it with the bound
+    # parameters runs out of them
+    r = Rule("say", nodes={"a": reader("a")}, print_format=fmt,
+             quantifiers={f"q{i}": forall(f"q{i}", count=i)
+                          for i in range(counted)})
+    flagged = [x.message for x in validate_rule(r)]
+    try:
+        render_output(fmt, {i: Value.int_(i) for i in range(counted)})
+        renders = True
+    except FormatError:
+        renders = False
+    assert renders == (holes <= counted)
+    assert flagged == ([] if renders else [
+        f"rule 'say': format has more %s holes ({holes}) than parameters "
+        f"({counted})"])
