@@ -35,8 +35,10 @@ Rule (``.gpr``)::
 
 Values: double-quoted strings (``\\"``, ``\\\\``, ``\\n``, ``\\r``, ``\\t``
 and ``\\uXXXX`` escapes, four hex digits), decimal integers,
-``true``/``false``, and reals with a mandatory decimal point.  Elements
-without ``in QID`` belong to the root quantifier.
+``true``/``false``, and reals with a mandatory decimal point; a real
+that overflows to infinity, or has a nonzero mantissa and underflows to
+zero, is an error.  Elements without ``in QID`` belong to the root
+quantifier.
 
 Serialization is deterministic (nodes sorted by name, then each node's
 attributes, then edges lexicographically) and stable: serializing a
@@ -47,6 +49,7 @@ the named escapes and ``\\uXXXX`` for other control characters.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import re
 from collections.abc import Callable, Mapping
@@ -194,10 +197,12 @@ def parse_value(tok: Token) -> Value:
         except ValueError:
             raise ParseError("integer literal out of 64-bit range", tok.span)
     if _REAL_RE.match(tok.text):
-        try:
-            return Value.real(float(tok.text))
-        except ValueError:  # overflows to infinity
+        x = float(tok.text)
+        # too large overflows to infinity, too small underflows to zero
+        if math.isinf(x) or (x == 0.0 and any(
+                d in "123456789" for d in tok.text.lower().partition("e")[0])):
             raise ParseError("real literal out of range", tok.span)
+        return Value.real(x)
     raise ParseError(f"invalid value literal {tok.text!r}", tok.span)
 
 

@@ -1,15 +1,18 @@
 """State-space exploration.
 
-States are host graphs up to isomorphism.  Deduplication is two-tier: a
-cheap refinement-based certificate buckets candidate states, and an exact
-backtracking isomorphism check confirms hits inside a bucket, so hash
-collisions can never merge genuinely different states.
+States are host graphs up to isomorphism, and each new graph meets three
+tiers.  A graph identical to one met before, node ids included, is that
+graph's state: the identity map is an isomorphism.  Otherwise integer
+colour refinement buckets it with the states of equal colours and edge
+count, and an exact backtracking check confirms any merge in the bucket,
+so a colour collision can never merge genuinely different states.
 
-The refined colours and the adjacency (labels between each pair of nodes,
-and each node's neighbours) are computed once per state and kept with it.
-The exact check is iterative, so graph size is not bounded by the
-recursion limit, and neighbour-local: extending the mapping by one node
-costs time in that node's degree, not in the size of the mapping.
+One run shares one signature table.  Each distinct node seed or round
+signature gets an int colour and is hashed once, to the sha colour that
+the printed certificate of a kept state is made of.  A state keeps its
+colours and adjacency.  The exact check is iterative, so graph size is
+not bounded by the recursion limit, and neighbour-local: extending the
+mapping by one node costs time in that node's degree.
 
 Exploration is breadth-first and deterministic: rules fire in name order,
 matches in canonical match order, and states are numbered in discovery
@@ -22,6 +25,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .graph import HostGraph, HostNode
@@ -37,78 +41,100 @@ def _h(*parts: str) -> str:
     return digest[:16]
 
 
-def _node_seed(node: HostNode) -> str:
-    types = ",".join(sorted(t.name for t in node.types))
-    flags = ",".join(sorted(f.name for f in node.flags))
-    attrs = ";".join(f"{a}={node.attrs[a].kind.value}:{node.attrs[a].to_text()}"
-                     for a in sorted(node.attrs))
-    return _h("node", types, flags, attrs)
+class _Table:
+    """The signature table of one run.  A node's seed key, and each round's
+    signature (own colour, then its sorted (neighbour colour, label code)
+    pairs, flattened), map to an int colour.  When an int is made its sha
+    colour is hashed once, from the sha colours the signature is built of,
+    so equal ints mean equal sha colours in every graph of the run."""
 
+    def __init__(self) -> None:
+        self.ints: dict[tuple, int] = {}
+        self.sha: list[str] = []
+        #: label name -> out-edge code (even); the in-edge code is one more
+        self.codes: dict[str, int] = {}
 
-def _refine_colors(g: HostGraph) -> dict[int, str]:
-    colors = {nid: _node_seed(node) for nid, node in g.nodes.items()}
-    out_adj: dict[int, list[tuple[str, int]]] = {nid: [] for nid in g.nodes}
-    in_adj: dict[int, list[tuple[str, int]]] = {nid: [] for nid in g.nodes}
-    for e in g.edges:
-        out_adj[e.src].append((e.label.name, e.tgt))
-        in_adj[e.tgt].append((e.label.name, e.src))
+    def seed(self, node: HostNode) -> int:
+        # Tuples, not joined strings: a name or a value may hold a separator.
+        key = (tuple(sorted(t.name for t in node.types)),
+               tuple(sorted(f.name for f in node.flags)),
+               tuple(sorted(node.attrs.items())))
+        if key not in self.ints:
+            self.ints[key] = len(self.sha)
+            self.sha.append(_h("node", ",".join(key[0]), ",".join(key[1]),
+                               ";".join(f"{a}={v.kind.value}:{v.to_text()}"
+                                        for a, v in key[2])))
+        return self.ints[key]
 
-    distinct = len(set(colors.values()))
-    for _ in range(max(1, len(g.nodes))):
-        new = {}
-        for nid in g.nodes:
-            outs = ",".join(sorted(f"{lbl}>{colors[t]}"
-                                   for lbl, t in out_adj[nid]))
-            ins = ",".join(sorted(f"{lbl}<{colors[s]}"
-                                  for lbl, s in in_adj[nid]))
-            new[nid] = _h(colors[nid], outs, ins)
-        colors = new
-        now_distinct = len(set(colors.values()))
-        if now_distinct == distinct:
-            break
-        distinct = now_distinct
-    return colors
+    def refine(self, colors: dict[int, int],
+               adj: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+        """Colour refinement from ``colors`` until no class splits."""
+        ints, sha, names = self.ints, self.sha, list(self.codes)
+        distinct = len(set(colors.values()))
+        for _ in range(max(1, len(colors))):
+            new = {}
+            for nid, pairs in adj.items():
+                sig = (colors[nid], *chain.from_iterable(
+                    sorted([(colors[m], k) for m, k in pairs])))
+                c = ints.get(sig)
+                if c is None:
+                    arcs = list(zip(sig[1::2], sig[2::2]))
+                    outs = ",".join(sorted(f"{names[k >> 1]}>{sha[x]}"
+                                           for x, k in arcs if not k & 1))
+                    ins = ",".join(sorted(f"{names[k >> 1]}<{sha[x]}"
+                                          for x, k in arcs if k & 1))
+                    ints[sig] = c = len(sha)
+                    sha.append(_h(sha[sig[0]], outs, ins))
+                new[nid] = c
+            colors, before, distinct = new, distinct, len(set(new.values()))
+            if distinct == before:
+                break
+        return colors
+
+    def certificate(self, shape: "_Shape", edges: int) -> str:
+        colors = sorted(self.sha[c] for c in shape.colors.values())
+        return _h("graph", ",".join(colors), str(edges))
 
 
 class _Shape(NamedTuple):
     """What the isomorphism check needs of one graph, computed once."""
 
-    colors: dict[int, str]
+    #: node -> int colour from the run's signature table
+    colors: dict[int, int]
     #: (src, tgt) -> sorted names of the labels of the edges from src to tgt
     labels: dict[tuple[int, int], tuple[str, ...]]
     #: node -> the other nodes it has an edge to or from
     nbrs: dict[int, tuple[int, ...]]
 
 
-def _shape(g: HostGraph) -> _Shape:
+def _shape(g: HostGraph, table: _Table | None = None,
+           seeds: dict[int, int] | None = None) -> _Shape:
+    table = table or _Table()
+    seeds = seeds or {nid: table.seed(node) for nid, node in g.nodes.items()}
+    adj: dict[int, list[tuple[int, int]]] = {nid: [] for nid in g.nodes}
     labels: dict[tuple[int, int], list[str]] = {}
     nbrs: dict[int, set[int]] = {nid: set() for nid in g.nodes}
     for e in g.edges:
+        code = table.codes.setdefault(e.label.name, 2 * len(table.codes))
+        adj[e.src].append((e.tgt, code))
+        adj[e.tgt].append((e.src, code + 1))
         labels.setdefault((e.src, e.tgt), []).append(e.label.name)
         if e.src != e.tgt:
             nbrs[e.src].add(e.tgt)
             nbrs[e.tgt].add(e.src)
     # Every stored state keeps its record: tuples take a quarter of the
     # memory of small sets.
-    return _Shape(_refine_colors(g),
+    return _Shape(table.refine(seeds, adj),
                   {pair: tuple(sorted(names))
                    for pair, names in labels.items()},
                   {nid: tuple(ns) for nid, ns in nbrs.items()})
 
 
-def _certificate(g: HostGraph, shape: _Shape) -> str:
-    return _h("graph", ",".join(sorted(shape.colors.values())),
-              str(len(g.edges)))
-
-
 def certificate(g: HostGraph) -> str:
     """Isomorphism-invariant fingerprint (equal for isomorphic graphs;
     unequal graphs collide only with hash probability)."""
-    return _certificate(g, _shape(g))
-
-
-def _same_node_data(a: HostNode, b: HostNode) -> bool:
-    return a.types == b.types and a.flags == b.flags and a.attrs == b.attrs
+    table = _Table()
+    return table.certificate(_shape(g, table), len(g.edges))
 
 
 def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
@@ -118,7 +144,7 @@ def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
     if sorted(gc.values()) != sorted(hc.values()):
         return False
 
-    by_color: dict[str, list[int]] = {}
+    by_color: dict[int, list[int]] = {}
     for nid, c in hc.items():
         by_color.setdefault(c, []).append(nid)
     # Most-constrained first: smallest candidate classes early.
@@ -130,7 +156,8 @@ def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
     inverse: dict[int, int] = {}
 
     def compatible(a: int, b: int) -> bool:
-        if not _same_node_data(g.nodes[a], h.nodes[b]):
+        na, nb = g.nodes[a], h.nodes[b]
+        if na.types != nb.types or na.flags != nb.flags or na.attrs != nb.attrs:
             return False
         if gl.get((a, a)) != hl.get((b, b)):
             return False
@@ -170,7 +197,8 @@ def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
 
 def isomorphic(g: HostGraph, h: HostGraph) -> bool:
     """Exact isomorphism on node structure, labels, flags and attributes."""
-    return _isomorphic(g, _shape(g), h, _shape(h))
+    table = _Table()
+    return _isomorphic(g, _shape(g, table), h, _shape(h, table))
 
 
 @dataclass
@@ -213,23 +241,34 @@ def explore(rules: list[Rule], start: HostGraph,
         raise ValueError(f"max_depth must be at least 0, not {max_depth}")
     ordered_rules = sorted(rules, key=lambda r: r.name)
     lts = Lts()
-    by_cert: dict[str, list[int]] = {}
+    table = _Table()
+    #: exact key of every graph met so far -> its state
+    by_graph: dict[tuple[frozenset, frozenset], int] = {}
+    by_bucket: dict[tuple[tuple[int, ...], int], list[int]] = {}
     queue: deque[int] = deque()
     seen_transitions: set[tuple[int, str, int]] = set()
 
     def intern(g: HostGraph, depth: int) -> int | None:
-        shape = _shape(g)
-        cert = _certificate(g, shape)
-        for idx in by_cert.get(cert, []):
+        seeds = {nid: table.seed(node) for nid, node in g.nodes.items()}
+        # The identity map is an isomorphism to an identical graph.
+        exact = (frozenset(seeds.items()), frozenset(g.edges))
+        if exact in by_graph:
+            return by_graph[exact]
+        shape = _shape(g, table, seeds)
+        bucket = (tuple(sorted(shape.colors.values())), len(g.edges))
+        for idx in by_bucket.get(bucket, []):
             state = lts.states[idx]
             if _isomorphic(state.graph, state.shape, g, shape):
-                return idx
-        if max_states is not None and len(lts.states) >= max_states:
-            return None
-        idx = len(lts.states)
-        lts.states.append(LtsState(idx, g, cert, depth, shape))
-        by_cert.setdefault(cert, []).append(idx)
-        queue.append(idx)
+                break
+        else:
+            if max_states is not None and len(lts.states) >= max_states:
+                return None
+            idx = len(lts.states)
+            lts.states.append(LtsState(idx, g, table.certificate(
+                shape, len(g.edges)), depth, shape))
+            by_bucket.setdefault(bucket, []).append(idx)
+            queue.append(idx)
+        by_graph[exact] = idx
         return idx
 
     intern(start.copy(), 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import copysign
 from typing import Iterable
 
 #: Characters that may not appear in label names (they have syntactic
@@ -98,10 +99,24 @@ def format_real(x: float) -> str:
 @dataclass(frozen=True)
 class Value:
     """A typed attribute value.  Equality is type-strict: the int 1, the
-    real 1.0 and the bool true are three distinct values."""
+    real 1.0 and the bool true are three distinct values.  Two values are
+    equal exactly when their kinds and printed forms are, so the reals
+    0.0 and -0.0 differ."""
 
     kind: ValueKind
     raw: object
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Value):
+            return NotImplemented
+        if self.kind is not other.kind or self.raw != other.raw:
+            return False
+        # as floats 0.0 == -0.0, but they print differently
+        return self.kind is not ValueKind.REAL or (
+            copysign(1.0, self.raw) == copysign(1.0, other.raw))  # type: ignore[arg-type]
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.raw))
 
     @staticmethod
     def string(s: str) -> "Value":

@@ -219,6 +219,16 @@ def test_apply_inapplicable_rule_exits_3(tmp_path, capsys):
         assert "not applicable" in out.err
 
 
+def test_assigning_negative_zero_over_zero_applies(tmp_path, capsys):
+    d = write_grammar(tmp_path, {
+        "neg.gpr": "rule neg\nnode a role=reader\nassign a.v = -0.0\n",
+        "h.gst": "graph h\nnode a\nattr a.v = 0.0\n",
+    })
+    code = main(["apply", d, "neg"])
+    assert code == 0
+    assert capsys.readouterr().out == "graph h\nnode a\nattr a.v = -0.0\n"
+
+
 def test_apply_unknown_rule_exits_2(capsys):
     assert main(["apply", str(FIXTURES / "hello"), "nope"]) == 2
     assert "no rule named" in capsys.readouterr().err

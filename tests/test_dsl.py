@@ -99,6 +99,7 @@ def test_bare_word_is_not_a_value():
 @pytest.mark.parametrize("v", [
     Value.int_(41), Value.real(2.5), Value.bool_(True),
     Value.string('say "hi"\n'), Value.real(1e100), Value.int_(-(2**63)),
+    Value.real(1e-320), Value.real(-0.0), Value.real(0.0),
 ])
 def test_value_round_trips_through_text(v):
     text = serialize_value(v)
@@ -489,6 +490,15 @@ DIAGNOSTICS = [
      'real literal out of range', 3, 14, 21),
     ('rule', 'rule r\nnode a role=reader\nassign a.x = -1.0e999',
      'real literal out of range', 3, 14, 22),
+    # a real literal with a nonzero mantissa that underflows to zero
+    ('graph', 'graph g\nnode a\nattr a.x = 1.0e-999',
+     'real literal out of range', 3, 12, 20),
+    ('graph', 'graph g\nnode a\nattr a.x = -1.0e-999',
+     'real literal out of range', 3, 12, 21),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.x == 1.0E-400',
+     'real literal out of range', 3, 14, 22),
+    ('rule', 'rule r\nnode a role=reader\nassign a.x = -0.001e-999',
+     'real literal out of range', 3, 14, 25),
     ('graph', 'graph g\nnode a\nattr a.x = banana',
      "invalid value literal 'banana'", 3, 12, 18),
     ('graph', 'graph g\nnode a\nattr a.x : 1',

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtx.dsl import parse_graph, parse_rule
+from gtx import explorer
+from gtx.dsl import load_grammar_dir, parse_graph, parse_rule
 from gtx.explorer import (
     _isomorphic,
     _shape,
@@ -99,6 +101,106 @@ def test_certificate_separates_easy_cases():
     attred = parse_graph("graph g\nnode a\nattr a.v = 1\n")
     attred2 = parse_graph("graph g\nnode a\nattr a.v = 2\n")
     assert certificate(attred) != certificate(attred2)
+
+
+# -- golden certificates: the printed form must not drift ----------------
+
+
+GOLDEN_FIXTURE_CERTS = {
+    "counting": "3c6e87b6da81c0e1",
+    "deletion": "3c6e87b6da81c0e1",
+    "greeting": "8bfff351dd23d8f5",
+    "hello": "df474855673ef51b",
+    "migration_gc": "3c6e87b6da81c0e1",
+    "migration_topo": "eaa112588ff4eb77",
+    "reverse": "1f9fa0163753456a",
+    "transitive": "e6d2bb678f4db404",
+}
+
+GOLDEN_GRAPH_CERTS = [
+    ("graph g\nnode a : T flag f\nnode b flag f flag g\nedge a -e-> b\n"
+     "edge b -e-> b\n", "88f639de92926e2d"),
+    ('graph g\nnode a : T\nattr a.s = "hi there"\nattr a.i = -3\n'
+     "attr a.b = true\nattr a.r = 2.5e-07\nnode b\nattr b.r = -0.0\n"
+     "edge a -x-> b\nedge b -y-> a\n", "8eda0381f27c27e8"),
+    ("graph g\nnode a\nattr a.r = 0.0\n", "c8f76403e22f7640"),
+    ("graph g\nnode a\nattr a.r = -0.0\n", "ce5c2f6c2919a686"),
+]
+
+
+def test_fixture_start_certificates_are_pinned():
+    for name, cert in GOLDEN_FIXTURE_CERTS.items():
+        assert certificate(load_fixture_grammar(name).start) == cert, name
+
+
+@pytest.mark.parametrize("text, cert", GOLDEN_GRAPH_CERTS)
+def test_flagged_and_attributed_certificates_are_pinned(text, cert):
+    assert certificate(parse_graph(text)) == cert
+
+
+RING_GRAMMAR = (Path(__file__).resolve().parents[1]
+                / "perfbench" / "grammars" / "ring")
+
+
+def marked_ring(size: int, marks: set[int]) -> str:
+    """A nodified ring as the ``ring`` grammar expects it."""
+    lines = ["graph ring", "node r : Ring"]
+    for i in range(size):
+        mark = " flag marked" if i in marks else ""
+        lines += [f"node v{i} : Node{mark}", f"edge r -nodes-> v{i}",
+                  f"node a{i} : Edge", f"edge r -edges-> a{i}",
+                  f"edge a{i} -src-> v{i}",
+                  f"edge a{i} -trg-> v{(i + 1) % size}"]
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_RING_LTS = """\
+state S0 b3f18fc21663ded4
+state S1 5dcd20952428abcf
+state S2 5d17bc15e6497ed6
+state S3 44a5985e19bc04bf
+state S4 04f3ca56380e0f93
+state S5 e2ee3f86d28d8c59
+state S6 b7712122b7bdb6f8
+state S7 074126b9592c7c08
+state S8 f4ba79aab6920795
+state S9 ad2dcbcfa03fde65
+state S10 9fe737e2897b5dbc
+state S11 8216243fcb86b602
+state S12 12e8579c399a3746
+trans S0 -markOne-> S1
+trans S0 -markOne-> S2
+trans S0 -markOne-> S3
+trans S1 -markOne-> S4
+trans S1 -markOne-> S5
+trans S1 -markOne-> S6
+trans S2 -markOne-> S4
+trans S2 -markOne-> S5
+trans S2 -markOne-> S6
+trans S2 -markOne-> S7
+trans S3 -markOne-> S5
+trans S3 -markOne-> S6
+trans S4 -markOne-> S8
+trans S4 -markOne-> S9
+trans S5 -markOne-> S8
+trans S5 -markOne-> S9
+trans S5 -markOne-> S10
+trans S6 -markOne-> S8
+trans S6 -markOne-> S9
+trans S6 -markOne-> S10
+trans S7 -markOne-> S9
+trans S8 -markOne-> S11
+trans S9 -markOne-> S11
+trans S10 -markOne-> S11
+trans S11 -markOne-> S12
+"""
+
+
+def test_marked_ring_exploration_is_pinned():
+    grammar = load_grammar_dir(str(RING_GRAMMAR))
+    lts = explore(list(grammar.rules.values()),
+                  parse_graph(marked_ring(6, {0})), tgs=grammar.type_graphs)
+    assert export_lts(lts) == GOLDEN_RING_LTS
 
 
 # -- exact isomorphism -------------------------------------------------
@@ -364,3 +466,75 @@ def test_export_lists_states_then_sorted_transitions():
     truncated = explore([parse_rule(GROW)],
                         parse_graph("graph g\nnode seed\n"), max_states=2)
     assert export_lts(truncated).splitlines()[-1] == "truncated"
+
+
+# -- the identical-graph shortcut and the exact check ----------------------
+
+
+MARK = parse_rule("rule mark\nnode n role=reader\nflag n creator done\n"
+                  "flag n embargo done\n")
+
+
+def counting_exact_check(monkeypatch, verdict=None) -> list[int]:
+    """Count the calls of ``explorer._isomorphic``; a ``verdict`` replaces
+    its answer."""
+    calls: list[int] = []
+    real = explorer._isomorphic
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args) if verdict is None else verdict
+
+    monkeypatch.setattr(explorer, "_isomorphic", counted)
+    return calls
+
+
+def test_confluent_diamond_merges_without_the_exact_check(monkeypatch):
+    # a and b differ in type, so marking a then b and b then a give the
+    # same graph, node ids included, and no bucket ever holds two states
+    calls = counting_exact_check(monkeypatch)
+    lts = explore([MARK], parse_graph("graph g\nnode a : A\nnode b : B\n"))
+    assert len(lts.states) == 4
+    assert sorted(lts.transitions) == [
+        (0, "mark", 1), (0, "mark", 2), (1, "mark", 3), (2, "mark", 3)]
+    assert calls == []
+
+
+def test_isomorphic_successor_is_merged_by_the_exact_check(monkeypatch):
+    # marking either of two twin nodes gives isomorphic, not identical,
+    # graphs: the merge is the exact check's to make
+    start = parse_graph("graph g\nnode a\nnode b\n")
+    calls = counting_exact_check(monkeypatch)
+    assert len(explore([MARK], start).states) == 3
+    assert len(calls) == 1
+    calls = counting_exact_check(monkeypatch, verdict=False)
+    assert len(explore([MARK], start).states) == 4
+    assert len(calls) == 1
+
+
+def test_marking_explorations_count_brute_force_classes():
+    rng = random.Random(7)
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(1, 5), ["e", "f"], rng.random() < 0.5)
+        unmarked = [nid for nid, node in g.nodes.items()
+                    if flag("done") not in node.flags]
+        reachable = []
+        for k in range(len(unmarked) + 1):
+            for chosen in itertools.combinations(unmarked, k):
+                h = g.copy()
+                for nid in chosen:
+                    h.nodes[nid].flags.add(flag("done"))
+                reachable.append(h)
+        classes: list[HostGraph] = []
+        for h in reachable:
+            if not any(brute_isomorphic(h, rep) for rep in classes):
+                classes.append(h)
+        assert len(explore([MARK], g).states) == len(classes)
+
+
+def test_signed_zeros_are_not_isomorphic():
+    zero = parse_graph("graph g\nnode a\nattr a.r = 0.0\n")
+    negzero = parse_graph("graph g\nnode a\nattr a.r = -0.0\n")
+    assert not isomorphic(zero, negzero)
+    assert not _isomorphic(zero, uniform(zero), negzero, uniform(negzero))
+    assert not brute_isomorphic(zero, negzero)
