@@ -115,9 +115,6 @@ class Value:
         return self.kind is not ValueKind.REAL or (
             copysign(1.0, self.raw) == copysign(1.0, other.raw))  # type: ignore[arg-type]
 
-    def __hash__(self) -> int:
-        return hash((self.kind, self.raw))
-
     @staticmethod
     def string(s: str) -> "Value":
         if not isinstance(s, str):

@@ -71,6 +71,13 @@ class TestValue:
         assert Value.int_(1) != Value.real(1.0)
         assert Value.string("true") != Value.bool_(True)
 
+    def test_equality_follows_the_printed_form(self):
+        zero, negzero = Value.real(0.0), Value.real(-0.0)
+        assert zero.to_text() != negzero.to_text()
+        assert zero != negzero
+        assert zero == Value.real(0.0) and negzero == Value.real(-0.0)
+        assert len({zero, negzero, Value.real(0.0)}) == 2
+
 
 def build_triangle() -> tuple[HostGraph, list[int]]:
     g = HostGraph()
