@@ -24,8 +24,6 @@ from .matcher import find_root_matches
 from .rewriter import FormatError, apply_repeatedly, apply_rule
 from .source import ParseError, SourceSpan
 from .suite import run_suite
-from .typegraph import conforms, validate_type_graph
-from .rules import validate_rule
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -65,14 +63,7 @@ def _emit(text: str) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     grammar = load_grammar_dir(args.grammar_dir)
-    violations = []
-    for tg in grammar.type_graphs:
-        violations += validate_type_graph(tg)
-    for rule in sorted(grammar.rules):
-        violations += validate_rule(grammar.rules[rule], grammar.type_graphs)
-    start = _load_start(args, grammar)
-    if start is not None:
-        violations += conforms(grammar.type_graphs, start)
+    violations = [v for _, v in grammar.violations(_load_start(args, grammar))]
     for v in violations:
         _diag(v.message, v.span)
     if violations:
@@ -105,13 +96,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
     rendered = "".join(outputs)
     if args.out is not None:
         Path(args.out).write_text(rendered, encoding="utf-8")
-        sys.stdout.write(serialize_graph(g))
     elif rendered:
         _emit(rendered)
         print(SEPARATOR)
-        sys.stdout.write(serialize_graph(g))
-    else:
-        sys.stdout.write(serialize_graph(g))
+    sys.stdout.write(serialize_graph(g))
     return EXIT_OK
 
 

@@ -48,11 +48,10 @@ the named escapes and ``\\uXXXX`` for other control characters.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -72,7 +71,6 @@ from .rules import (
     ConstraintKind,
     DisjunctionSet,
     Quantifier,
-    QuantKind,
     RegexAtom,
     RegexPath,
     ROOT_QUANT,
@@ -82,9 +80,11 @@ from .rules import (
     RuleNode,
     expand_neq,
     group_embargo_elements,
+    validate_rule,
 )
-from .source import ParseError, SourceSpan
-from .typegraph import EdgeDecl, TypeDecl, TypeGraph
+from .source import ParseError, SourceSpan, Violation
+from .typegraph import (EdgeDecl, TypeDecl, TypeGraph, conforms,
+                        validate_type_graph)
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
@@ -106,9 +106,6 @@ _ESCAPE_RE = re.compile(r'\\([\\"nrt]|u[0-9a-fA-F]{4})')
 # exactly the characters str.isspace accepts.
 _RESERVED_RE = re.compile(
     r"[\s" + re.escape("".join(sorted(RESERVED_LABEL_CHARS))) + "]")
-# Graph files repeat a few labels thousands of times; build each once.
-_edge_label = functools.lru_cache(maxsize=1024)(edge_label)
-_node_type = functools.lru_cache(maxsize=1024)(node_type)
 
 
 def _needs_u_escape(ch: str) -> bool:
@@ -280,7 +277,7 @@ def _type_list(tokens: list[Token], i: int, what: str) -> tuple[list[Label], int
         raise ParseError(
             f"expected a {what}",
             tokens[i].span if i < len(tokens) else _end_span(tokens))
-    return [_label(_node_type, n, keyword.span) for n in names], i
+    return [_label(node_type, n, keyword.span) for n in names], i
 
 
 def _declarations(text: str, file: str,
@@ -315,7 +312,7 @@ def _edge_label_token(tok: Token) -> Label:
     m = None if tok.quoted else _EDGE_ARROW_RE.match(tok.text)
     if not m:
         raise ParseError("expected an edge arrow of the form -label->", tok.span)
-    return _label(_edge_label, m.group(1), tok.span)
+    return _label(edge_label, m.group(1), tok.span)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +393,18 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
 
 
 def _serialized_names(g: HostGraph) -> dict[int, str]:
+    """Each node's name in the text: its own if no lower id kept it and it
+    is one bare token (no comment, no string) without reserved characters,
+    else a fresh one, so that ``parse_graph`` reads every name back."""
     used = {n.name for n in g.nodes.values() if n.name}
+    kept: set[str] = set()
     names: dict[int, str] = {}
     for nid in g.node_ids():
-        node = g.nodes[nid]
-        if node.name:
-            names[nid] = node.name
+        name = g.nodes[nid].name
+        if (name and name not in kept and name[0] != '"'
+                and "#" not in name and not _RESERVED_RE.search(name)):
+            kept.add(name)
+            names[nid] = name
             continue
         candidate = f"x{nid}"
         while candidate in used:
@@ -505,7 +508,7 @@ def _parse_regex_text(text: str, span: SourceSpan) -> RegexPath:
         name = part[1:] if inverse else part
         if not name:
             raise ParseError("empty regex atom", span)
-        atoms.append(RegexAtom(_label(_edge_label, name, span), inverse))
+        atoms.append(RegexAtom(_label(edge_label, name, span), inverse))
     return RegexPath(tuple(atoms))
 
 
@@ -571,7 +574,7 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
     name, lines = _declarations(text, filename, "rule")
 
     quantifiers: dict[str, Quantifier] = {
-        ROOT_QUANT: Quantifier(ROOT_QUANT, QuantKind.ROOT)
+        ROOT_QUANT: Quantifier(ROOT_QUANT)
     }
     nodes: dict[str, RuleNode] = {}
     edges: list[RuleEdge] = []
@@ -604,7 +607,7 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
             parent, count = _suffixes(tokens, 3, ("in", "count"))
             pending_levels.append(parent)
             quantifiers[qid] = Quantifier(
-                qid, QuantKind.FORALL, parent.text if parent else ROOT_QUANT,
+                qid, parent.text if parent else ROOT_QUANT,
                 int(count.text) if count else None, span=tokens[1].span)
         elif keyword == "node":
             _shape(tokens, "node ID role=ROLE ...")
@@ -781,6 +784,20 @@ class Grammar:
     type_graphs: list[TypeGraph] = field(default_factory=list)
     start: HostGraph | None = None
     start_file: str | None = None
+
+    def violations(self, start: HostGraph | None
+                   ) -> Iterator[tuple[TypeGraph | Rule | HostGraph, Violation]]:
+        """Each violation of the type graphs, of the rules in name order and
+        of ``start`` (when given), with the element it belongs to."""
+        for tg in self.type_graphs:
+            for v in validate_type_graph(tg):
+                yield tg, v
+        for name in sorted(self.rules):
+            for v in validate_rule(self.rules[name], self.type_graphs):
+                yield self.rules[name], v
+        if start is not None:
+            for v in conforms(self.type_graphs, start):
+                yield start, v
 
 
 def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:

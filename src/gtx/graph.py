@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from math import copysign
 from typing import Iterable
 
@@ -61,14 +62,18 @@ class Label:
         return f"{self.kind.value}:{self.name}"
 
 
+# Graphs repeat a few names thousands of times: one shared Label per name.
+@lru_cache(maxsize=1024)
 def node_type(name: str) -> Label:
     return Label(LabelKind.NODE_TYPE, name)
 
 
+@lru_cache(maxsize=1024)
 def flag(name: str) -> Label:
     return Label(LabelKind.FLAG, name)
 
 
+@lru_cache(maxsize=1024)
 def edge_label(name: str) -> Label:
     return Label(LabelKind.EDGE_LABEL, name)
 

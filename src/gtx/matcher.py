@@ -236,7 +236,7 @@ def _compile(rule: Rule) -> dict[str, _Search]:
     frontier: list[tuple[str, set[str]]] = [(ROOT_QUANT, set())]
     for qid, bound in frontier:  # grows while it is walked: breadth first
         nodes = [n.id for n in rule.positive_nodes_at(qid)]
-        edges = [e for _, e in rule.edges_at(qid) if e.role in POSITIVE_ROLES]
+        edges = [e for e in rule.edges_at(qid) if e.role in POSITIVE_ROLES]
         inner = bound | set(nodes)
         levels[qid] = search = _plan(rule, bound, nodes, edges)
         search.nacs = [[nac(gid, inner) for gid in c] for c in conditions

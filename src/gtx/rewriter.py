@@ -46,22 +46,17 @@ class FormatError(Exception):
 
 
 @dataclass(frozen=True)
-class NewNodeRef:
-    """Placeholder for a node that will exist only after application."""
+class NodeCreation:
+    """A node the application creates; edge creations use it as endpoint."""
 
     serial: int
-
-
-#: an edge-creation endpoint: an existing host node id or a pending node
-Endpoint = int | NewNodeRef
-
-
-@dataclass
-class NodeCreation:
-    ref: NewNodeRef
     types: tuple[Label, ...] = ()
     flags: tuple[Label, ...] = ()
     attrs: tuple[tuple[str, Value], ...] = ()
+
+
+#: an edge-creation endpoint: an existing host node id or a pending node
+Endpoint = int | NodeCreation
 
 
 @dataclass
@@ -97,7 +92,7 @@ class ApplicationResult:
 
 
 def _endpoint_key(endpoint: Endpoint) -> tuple[int, int]:
-    if isinstance(endpoint, NewNodeRef):
+    if isinstance(endpoint, NodeCreation):
         return (1, endpoint.serial)
     return (0, endpoint)
 
@@ -135,17 +130,17 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     writes: dict[tuple[int, str], Value] = {}
     flags: dict[tuple[int, Label], bool] = {}
 
-    # per-match creator context: rule node id -> NewNodeRef, keyed by the
+    # per-match creator context: rule node id -> NodeCreation, keyed by the
     # identity of the Match object (matches chain via .parent; the root
     # match has none)
-    contexts: dict[int, dict[str, NewNodeRef]] = {}
+    contexts: dict[int, dict[str, NodeCreation]] = {}
     for qid, level_set in levels.items():
-        edges = [e for _, e in rule.edges_at(qid) if not e.is_path()]
+        edges = [e for e in rule.edges_at(qid) if not e.is_path()]
         for match in level_set.extensions:
             ctx = dict(contexts.get(id(match.parent), {}))
             for nid, fields in creators.get(qid, ()):
-                ctx[nid] = ref = NewNodeRef(len(node_creations))
-                node_creations.append(NodeCreation(ref, *fields))
+                ctx[nid] = creation = NodeCreation(len(node_creations), *fields)
+                node_creations.append(creation)
             for node in positives.get(qid, ()):
                 hid = match.assignment[node.id]
                 if node.role is Role.ERASER:
@@ -198,7 +193,7 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
         node_creations=node_creations,
         edge_creations=sorted(
             ((s, lbl, t) for s, lbl, t in edge_creations
-             if isinstance(s, NewNodeRef) or isinstance(t, NewNodeRef)
+             if isinstance(s, NodeCreation) or isinstance(t, NodeCreation)
              or not g.has_edge(s, lbl, t)),
             key=lambda e: (_endpoint_key(e[0]), e[1].name, _endpoint_key(e[2]))),
         attr_writes=[(nid, attr, v) for (nid, attr), v in sorted(writes.items())
@@ -223,15 +218,15 @@ def apply_effect(g: HostGraph, effect: Effect) -> HostGraph:
     for nid in effect.node_deletions:
         if nid in out.nodes:
             out.delete_node_spo(nid)
-    created: dict[NewNodeRef, int] = {}
+    created: dict[int, int] = {}
     for creation in effect.node_creations:
         nid = out.add_node(creation.types, creation.flags)
         for attr, value in creation.attrs:
             out.set_attr(nid, attr, value)
-        created[creation.ref] = nid
+        created[creation.serial] = nid
     for src, lbl, tgt in effect.edge_creations:
-        src_id = created[src] if isinstance(src, NewNodeRef) else src
-        tgt_id = created[tgt] if isinstance(tgt, NewNodeRef) else tgt
+        src_id = created[src.serial] if isinstance(src, NodeCreation) else src
+        tgt_id = created[tgt.serial] if isinstance(tgt, NodeCreation) else tgt
         if src_id in out.nodes and tgt_id in out.nodes:
             out.add_edge(src_id, lbl, tgt_id)
     for nid, attr in effect.attr_deletions:

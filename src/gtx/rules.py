@@ -35,6 +35,7 @@ from .graph import Label, LabelKind, Value
 from .source import SourceSpan, Violation
 from .typegraph import TypeGraph, attr_licensed, edge_licensed
 
+#: the id of the root quantifier; every other quantifier is a ``forall``
 ROOT_QUANT = "root"
 
 #: a print-format directive: ``%`` and the character after it
@@ -125,15 +126,9 @@ class RuleEdge:
         return f"{self.src} -{lbl}-> {self.tgt}"
 
 
-class QuantKind(Enum):
-    ROOT = "root"
-    FORALL = "forall"
-
-
 @dataclass
 class Quantifier:
     id: str
-    kind: QuantKind
     parent: str | None = None
     count_param: int | None = None
     span: SourceSpan | None = field(default=None, compare=False)
@@ -175,8 +170,8 @@ class Rule:
 
     def __post_init__(self) -> None:
         if ROOT_QUANT not in self.quantifiers:
-            root = Quantifier(ROOT_QUANT, QuantKind.ROOT, parent=None)
-            self.quantifiers = {ROOT_QUANT: root, **self.quantifiers}
+            self.quantifiers = {ROOT_QUANT: Quantifier(ROOT_QUANT),
+                                **self.quantifiers}
 
     # -- quantifier tree helpers --------------------------------------
 
@@ -187,16 +182,7 @@ class Rule:
         """Quantifier ids from the root down to ``qid`` inclusive."""
         if qid not in self.quantifiers:
             raise UnknownQuantifierError(f"unknown quantifier {qid!r}")
-        path = []
-        seen = set()
-        current: str | None = qid
-        while current is not None and current not in seen:
-            seen.add(current)
-            path.append(current)
-            q = self.quantifiers.get(current)
-            current = q.parent if q is not None else None
-        path.reverse()
-        return path
+        return parent_chain(self.quantifiers, qid)[0][::-1]
 
     def positive_nodes_at(self, level: str) -> list[RuleNode]:
         return sorted(
@@ -205,8 +191,8 @@ class Rule:
             key=lambda n: n.id,
         )
 
-    def edges_at(self, level: str) -> list[tuple[int, RuleEdge]]:
-        return [(i, e) for i, e in enumerate(self.edges) if e.level == level]
+    def edges_at(self, level: str) -> list[RuleEdge]:
+        return [e for e in self.edges if e.level == level]
 
     def count_params(self) -> dict[str, int]:
         return {
@@ -227,6 +213,20 @@ class Rule:
                 if c.kind in (ConstraintKind.ASSIGN, ConstraintKind.RENAME):
                     return False
         return all(e.role not in (Role.ERASER, Role.CREATOR) for e in self.edges)
+
+
+def parent_chain(quantifiers: dict[str, Quantifier],
+                 qid: str) -> tuple[list[str], bool]:
+    """The ids from ``qid`` up its parent links, ending at a quantifier
+    without a parent, at an id that names no quantifier, or before the
+    first id met twice; the flag says whether a repeat ended the walk."""
+    chain: dict[str, None] = {}  # insertion-ordered, with set lookups
+    current: str | None = qid
+    while current is not None and current not in chain:
+        chain[current] = None
+        q = quantifiers.get(current)
+        current = q.parent if q is not None else None
+    return list(chain), current is not None
 
 
 def expand_neq(ids: list[str]) -> set[tuple[str, str]]:
@@ -293,17 +293,8 @@ def group_embargo_elements(
         components.setdefault(find(k), []).append(k)
 
     def depth(qid: str) -> int:
-        d = 0
-        seen = set()
-        current: str | None = qid
-        while current is not None and current not in seen:
-            seen.add(current)
-            q = quantifiers.get(current)
-            if q is None or q.parent is None:
-                break
-            current = q.parent
-            d += 1
-        return d
+        chain, repeated = parent_chain(quantifiers, qid)
+        return len(chain) - 1 + repeated
 
     taken = set(label.values())
     groups: dict[str, NacGroup] = {}
@@ -331,11 +322,11 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
     v: list[Violation] = []
 
     # Quantifier tree shape.
-    roots = [q for q in r.quantifiers.values() if q.kind is QuantKind.ROOT]
-    if len(roots) != 1 or roots[0].id != ROOT_QUANT:
+    root = r.quantifiers.get(ROOT_QUANT)
+    if root is None or root.parent is not None:
         v.append(Violation(f"rule {r.name!r}: malformed quantifier root"))
     for q in r.quantifiers.values():
-        if q.kind is QuantKind.FORALL:
+        if q.id != ROOT_QUANT:
             if q.parent is None or q.parent not in r.quantifiers:
                 v.append(Violation(
                     f"quantifier {q.id!r} has unknown parent {q.parent!r}", q.span))
@@ -344,27 +335,14 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                 f"quantifier {q.id!r}: the root cannot carry a count parameter",
                 q.span))
     for q in r.quantifiers.values():
-        seen: set[str] = set()
-        current: str | None = q.id
-        while current is not None:
-            if current in seen:
-                v.append(Violation(
-                    f"quantifier {q.id!r} is part of a parent cycle", q.span))
-                break
-            seen.add(current)
-            parent = r.quantifiers.get(current)
-            current = parent.parent if parent is not None else None
-
-    def level_ok(level: str) -> bool:
-        return level in r.quantifiers
-
-    def ancestors(level: str) -> set[str]:
-        return set(r.level_path(level)) if level_ok(level) else set()
+        if parent_chain(r.quantifiers, q.id)[1]:
+            v.append(Violation(
+                f"quantifier {q.id!r} is part of a parent cycle", q.span))
 
     # Nodes.
     for nid in sorted(r.nodes):
         n = r.nodes[nid]
-        if not level_ok(n.level):
+        if n.level not in r.quantifiers:
             v.append(Violation(
                 f"node {nid!r} references unknown quantifier {n.level!r}", n.span))
         if n.role is Role.CREATOR:
@@ -399,7 +377,7 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                 v.append(Violation(
                     f"edge {e.describe()} references unknown node {endpoint!r}",
                     e.span))
-        if not level_ok(e.level):
+        if e.level not in r.quantifiers:
             v.append(Violation(
                 f"edge {e.describe()} references unknown quantifier {e.level!r}",
                 e.span))
@@ -429,8 +407,8 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                 v.append(Violation(
                     f"embargo edge {e.describe()} cannot touch creator nodes",
                     e.span))
-        elif level_ok(e.level):
-            anc = ancestors(e.level)
+        elif e.level in r.quantifiers:
+            anc = set(r.level_path(e.level))
             for n in endpoints:
                 if n.level not in anc:  # type: ignore[union-attr]
                     v.append(Violation(
@@ -452,8 +430,8 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                 f"NAC group {gid!r} mixes quantifier levels "
                 f"({', '.join(sorted(levels))})"))
         # Positive anchors must already be bound when the group is checked.
-        if len(levels) == 1 and level_ok(g.level):
-            anc = ancestors(g.level)
+        if len(levels) == 1 and g.level in r.quantifiers:
+            anc = set(r.level_path(g.level))
             for i in g.edge_indexes:
                 if i >= len(r.edges):
                     continue

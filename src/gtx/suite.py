@@ -22,8 +22,8 @@ from .dsl import Grammar, load_grammar_dir, parse_graph
 from .explorer import isomorphic
 from .graph import HostGraph, Value, edge_label, node_type
 from .rewriter import apply_repeatedly, apply_rule
-from .rules import Rule, validate_rule
-from .typegraph import conforms, validate_type_graph
+from .rules import Rule
+from .typegraph import TypeGraph, conforms
 
 GRAPH = node_type("Graph")
 NODE = node_type("Node")
@@ -432,23 +432,18 @@ def _oracle_count_output(key: str) -> Callable[[HostGraph, Rule], str]:
 # runner
 
 
-def _grammar_problems(grammar: Grammar) -> list[str]:
-    problems = []
-    for tg in grammar.type_graphs:
-        problems += [f"type graph {tg.name}: {v.message}"
-                     for v in validate_type_graph(tg)]
-    for rule in grammar.rules.values():
-        problems += [f"rule {rule.name}: {v.message}"
-                     for v in validate_rule(rule, grammar.type_graphs)]
-    if grammar.start is not None:
-        problems += [f"start graph: {v.message}"
-                     for v in conforms(grammar.type_graphs, grammar.start)]
-    return problems
+def _owner(element: TypeGraph | Rule | HostGraph) -> str:
+    if isinstance(element, TypeGraph):
+        return f"type graph {element.name}"
+    if isinstance(element, Rule):
+        return f"rule {element.name}"
+    return "start graph"
 
 
 def run_fixture(fixture: Fixture) -> FixtureResult:
     grammar = load_fixture_grammar(fixture.grammar)
-    problems = _grammar_problems(grammar)
+    problems = [f"{_owner(element)}: {v.message}"
+                for element, v in grammar.violations(grammar.start)]
     rule = grammar.rules.get(fixture.rule)
     if rule is None:
         problems.append(f"no rule named {fixture.rule!r}")

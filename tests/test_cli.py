@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import gtx
+import gtx.suite
 from gtx.cli import main
+from gtx.suite import Fixture
 
 FIXTURES = Path(gtx.__file__).parent / "fixtures" / "helloworld"
 
@@ -234,6 +236,20 @@ def test_apply_unknown_rule_exits_2(capsys):
     assert "no rule named" in capsys.readouterr().err
 
 
+COUNT_A = {"c.gpr": 'rule c\nformat "found%n"\nnode n role=reader : A\n'}
+NO_START = "error: no start graph; add one or pass --graph\n"
+
+
+@pytest.mark.parametrize("command", [["apply", "c"], ["count", "c"],
+                                     ["explore"]])
+def test_commands_without_a_start_graph_exit_2(tmp_path, capsys, command):
+    d = write_grammar(tmp_path, COUNT_A)
+    code = main([command[0], d, *command[1:]])
+    out = capsys.readouterr()
+    assert code == 2
+    assert (out.out, out.err) == ("", NO_START)
+
+
 # -- count -------------------------------------------------------------
 
 
@@ -257,6 +273,22 @@ def test_count_rejects_rules_without_a_format(tmp_path, capsys):
     })
     assert main(["count", d, "quiet"]) == 2
     capsys.readouterr()
+
+
+def test_count_unknown_rule_exits_2(capsys):
+    d = FIXTURES / "counting"
+    code = main(["count", str(d), "nope"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert (out.out, out.err) == ("", f"error: no rule named 'nope' in {d}\n")
+
+
+def test_count_on_a_graph_it_does_not_match_exits_3(tmp_path, capsys):
+    d = write_grammar(tmp_path, {**COUNT_A, "h.gst": "graph h\nnode b : B\n"})
+    code = main(["count", d, "c"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert (out.out, out.err) == ("", "error: rule 'c' is not applicable\n")
 
 
 def test_count_respects_graph_override(tmp_path, capsys):
@@ -337,6 +369,21 @@ def test_suite_filter_narrows_the_run(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[-1] == "5 passed, 0 failed of 5 fixtures"
+
+
+def test_suite_prints_a_failing_fixture_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(gtx.suite, "fixtures", lambda: [
+        Fixture(id="helloMessage", grammar="hello", rule="helloMessage",
+                mode="once"),
+        Fixture(id="broken", grammar="hello", rule="nope"),
+    ])
+    code = main(["suite"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS helloMessage (1 application)",
+        "FAIL broken: no rule named 'nope'",
+        "1 passed, 1 failed of 2 fixtures",
+    ]
 
 
 # -- diagnostics styling ----------------------------------------------

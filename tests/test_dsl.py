@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gtx.dsl import (
     Token,
     _scan_line,
+    _serialized_names,
     build_grammar,
     parse_config,
     parse_graph,
@@ -18,9 +19,12 @@ from gtx.dsl import (
     serialize_graph,
     serialize_value,
 )
+from gtx.explorer import isomorphic
 from gtx.graph import HostGraph, Value, ValueKind, edge_label, flag, node_type
-from gtx.rules import ConstraintKind, QuantKind, Role
+from gtx.rewriter import apply_rule
+from gtx.rules import ConstraintKind, Role
 from gtx.source import ParseError
+from gtx.suite import fixture_grammar_names, load_fixture_grammar
 
 
 def err(callable_, *args):
@@ -202,6 +206,55 @@ def test_serialize_names_anonymous_nodes_without_clashes():
     assert len(reparsed.nodes) == 2
 
 
+BAD_NAMES = ["a b", "x.y", "h#i", '"q', "t\tu", "p:q", "r\u2028s"]
+
+
+def test_serialize_renames_node_names_the_parser_would_reject():
+    g = HostGraph("g")
+    ids = [g.add_node([node_type("T")], name=name)
+           for name in ["n", *BAD_NAMES, "n", None, "x9"]]
+    for i, nid in enumerate(ids):
+        g.set_attr(nid, "i", Value.int_(i))
+        g.add_edge(nid, edge_label("next"), ids[(i + 1) % len(ids)])
+    text = serialize_graph(g)
+    reparsed = parse_graph(text)
+    assert isomorphic(reparsed, g)
+    assert serialize_graph(reparsed) == text
+    kept = {n.name: n.attrs["i"] for n in reparsed.nodes.values()
+            if not n.name.startswith(("x", "_x"))}
+    # of the two nodes named n, the lower id keeps the name
+    assert kept == {"n": Value.int_(0)}
+    assert "node x9 : T" in text  # a valid name stays
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.text(max_size=3),
+                          st.sampled_from(["n", "x1", "_x1", *BAD_NAMES])),
+                min_size=1, max_size=6))
+def test_any_node_names_round_trip(names):
+    g = HostGraph("g")
+    ids = [g.add_node(name=name) for name in names]
+    for i, nid in enumerate(ids):
+        g.set_attr(nid, "i", Value.int_(i))
+    text = serialize_graph(g)
+    reparsed = parse_graph(text)
+    assert isomorphic(reparsed, g)
+    assert serialize_graph(reparsed) == text
+
+
+def test_fixture_graphs_keep_their_node_names():
+    for grammar_name in fixture_grammar_names():
+        grammar = load_fixture_grammar(grammar_name)
+        graphs = [grammar.start]
+        for rule in grammar.rules.values():
+            result = apply_rule(rule, grammar.start, grammar.type_graphs)
+            graphs += [result.graph] if result is not None else []
+        for g in graphs:
+            names = _serialized_names(g)
+            assert all(names[nid] == node.name
+                       for nid, node in g.nodes.items() if node.name)
+
+
 ident = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
 value = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1).map(Value.int_),
@@ -325,7 +378,7 @@ def test_parse_rule_structure():
     assert r.name == "demo"
     assert r.quantifiers["q"].count_param == 1
     assert r.quantifiers["inner"].parent == "q"
-    assert r.quantifiers["q"].kind is QuantKind.FORALL
+    assert r.quantifiers["q"].parent == "root"
     assert r.nodes["e"].level == "q"
     assert r.nodes["c"].role is Role.CREATOR
     assert r.nodes["e"].flag_ops == [(flag("marked"), Role.READER)]

@@ -24,7 +24,6 @@ from gtx.rules import (
     AttrConstraint,
     ConstraintKind,
     DisjunctionSet,
-    QuantKind,
     Quantifier,
     RegexPath,
     Role,
@@ -227,8 +226,7 @@ def random_rule(rng: random.Random) -> Rule:
     if rng.random() < 0.5:
         add_nacs(rng, r, names, "root")
     if rng.random() < 0.5:
-        r.quantifiers["each"] = Quantifier("each", QuantKind.FORALL,
-                                           parent="root")
+        r.quantifiers["each"] = Quantifier("each", parent="root")
         inner = ["u", "w"][:rng.randint(1, 2)]
         for nm in inner:
             r.nodes[nm] = random_reader(rng, nm, "each")

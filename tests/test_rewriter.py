@@ -105,7 +105,7 @@ def test_created_nodes_are_distinct_per_quantifier_extension():
     (match,) = find_root_matches(rule, g)
     effect = plan_application(rule, g, match)
     assert len(effect.node_creations) == 2
-    refs = {c.ref for c in effect.node_creations}
+    refs = set(effect.node_creations)
     assert len(refs) == 2
     assert {e[0] for e in effect.edge_creations} == refs
     out = apply_effect(g, effect)
@@ -121,7 +121,7 @@ def test_creator_context_is_inherited_by_child_levels():
     (match,) = find_root_matches(rule, g)
     effect = plan_application(rule, g, match)
     assert len(effect.node_creations) == 1
-    hub_ref = effect.node_creations[0].ref
+    hub_ref = effect.node_creations[0]
     assert sorted(e[1].name for e in effect.edge_creations) == ["sees"] * 3
     assert all(src is hub_ref for src, _, _ in effect.edge_creations)
     out = apply_effect(g, effect)

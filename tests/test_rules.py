@@ -9,7 +9,6 @@ from gtx.rules import (
     AttrConstraint,
     ConstraintKind,
     DisjunctionSet,
-    QuantKind,
     Quantifier,
     Role,
     Rule,
@@ -20,6 +19,7 @@ from gtx.rules import (
     group_embargo_elements,
     validate_rule,
 )
+from gtx.dsl import parse_rule, parse_type_graph
 from gtx.rewriter import FormatError, render_output
 
 E = edge_label
@@ -34,7 +34,7 @@ def embargo(nid: str, level: str = "root", **kw) -> RuleNode:
 
 
 def forall(qid: str, parent: str = "root", count: int | None = None) -> Quantifier:
-    return Quantifier(qid, QuantKind.FORALL, parent=parent, count_param=count)
+    return Quantifier(qid, parent=parent, count_param=count)
 
 
 # -- small helpers -----------------------------------------------------
@@ -58,7 +58,7 @@ def test_expand_neq_keeps_unsatisfiable_pairs_for_validation():
 def test_root_quantifier_is_synthesized():
     r = Rule("r")
     assert list(r.quantifiers) == ["root"]
-    assert r.quantifiers["root"].kind is QuantKind.ROOT
+    assert r.quantifiers["root"].parent is None
 
 
 def test_level_path_and_depth():
@@ -127,7 +127,7 @@ def test_any_write_makes_rule_not_readonly(mutize):
 
 
 def grouped(nodes, edges, quants=None):
-    quantifiers = {"root": Quantifier("root", QuantKind.ROOT)}
+    quantifiers = {"root": Quantifier("root")}
     for q in quants or []:
         quantifiers[q.id] = q
     return group_embargo_elements(nodes, edges, quantifiers)
@@ -226,9 +226,15 @@ def test_wellformed_rule_validates_clean():
     assert validate_rule(r) == []
 
 
-def test_root_of_wrong_kind_is_malformed():
+def test_root_with_a_parent_is_malformed():
+    r = Rule("r", quantifiers={"q": forall("q")})
+    r.quantifiers["root"].parent = "q"
+    assert_flags(r, "malformed quantifier root")
+
+
+def test_missing_root_is_malformed():
     r = Rule("r")
-    r.quantifiers["root"] = Quantifier("root", QuantKind.FORALL, parent=None)
+    del r.quantifiers["root"]
     assert_flags(r, "malformed quantifier root")
 
 
@@ -239,7 +245,7 @@ def test_unknown_quantifier_parent():
 
 def test_root_cannot_count():
     r = Rule("r")
-    r.quantifiers["root"] = Quantifier("root", QuantKind.ROOT, count_param=0)
+    r.quantifiers["root"] = Quantifier("root", count_param=0)
     assert_flags(r, "cannot carry a count parameter")
 
 
@@ -404,3 +410,36 @@ def test_format_holes_are_checked_as_render_output_counts_them(fmt, holes,
     assert flagged == ([] if renders else [
         f"rule 'say': format has more %s holes ({holes}) than parameters "
         f"({counted})"])
+
+
+# -- validation against type graphs ------------------------------------
+
+TYPES = parse_type_graph("typegraph t\ntype A abstract\ntype B extends A\n"
+                         "attr B.x : int\nedge B -e-> B\n")
+UNLICENSED = "is not licensed by any enabled type graph"
+
+
+@pytest.mark.parametrize("lines, messages", [
+    ("node a role=reader : B\nmatch a.x == 1\nedge a -e-> a role=reader\n"
+     "node b role=reader : B\nrewrite b.x -> x\npath a ~zzz~> b role=reader",
+     []),
+    ("node a role=reader : Ghost",
+     ["node 'a': type 'Ghost' is not declared in any enabled type graph"]),
+    ("node c role=creator : A",
+     ["creator node 'c': type 'A' is abstract in every enabled type graph"]),
+    ("node a role=reader\nnode b role=reader : B\nmatch a.y == 1\n"
+     "edge a -f-> b role=reader\nedge b -f-> a role=reader", []),
+    ('node a role=reader : B\nmatch a.x == "1"',
+     [f"node 'a': attribute constraint on 'x' {UNLICENSED}"]),
+    ("node a role=reader : B\nassign a.y = 1",
+     [f"node 'a': attribute constraint on 'y' {UNLICENSED}"]),
+    ("node a role=reader : B\nrewrite a.x -> z",
+     [f"node 'a': attribute constraint on 'x' {UNLICENSED}"]),
+    ("node a role=reader : B\nnode b role=reader : A\n"
+     "edge a -e-> b role=reader",
+     [f"edge a -e-> b {UNLICENSED}"]),
+], ids=["licensed", "undeclared-type", "abstract-creator", "untyped",
+        "match", "assign", "rewrite", "edge"])
+def test_rules_are_checked_against_type_graphs(lines, messages):
+    r = parse_rule(f"rule r\n{lines}\n")
+    assert [v.message for v in validate_rule(r, [TYPES])] == messages
