@@ -293,6 +293,11 @@ class HostGraph:
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def next_id(self) -> int:
+        """The id the next ``add_node`` returns."""
+        return self._next_id
+
     def _node(self, nid: int) -> HostNode:
         node = self.nodes.get(nid)
         if node is None:

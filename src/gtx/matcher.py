@@ -224,9 +224,11 @@ def _compile(rule: Rule) -> dict[str, _Search]:
         return rule.compiled
 
     def nac(gid: str, bound: set[str]) -> _Search:
+        # an edge may end at an embargo node of another group: bind it too
         grp = rule.nac_groups[gid]
-        return _plan(rule, bound, [n for n in grp.node_ids if n not in bound],
-                     [rule.edges[i] for i in grp.edge_indexes])
+        edges = [rule.edges[i] for i in grp.edge_indexes]
+        ends = {n for e in edges for n in (e.src, e.tgt)}
+        return _plan(rule, bound, sorted({*grp.node_ids, *ends} - bound), edges)
 
     grouped = {gid for ds in rule.disjunction_sets for gid in ds.group_ids}
     conditions = [(gid,) for gid in sorted(rule.nac_groups)
@@ -271,8 +273,6 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
         return sorted(found - taken)
 
     def backtrack(k: int) -> bool:
-        if limit is not None and len(results) >= limit:
-            return True
         if k == len(steps):
             results.append(dict(assignment))
             return limit is not None and len(results) >= limit

@@ -13,6 +13,11 @@ written to one attribute, the greatest by :meth:`Value.sort_key` wins.
 Node deletion follows the single-pushout convention: deleting a node also
 removes every incident edge, whether or not the rule mentioned them.
 
+An effect names every node by its host id.  A created node is named by the
+id the graph will hand out for it: ids are never reused and copies keep
+the counter, so the k-th creation gets ``next_id + k``.  Its flags,
+attributes and edges are then ordinary changes under that id.
+
 Every caller applies rules through one pipeline: :func:`applications`
 yields each effective ``(match, effect)`` pair, :func:`apply_rule` applies
 the first and renders its output, and :func:`apply_repeatedly` re-applies
@@ -27,12 +32,11 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .graph import HostGraph, Label, Value
+from .graph import HostGraph, HostNode, Label, Value
 from .matcher import Match, collect_level_matches, find_root_matches
 from .rules import (
     ConstraintKind,
     FORMAT_DIRECTIVE,
-    POSITIVE_ROLES,
     Role,
     ROOT_QUANT,
     Rule,
@@ -45,28 +49,19 @@ class FormatError(Exception):
     """A print format that cannot be rendered with the bound parameters."""
 
 
-@dataclass(frozen=True)
-class NodeCreation:
-    """A node the application creates; edge creations use it as endpoint."""
-
-    serial: int
-    types: tuple[Label, ...] = ()
-    flags: tuple[Label, ...] = ()
-    attrs: tuple[tuple[str, Value], ...] = ()
-
-
-#: an edge-creation endpoint: an existing host node id or a pending node
-Endpoint = int | NodeCreation
-
-
 @dataclass
 class Effect:
-    """Everything one application will do, in pre-state terms."""
+    """Everything one application will do, in pre-state terms.
+
+    Nodes are host ids.  Each node creation is the id the graph hands out
+    for it and the node's types, in id order; the new node's flags,
+    attributes and edges are in ``flag_changes``, ``attr_writes`` and
+    ``edge_creations``."""
 
     node_deletions: list[int] = field(default_factory=list)
     edge_deletions: list[tuple[int, Label, int]] = field(default_factory=list)
-    node_creations: list[NodeCreation] = field(default_factory=list)
-    edge_creations: list[tuple[Endpoint, Label, Endpoint]] = field(default_factory=list)
+    node_creations: list[tuple[int, tuple[Label, ...]]] = field(default_factory=list)
+    edge_creations: list[tuple[int, Label, int]] = field(default_factory=list)
     attr_writes: list[tuple[int, str, Value]] = field(default_factory=list)
     attr_deletions: list[tuple[int, str]] = field(default_factory=list)
     flag_changes: list[tuple[int, Label, bool]] = field(default_factory=list)
@@ -91,38 +86,26 @@ class ApplicationResult:
     match: Match
 
 
-def _endpoint_key(endpoint: Endpoint) -> tuple[int, int]:
-    if isinstance(endpoint, NodeCreation):
-        return (1, endpoint.serial)
-    return (0, endpoint)
+def _edge_key(edge: tuple[int, Label, int]) -> tuple[int, str, int]:
+    return (edge[0], edge[1].name, edge[2])
 
 
 def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                      tgs: list[TypeGraph] | None = None) -> Effect:
     levels = collect_level_matches(rule, g, root_match, tgs)
 
-    # per level, in id order: each creator node with the types, flags and
-    # attributes of what it creates, and the positive nodes
-    creators: dict[str, list[tuple[str, tuple]]] = {}
-    positives: dict[str, list[RuleNode]] = {}
+    # per level, in id order: the nodes the rule matches or creates
+    nodes: dict[str, list[RuleNode]] = {}
     for node in sorted(rule.nodes.values(), key=lambda n: n.id):
-        if node.role is Role.CREATOR:
-            creators.setdefault(node.level, []).append((node.id, (
-                (node.type_constraint,)
-                if node.type_constraint is not None else (),
-                tuple(sorted((fl for fl, r in node.flag_ops
-                              if r is Role.CREATOR), key=lambda lb: lb.name)),
-                tuple(sorted((attr, c.value)
-                             for attr, c in node.attr_constraints.items()
-                             if c.kind is ConstraintKind.ASSIGN
-                             and c.value is not None)))))
-        elif node.role in POSITIVE_ROLES:
-            positives.setdefault(node.level, []).append(node)
+        if node.role is not Role.EMBARGO:
+            nodes.setdefault(node.level, []).append(node)
+    # a created node has no flags or attributes before the application
+    blank = HostNode(-1)
 
     node_deletions: set[int] = set()
     edge_deletions: set[tuple[int, Label, int]] = set()
-    node_creations: list[NodeCreation] = []
-    edge_creations: set[tuple[Endpoint, Label, Endpoint]] = set()
+    node_creations: list[tuple[int, tuple[Label, ...]]] = []
+    edge_creations: set[tuple[int, Label, int]] = set()
     attr_deletions: set[tuple[int, str]] = set()
     # conflicts are resolved as changes are collected: of several writes
     # to one attribute the greatest value by sort key wins, and of several
@@ -130,26 +113,30 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     writes: dict[tuple[int, str], Value] = {}
     flags: dict[tuple[int, Label], bool] = {}
 
-    # per-match creator context: rule node id -> NodeCreation, keyed by the
-    # identity of the Match object (matches chain via .parent; the root
-    # match has none)
-    contexts: dict[int, dict[str, NodeCreation]] = {}
+    # per-match context: rule node id -> host id, created nodes included,
+    # keyed by the identity of the Match object (matches chain via .parent;
+    # the root match has none)
+    contexts: dict[int, dict[str, int]] = {}
     for qid, level_set in levels.items():
-        edges = [e for e in rule.edges_at(qid) if not e.is_path()]
+        edges = [e for e in rule.edges_at(qid)
+                 if e.role is Role.ERASER or e.role is Role.CREATOR]
         for match in level_set.extensions:
-            ctx = dict(contexts.get(id(match.parent), {}))
-            for nid, fields in creators.get(qid, ()):
-                ctx[nid] = creation = NodeCreation(len(node_creations), *fields)
-                node_creations.append(creation)
-            for node in positives.get(qid, ()):
-                hid = match.assignment[node.id]
+            ctx = contexts.get(id(match.parent), {}) | match.assignment
+            contexts[id(match)] = ctx
+            for node in nodes.get(qid, ()):
+                if node.role is Role.CREATOR:
+                    ctx[node.id] = g.next_id + len(node_creations)
+                    node_creations.append((ctx[node.id], (
+                        (node.type_constraint,)
+                        if node.type_constraint is not None else ())))
+                hid = ctx[node.id]
                 if node.role is Role.ERASER:
                     node_deletions.add(hid)
                 for fl, r in node.flag_ops:
                     if r is Role.CREATOR or r is Role.ERASER:
                         flags[(hid, fl)] = (flags.get((hid, fl), False)
                                             or r is Role.CREATOR)
-                pre = g.nodes[hid].attrs
+                pre = g.nodes.get(hid, blank).attrs
                 for attr, c in node.attr_constraints.items():
                     if c.kind is ConstraintKind.ASSIGN and c.value is not None:
                         key, value = (hid, attr), c.value
@@ -163,15 +150,11 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                             or value.sort_key() > writes[key].sort_key()):
                         writes[key] = value
             for edge in edges:
-                if edge.role is Role.ERASER:
-                    edge_deletions.add((match.assignment[edge.src], edge.label,
-                                        match.assignment[edge.tgt]))
-                elif edge.role is Role.CREATOR:
-                    edge_creations.add(
-                        (ctx.get(edge.src, match.assignment.get(edge.src)),
-                         edge.label,
-                         ctx.get(edge.tgt, match.assignment.get(edge.tgt))))
-            contexts[id(match)] = ctx
+                src, tgt = ctx.get(edge.src), ctx.get(edge.tgt)
+                if src is None or tgt is None:  # an invalid rule: unbound end
+                    continue
+                (edge_deletions if edge.role is Role.ERASER
+                 else edge_creations).add((src, edge.label, tgt))
 
     # Normalize to the exact delta against the pre-state.  Deletion wins
     # over every change to a deleted node; deleting and recreating the
@@ -188,47 +171,44 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
 
     return Effect(
         node_deletions=sorted(node_deletions),
-        edge_deletions=sorted(edge_deletions - edge_creations,
-                              key=lambda e: (e[0], e[1].name, e[2])),
+        edge_deletions=sorted(edge_deletions - edge_creations, key=_edge_key),
         node_creations=node_creations,
-        edge_creations=sorted(
-            ((s, lbl, t) for s, lbl, t in edge_creations
-             if isinstance(s, NodeCreation) or isinstance(t, NodeCreation)
-             or not g.has_edge(s, lbl, t)),
-            key=lambda e: (_endpoint_key(e[0]), e[1].name, _endpoint_key(e[2]))),
+        edge_creations=sorted((e for e in edge_creations
+                               if not g.has_edge(*e)), key=_edge_key),
         attr_writes=[(nid, attr, v) for (nid, attr), v in sorted(writes.items())
                      if nid not in node_deletions
-                     and g.nodes[nid].attrs.get(attr) != v],
+                     and g.nodes.get(nid, blank).attrs.get(attr) != v],
         attr_deletions=sorted(d for d in attr_deletions
                               if d[0] not in node_deletions and d not in writes),
         flag_changes=[(nid, fl, add) for (nid, fl), add in sorted(
                           flags.items(), key=lambda f: (f[0][0], f[0][1].name))
                       if nid not in node_deletions
-                      and add != (fl in g.nodes[nid].flags)],
+                      and add != (fl in g.nodes.get(nid, blank).flags)],
         param_values=param_values,
         counts=counts,
     )
 
 
 def apply_effect(g: HostGraph, effect: Effect) -> HostGraph:
-    """Apply a planned effect to a copy of ``g`` and return the copy."""
+    """Apply a planned effect to a copy of ``g`` and return the copy.
+
+    Raises ValueError when a node creation's id is not the id ``g`` hands
+    out next: the effect was planned for another graph."""
     out = g.copy()
     for src, lbl, tgt in effect.edge_deletions:
         out.remove_edge(src, lbl, tgt)
     for nid in effect.node_deletions:
         if nid in out.nodes:
             out.delete_node_spo(nid)
-    created: dict[int, int] = {}
-    for creation in effect.node_creations:
-        nid = out.add_node(creation.types, creation.flags)
-        for attr, value in creation.attrs:
-            out.set_attr(nid, attr, value)
-        created[creation.serial] = nid
+    for nid, types in effect.node_creations:
+        if nid != out.next_id:
+            raise ValueError(f"effect creates node {nid} but the graph's next "
+                             f"id is {out.next_id}: it was planned for "
+                             f"another graph")
+        out.add_node(types)
     for src, lbl, tgt in effect.edge_creations:
-        src_id = created[src.serial] if isinstance(src, NodeCreation) else src
-        tgt_id = created[tgt.serial] if isinstance(tgt, NodeCreation) else tgt
-        if src_id in out.nodes and tgt_id in out.nodes:
-            out.add_edge(src_id, lbl, tgt_id)
+        if src in out.nodes and tgt in out.nodes:
+            out.add_edge(src, lbl, tgt)
     for nid, attr in effect.attr_deletions:
         if nid in out.nodes:
             out.nodes[nid].attrs.pop(attr, None)

@@ -246,14 +246,16 @@ def group_embargo_elements(
     """Partition embargo elements into NAC groups.
 
     Connected components of the embargo-only subgraph, except that an
-    explicit group label on an embargo edge pins its component: a union
-    that would merge two differently-labelled components is skipped, so
-    explicit labels override connectivity.  Unlabelled components get
-    synthesized ``nacN`` ids.
+    explicit group label on an embargo edge pins its component: every
+    embargo edge with one label joins one group, and a union that would
+    merge two differently-labelled components is skipped, so explicit
+    labels override connectivity.  Unlabelled components get synthesized
+    ``nacN`` ids.
     """
     Key = tuple[int, object]  # (0, node id) | (1, edge index)
     parent: dict[Key, Key] = {}
     label: dict[Key, str] = {}
+    labelled: dict[str, Key] = {}  # label -> its first edge
 
     def find(k: Key) -> Key:
         while parent[k] != k:
@@ -283,6 +285,7 @@ def group_embargo_elements(
         parent[k] = k
         if e.group is not None:
             label[k] = e.group
+            union(labelled.setdefault(e.group, k), k)
         for endpoint in (e.src, e.tgt):
             n = nodes.get(endpoint)
             if n is not None and n.role is Role.EMBARGO:

@@ -83,8 +83,10 @@ def _b_edges_ok(g: HostGraph, asg: dict[str, int], edges) -> bool:
 
 def _b_group_matchable(rule: Rule, g: HostGraph, asg: dict[str, int],
                        grp) -> bool:
-    free = [nid for nid in grp.node_ids if nid not in asg]
     edges = [rule.edges[i] for i in grp.edge_indexes]
+    # an edge may end at an embargo node of another group: it is free too
+    free = sorted({*grp.node_ids, *(n for e in edges for n in (e.src, e.tgt))}
+                  - set(asg))
     for combo in itertools.product(g.node_ids(), repeat=len(free)):
         trial = dict(asg) | dict(zip(free, combo))
         if all(_b_node_ok(rule.nodes[n], g, trial[n]) for n in free) \
@@ -268,6 +270,76 @@ def test_forall_levels_agree_with_brute_force():
             assert all(m.parent is root for m in ext)
             levels_checked += 1
     assert levels_checked >= 100
+
+
+def random_grouped_rule(rng: random.Random) -> Rule:
+    """Readers with embargo edges tagged from a small set of group labels,
+    so one label spans disconnected patterns and one embargo node can sit
+    between edges of two labels."""
+    r = Rule("grouped")
+    names = ["p", "q"][:rng.randint(1, 2)]
+    for nm in names:
+        r.nodes[nm] = random_reader(rng, nm, "root")
+    for _ in range(rng.randint(0, 2)):
+        r.edges.append(random_edge(rng, names, Role.READER))
+    embargo = ["x", "y"][:rng.randint(0, 2)]
+    for nm in embargo:
+        r.nodes[nm] = RuleNode(nm, Role.EMBARGO)
+        if rng.random() < 0.4:
+            r.nodes[nm].type_constraint = node_type(rng.choice("TU"))
+    for _ in range(rng.randint(1, 4)):
+        e = random_edge(rng, names + embargo, Role.EMBARGO)
+        e.group = rng.choice(["g", "h", None])
+        r.edges.append(e)
+    r.nac_groups = group_embargo_elements(r.nodes, r.edges, r.quantifiers)
+    if {"g", "h"} <= set(r.nac_groups) and rng.random() < 0.4:
+        r.disjunction_sets.append(DisjunctionSet(("g", "h")))
+    return r
+
+
+def test_shared_and_conflicting_group_labels_agree_with_brute_force():
+    shapes = {"shared": 0, "conflicting": 0}
+    for seed in range(300):
+        rng = random.Random(20_000 + seed)
+        rule = random_grouped_rule(rng)
+        assert validate_rule(rule) == [], seed
+        for grp in rule.nac_groups.values():
+            edges = [rule.edges[i] for i in grp.edge_indexes]
+            ends = {n for e in edges for n in (e.src, e.tgt)}
+            shapes["conflicting"] += any(
+                rule.nodes[n].role is Role.EMBARGO and n not in grp.node_ids
+                for n in ends)
+        labels = [e.group for e in rule.edges if e.group is not None]
+        shapes["shared"] += len(labels) > len(set(labels))
+        g = random_host(rng)
+        got = [m.assignment for m in find_root_matches(rule, g)]
+        assert got == brute_root_matches(rule, g), f"seed {seed}"
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_one_group_label_joins_disconnected_patterns():
+    rule = parse_rule("rule r\nnode a role=reader\nnode b role=reader\n"
+                      "node c role=reader\nflag a embargo done\n"
+                      "flag a creator done\n"
+                      "edge a -x-> b role=embargo group g\n"
+                      "edge b -y-> c role=embargo group g\n")
+    assert rule.nac_groups["g"].edge_indexes == (0, 1)
+    # the group forbids both edges together; there is no x edge here
+    assert apply_rule(rule, parse_graph("graph h\nnode p\nedge p -y-> p\n")) \
+        is not None
+    assert apply_rule(rule, parse_graph(
+        "graph h\nnode p\nedge p -x-> p\nedge p -y-> p\n")) is None
+
+
+def test_a_group_binds_embargo_ends_of_another_group():
+    rule = parse_rule("rule r\nnode a role=reader\nnode x role=embargo\n"
+                      "flag a embargo done\nflag a creator done\n"
+                      "edge a -p-> x role=embargo group left\n"
+                      "edge a -q-> x role=embargo group right\n")
+    assert rule.nac_groups["right"].node_ids == ()
+    assert apply_rule(rule, parse_graph("graph h\nnode n\n")) is not None
+    assert apply_rule(rule, parse_graph(
+        "graph h\nnode n\nedge n -q-> n\n")) is None
 
 
 def test_path_target_bound_before_its_source():

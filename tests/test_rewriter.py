@@ -10,6 +10,7 @@ from gtx.dsl import parse_graph, parse_rule, serialize_graph
 from gtx.graph import Value, edge_label, flag, node_type
 from gtx.matcher import find_root_matches
 from gtx.rewriter import (
+    Effect,
     FormatError,
     apply_effect,
     apply_repeatedly,
@@ -19,6 +20,7 @@ from gtx.rewriter import (
     plan_application,
     render_output,
 )
+from gtx.rules import validate_rule
 from gtx.suite import (
     fixture_grammar_names,
     load_fixture_grammar,
@@ -87,6 +89,13 @@ def test_creator_nodes_get_types_flags_and_attrs():
                       'flag c creator fresh\nassign c.text = "made"\n'
                       'edge p -owns-> c role=creator\n')
     result = apply_rule(rule, g)
+    # the effect names the new node by the id it gets
+    (a,) = g.node_ids()
+    c = g.next_id
+    assert result.effect.node_creations == [(c, (node_type("T"),))]
+    assert result.effect.flag_changes == [(c, flag("fresh"), True)]
+    assert result.effect.attr_writes == [(c, "text", Value.string("made"))]
+    assert result.effect.edge_creations == [(a, edge_label("owns"), c)]
     out = result.graph
     assert len(out.nodes) == 2
     created = next(n for n in out.nodes.values() if n.name is None)
@@ -105,9 +114,9 @@ def test_created_nodes_are_distinct_per_quantifier_extension():
     (match,) = find_root_matches(rule, g)
     effect = plan_application(rule, g, match)
     assert len(effect.node_creations) == 2
-    refs = set(effect.node_creations)
-    assert len(refs) == 2
-    assert {e[0] for e in effect.edge_creations} == refs
+    ids = {nid for nid, _ in effect.node_creations}
+    assert ids == {g.next_id, g.next_id + 1}
+    assert {e[0] for e in effect.edge_creations} == ids
     out = apply_effect(g, effect)
     assert len(out.nodes) == 4 and len(out.edges) == 2
 
@@ -121,9 +130,9 @@ def test_creator_context_is_inherited_by_child_levels():
     (match,) = find_root_matches(rule, g)
     effect = plan_application(rule, g, match)
     assert len(effect.node_creations) == 1
-    hub_ref = effect.node_creations[0]
+    (hub, _), = effect.node_creations
     assert sorted(e[1].name for e in effect.edge_creations) == ["sees"] * 3
-    assert all(src is hub_ref for src, _, _ in effect.edge_creations)
+    assert all(src == hub for src, _, _ in effect.edge_creations)
     out = apply_effect(g, effect)
     assert len(out.nodes) == 4 and len(out.edges) == 3
 
@@ -324,6 +333,43 @@ def test_is_effective_reflects_emptiness_and_format():
     assert not is_effective(plain, plan_application(plain, g, match))
     printing = parse_rule('rule r\nnode n role=reader\nformat "x"\n')
     assert is_effective(printing, plan_application(printing, g, match))
+
+
+def test_changes_to_a_node_the_effect_deletes_leave_no_trace():
+    # plan_application never emits these; apply_effect must still skip them
+    g = parse_graph('graph g\nnode a flag m\nattr a.v = 1\nnode b\n'
+                    'edge a -e-> b\n')
+    a, b = g.node_ids()
+    effect = Effect(
+        node_deletions=[a],
+        edge_creations=[(b, edge_label("e"), a)],
+        attr_deletions=[(a, "v")],
+        attr_writes=[(a, "w", Value.int_(2))],
+        flag_changes=[(a, flag("m"), False), (a, flag("k"), True)])
+    out = apply_effect(g, effect)
+    assert list(out.nodes) == [b] and out.edges == set()
+    assert out.nodes[b] == g.nodes[b]
+
+
+def test_an_effect_planned_for_another_graph_is_refused():
+    g = parse_graph("graph g\nnode a\n")
+    rule = parse_rule("rule r\nnode p role=reader\nnode c role=creator\n")
+    effect = plan_application(rule, g, single_match(rule, g))
+    assert len(apply_effect(g, effect).nodes) == 2
+    grown = g.copy()
+    grown.add_node()
+    with pytest.raises(ValueError, match="planned for another graph"):
+        apply_effect(grown, effect)
+
+
+@pytest.mark.parametrize("role", ["creator", "eraser"])
+def test_an_edge_whose_end_the_level_does_not_bind_changes_nothing(role):
+    # invalid, since the edge sits above its endpoint, but apply runs
+    # rules unvalidated: it must neither crash nor count as a change
+    rule = parse_rule(f"rule r\nnode a role=reader\nquant q forall\n"
+                      f"node b role=reader in q\nedge a -e-> b role={role}\n")
+    assert validate_rule(rule)
+    assert apply_rule(rule, parse_graph("graph g\nnode a\n")) is None
 
 
 def test_apply_match_targets_a_specific_assignment():
