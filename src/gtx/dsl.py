@@ -69,7 +69,6 @@ from .graph import (
 from .rules import (
     AttrConstraint,
     ConstraintKind,
-    DisjunctionSet,
     Quantifier,
     RegexAtom,
     RegexPath,
@@ -732,7 +731,7 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
         for gid in gids:
             if gid not in nac_groups:
                 raise ParseError(f"unknown NAC group {gid!r}", span)
-        disjunction_sets.append(DisjunctionSet(tuple(gids)))
+        disjunction_sets.append(tuple(gids))
 
     return Rule(
         name=name,

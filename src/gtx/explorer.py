@@ -114,14 +114,14 @@ def _shape(g: HostGraph, table: _Table | None = None,
     adj: dict[int, list[tuple[int, int]]] = {nid: [] for nid in g.nodes}
     labels: dict[tuple[int, int], list[str]] = {}
     nbrs: dict[int, set[int]] = {nid: set() for nid in g.nodes}
-    for e in g.edges:
-        code = table.codes.setdefault(e.label.name, 2 * len(table.codes))
-        adj[e.src].append((e.tgt, code))
-        adj[e.tgt].append((e.src, code + 1))
-        labels.setdefault((e.src, e.tgt), []).append(e.label.name)
-        if e.src != e.tgt:
-            nbrs[e.src].add(e.tgt)
-            nbrs[e.tgt].add(e.src)
+    for src, label, tgt in g.edges:
+        code = table.codes.setdefault(label.name, 2 * len(table.codes))
+        adj[src].append((tgt, code))
+        adj[tgt].append((src, code + 1))
+        labels.setdefault((src, tgt), []).append(label.name)
+        if src != tgt:
+            nbrs[src].add(tgt)
+            nbrs[tgt].add(src)
     # Every stored state keeps its record: tuples take a quarter of the
     # memory of small sets.
     return _Shape(table.refine(seeds, adj),

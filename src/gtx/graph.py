@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import copysign
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 #: Characters that may not appear in label names (they have syntactic
 #: meaning in the textual formats).  Whitespace is excluded as well.
@@ -165,8 +165,9 @@ class Value:
         return (self.kind.value, self.to_text())
 
 
-@dataclass(frozen=True)
-class HostEdge:
+class HostEdge(NamedTuple):
+    """A named ``(src, label, tgt)`` triple, equal to the plain tuple."""
+
     src: int
     label: Label
     tgt: int
@@ -208,7 +209,8 @@ class HostGraph:
     """A mutable graph value.  ``copy()`` is a deep copy; the type is safe
     to share between threads only as long as each thread works on its own
     copy.  Raw ``==`` is id-sensitive -- use :func:`gtx.explorer.isomorphic`
-    for equality up to node renaming.
+    for equality up to node renaming.  ``nodes`` and ``edges`` are not
+    constructor arguments, so ``add_node`` never hands out a taken id.
 
     ``edges`` is the source of truth, but it must change only through
     ``add_edge``, ``remove_edge`` and ``delete_node_spo``: the first
@@ -216,9 +218,9 @@ class HostGraph:
     index from it, and only those methods drop the index again."""
 
     name: str = "g"
-    nodes: dict[int, HostNode] = field(default_factory=dict)
-    edges: set[HostEdge] = field(default_factory=set)
-    _next_id: int = field(default=0, repr=False, compare=False)
+    nodes: dict[int, HostNode] = field(default_factory=dict, init=False)
+    edges: set[HostEdge] = field(default_factory=set, init=False)
+    _next_id: int = field(default=0, init=False, repr=False, compare=False)
     #: (src, label name) -> targets and (tgt, label name) -> sources; None
     #: until a query needs them, and again after every edge change.  Every
     #: edge label is of the edge-label kind, so the name identifies it.
@@ -263,7 +265,7 @@ class HostGraph:
         return True
 
     def remove_edge(self, src: int, label: Label, tgt: int) -> bool:
-        edge = HostEdge(src, label, tgt)
+        edge = (src, label, tgt)
         if edge in self.edges:
             self.edges.remove(edge)
             self._out = self._in = None
@@ -305,7 +307,7 @@ class HostGraph:
         return node
 
     def has_edge(self, src: int, label: Label, tgt: int) -> bool:
-        return HostEdge(src, label, tgt) in self.edges
+        return (src, label, tgt) in self.edges
 
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
@@ -315,18 +317,18 @@ class HostGraph:
         # are cheaper to build and hold
         out: dict[tuple[int, str], list[int]] = {}
         in_: dict[tuple[int, str], list[int]] = {}
-        for e in self.edges:
-            name = e.label.name
-            ends = out.get((e.src, name))
+        for src, label, tgt in self.edges:
+            name = label.name
+            ends = out.get((src, name))
             if ends is None:
-                out[(e.src, name)] = [e.tgt]
+                out[(src, name)] = [tgt]
             else:
-                ends.append(e.tgt)
-            ends = in_.get((e.tgt, name))
+                ends.append(tgt)
+            ends = in_.get((tgt, name))
             if ends is None:
-                in_[(e.tgt, name)] = [e.src]
+                in_[(tgt, name)] = [src]
             else:
-                ends.append(e.src)
+                ends.append(src)
         self._out, self._in = out, in_
 
     def successors(self, nid: int, label: Label) -> set[int]:

@@ -230,10 +230,10 @@ def _compile(rule: Rule) -> dict[str, _Search]:
         ends = {n for e in edges for n in (e.src, e.tgt)}
         return _plan(rule, bound, sorted({*grp.node_ids, *ends} - bound), edges)
 
-    grouped = {gid for ds in rule.disjunction_sets for gid in ds.group_ids}
+    grouped = {gid for ds in rule.disjunction_sets for gid in ds}
     conditions = [(gid,) for gid in sorted(rule.nac_groups)
                   if gid not in grouped]
-    conditions += [ds.group_ids for ds in rule.disjunction_sets]
+    conditions += rule.disjunction_sets
     levels: dict[str, _Search] = {}
     frontier: list[tuple[str, set[str]]] = [(ROOT_QUANT, set())]
     for qid, bound in frontier:  # grows while it is walked: breadth first

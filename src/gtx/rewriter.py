@@ -32,13 +32,12 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .graph import HostGraph, HostNode, Label, Value
+from .graph import HostEdge, HostGraph, HostNode, Label, Value
 from .matcher import Match, collect_level_matches, find_root_matches
 from .rules import (
     ConstraintKind,
     FORMAT_DIRECTIVE,
     Role,
-    ROOT_QUANT,
     Rule,
     RuleNode,
 )
@@ -56,19 +55,18 @@ class Effect:
     Nodes are host ids.  Each node creation is the id the graph hands out
     for it and the node's types, in id order; the new node's flags,
     attributes and edges are in ``flag_changes``, ``attr_writes`` and
-    ``edge_creations``."""
+    ``edge_creations``.  Both edge lists hold :class:`HostEdge` triples
+    sorted by :meth:`HostEdge.key`."""
 
     node_deletions: list[int] = field(default_factory=list)
-    edge_deletions: list[tuple[int, Label, int]] = field(default_factory=list)
+    edge_deletions: list[HostEdge] = field(default_factory=list)
     node_creations: list[tuple[int, tuple[Label, ...]]] = field(default_factory=list)
-    edge_creations: list[tuple[int, Label, int]] = field(default_factory=list)
+    edge_creations: list[HostEdge] = field(default_factory=list)
     attr_writes: list[tuple[int, str, Value]] = field(default_factory=list)
     attr_deletions: list[tuple[int, str]] = field(default_factory=list)
     flag_changes: list[tuple[int, Label, bool]] = field(default_factory=list)
     #: parameter index -> value (bound attributes and level counts)
     param_values: dict[int, Value] = field(default_factory=dict)
-    #: quantifier id -> number of matches of that level
-    counts: dict[str, int] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         """True when applying would leave the graph unchanged."""
@@ -86,10 +84,6 @@ class ApplicationResult:
     match: Match
 
 
-def _edge_key(edge: tuple[int, Label, int]) -> tuple[int, str, int]:
-    return (edge[0], edge[1].name, edge[2])
-
-
 def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                      tgs: list[TypeGraph] | None = None) -> Effect:
     levels = collect_level_matches(rule, g, root_match, tgs)
@@ -103,9 +97,9 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     blank = HostNode(-1)
 
     node_deletions: set[int] = set()
-    edge_deletions: set[tuple[int, Label, int]] = set()
+    edge_deletions: set[HostEdge] = set()
     node_creations: list[tuple[int, tuple[Label, ...]]] = []
-    edge_creations: set[tuple[int, Label, int]] = set()
+    edge_creations: set[HostEdge] = set()
     attr_deletions: set[tuple[int, str]] = set()
     # conflicts are resolved as changes are collected: of several writes
     # to one attribute the greatest value by sort key wins, and of several
@@ -154,7 +148,7 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                 if src is None or tgt is None:  # an invalid rule: unbound end
                     continue
                 (edge_deletions if edge.role is Role.ERASER
-                 else edge_creations).add((src, edge.label, tgt))
+                 else edge_creations).add(HostEdge(src, edge.label, tgt))
 
     # Normalize to the exact delta against the pre-state.  Deletion wins
     # over every change to a deleted node; deleting and recreating the
@@ -162,19 +156,18 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     # writes that change nothing vanish; a renamed-away attribute is
     # deleted only if nothing writes to it.  This is what makes is_empty()
     # mean "application would be the identity".
-    edge_creations = {(s, lbl, t) for s, lbl, t in edge_creations
-                      if s not in node_deletions and t not in node_deletions}
-    counts = {qid: levels[qid].count for qid in levels if qid != ROOT_QUANT}
+    edge_creations = {e for e in edge_creations if e.src not in node_deletions
+                      and e.tgt not in node_deletions}
     param_values = dict(root_match.bound_params)
     for qid, idx in rule.count_params().items():
         param_values[idx] = Value.int_(levels[qid].count)
 
     return Effect(
         node_deletions=sorted(node_deletions),
-        edge_deletions=sorted(edge_deletions - edge_creations, key=_edge_key),
+        edge_deletions=sorted(edge_deletions - edge_creations, key=HostEdge.key),
         node_creations=node_creations,
         edge_creations=sorted((e for e in edge_creations
-                               if not g.has_edge(*e)), key=_edge_key),
+                               if not g.has_edge(*e)), key=HostEdge.key),
         attr_writes=[(nid, attr, v) for (nid, attr), v in sorted(writes.items())
                      if nid not in node_deletions
                      and g.nodes.get(nid, blank).attrs.get(attr) != v],
@@ -185,7 +178,6 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                       if nid not in node_deletions
                       and add != (fl in g.nodes.get(nid, blank).flags)],
         param_values=param_values,
-        counts=counts,
     )
 
 

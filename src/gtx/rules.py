@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graph import Label, LabelKind, Value
+from .graph import Label, Value
 from .source import SourceSpan, Violation
 from .typegraph import TypeGraph, attr_licensed, edge_licensed
 
@@ -42,11 +42,7 @@ ROOT_QUANT = "root"
 FORMAT_DIRECTIVE = re.compile(r"%(.)", re.DOTALL)
 
 
-class RuleError(Exception):
-    """Base class for rule-model errors."""
-
-
-class UnknownQuantifierError(RuleError):
+class UnknownQuantifierError(Exception):
     pass
 
 
@@ -136,15 +132,9 @@ class Quantifier:
 
 @dataclass(frozen=True)
 class NacGroup:
-    id: str
     node_ids: tuple[str, ...]
     edge_indexes: tuple[int, ...]
     level: str
-
-
-@dataclass(frozen=True)
-class DisjunctionSet:
-    group_ids: tuple[str, ...]
 
 
 @dataclass
@@ -158,7 +148,7 @@ class Rule:
     edges: list[RuleEdge] = field(default_factory=list)
     quantifiers: dict[str, Quantifier] = field(default_factory=dict)
     nac_groups: dict[str, NacGroup] = field(default_factory=dict)
-    disjunction_sets: list[DisjunctionSet] = field(default_factory=list)
+    disjunction_sets: list[tuple[str, ...]] = field(default_factory=list)
     injectivity_pairs: set[tuple[str, str]] = field(default_factory=set)
     #: parameter index -> (rule-node id, attribute name); count parameters
     #: live on their quantifier instead and do not appear here
@@ -315,7 +305,7 @@ def group_embargo_elements(
         levels = [nodes[n].level for n in member_nodes]
         levels += [edges[i].level for i in member_edges]
         level = max(levels, key=lambda lv: (depth(lv), lv)) if levels else ROOT_QUANT
-        groups[gid] = NacGroup(gid, member_nodes, member_edges, level)
+        groups[gid] = NacGroup(member_nodes, member_edges, level)
     return groups
 
 
@@ -448,10 +438,10 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
 
     seen_in_set: dict[str, int] = {}
     for ds in r.disjunction_sets:
-        if len(ds.group_ids) < 2:
+        if len(ds) < 2:
             v.append(Violation("a disjunction set needs at least two NAC groups"))
         levels = set()
-        for gid in ds.group_ids:
+        for gid in ds:
             if gid not in r.nac_groups:
                 v.append(Violation(f"disjunction references unknown NAC group {gid!r}"))
                 continue

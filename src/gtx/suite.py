@@ -21,7 +21,7 @@ from importlib import resources
 from .dsl import Grammar, load_grammar_dir, parse_graph
 from .explorer import isomorphic
 from .graph import HostGraph, Value, edge_label, node_type
-from .rewriter import apply_repeatedly, apply_rule
+from .rewriter import apply_rule
 from .rules import Rule
 from .typegraph import TypeGraph, conforms
 
@@ -34,7 +34,6 @@ NODES = edge_label("nodes")
 EDGES = edge_label("edges")
 
 FIXTURE_ROOT = "fixtures/helloworld"
-_MAX_ITERATIONS = 10_000
 
 
 class OracleError(Exception):
@@ -171,28 +170,27 @@ def random_nodified_graph(rng: random.Random, max_nodes: int = 8,
 
 @dataclass
 class FixtureContext:
+    """The start graph, the graph after the one application and what that
+    application printed (empty when the rule has no format)."""
+
     grammar: Grammar
     rule: Rule
     start: HostGraph
     result: HostGraph
-    outputs: list[str]
-    applications: int
+    output: str
 
 
 @dataclass(frozen=True)
 class Fixture:
-    """One demonstration task: a rule from a fixture grammar plus the
-    oracle-backed expectations about what applying it does."""
+    """One demonstration task: a rule from a fixture grammar, applied once
+    to the start graph, plus the oracle-backed check of what it did."""
 
     id: str
     grammar: str
     rule: str
-    #: "once" applies the rule a single time; "fixpoint" reapplies it
-    #: until it reports itself inapplicable
-    mode: str = "fixpoint"
-    expected_applications: int = 1
-    #: the output expected from the start graph and the loaded rule
-    expected_output: Callable[[HostGraph, Rule], str] | None = None
+    #: the task asks for a fixpoint: after its one application the rule
+    #: must be inapplicable
+    fixpoint: bool = True
     check: Callable[[FixtureContext], list[str]] | None = None
 
 
@@ -235,18 +233,9 @@ def fixture_grammar_names() -> list[str]:
     return sorted(entry.name for entry in root.iterdir() if entry.is_dir())
 
 
-def _isomorphic_to(expected_text: str) -> Callable[[FixtureContext], list[str]]:
-    def check(ctx: FixtureContext) -> list[str]:
-        expected = parse_graph(expected_text, "<expected>")
-        if not isomorphic(ctx.result, expected):
-            return ["result is not isomorphic to the expected graph"]
-        return []
-    return check
-
-
-def _check_hello(ctx: FixtureContext) -> list[str]:
-    if not isomorphic(ctx.result, ctx.start):
-        return ["a read-only rule changed the graph"]
+def _output(ctx: FixtureContext, want: str) -> list[str]:
+    if ctx.output != want:
+        return [f"output {ctx.output!r}, expected {want!r}"]
     return []
 
 
@@ -255,6 +244,20 @@ graph expected
 node g : Greeting
 attr g.text = "Hello World"
 """
+
+
+def _check_greeting(ctx: FixtureContext) -> list[str]:
+    problems = _output(ctx, "Hello World\n")
+    if not isomorphic(ctx.result, parse_graph(_GREETING_EXPECTED, "<expected>")):
+        problems.append("result is not isomorphic to the expected graph")
+    return problems
+
+
+def _check_hello(ctx: FixtureContext) -> list[str]:
+    problems = _output(ctx, "The output is Hello TTC Participants \n")
+    if not isomorphic(ctx.result, ctx.start):
+        problems.append("a read-only rule changed the graph")
+    return problems
 
 
 @lru_cache(maxsize=1)
@@ -266,7 +269,8 @@ def _counting_corpus() -> tuple[HostGraph, ...]:
 
 def _counting_check(key: str) -> Callable[[FixtureContext], list[str]]:
     def check(ctx: FixtureContext) -> list[str]:
-        problems = []
+        problems = _output(ctx, _render_count(
+            ctx.rule, oracle_counts(ctx.start)[key]))
         if not isomorphic(ctx.result, ctx.start):
             problems.append("a counting rule changed the graph")
         for i, g in enumerate(_counting_corpus()):
@@ -309,10 +313,9 @@ def _check_migration_gc(ctx: FixtureContext) -> list[str]:
     if not conforms([source], ctx.result):
         problems.append(
             "migrated graph still conforms to the source model alone")
-    for e in ctx.result.edges:
-        if e.label.name in ("nodes", "edges"):
-            problems.append(f"stale containment reference {e.label.name}")
-            break
+    stale = {e.label.name for e in ctx.result.edges} & {"nodes", "edges"}
+    if stale:
+        problems.append(f"stale containment reference {min(stale)}")
     for nid in ctx.result.node_ids():
         node = ctx.result.nodes[nid]
         if NODE in node.types:
@@ -373,26 +376,18 @@ def _check_delete_with_edges(ctx: FixtureContext) -> list[str]:
 
 
 def _check_transitive(ctx: FixtureContext) -> list[str]:
-    problems = []
-    base = step_relation(ctx.start)
-    closed = step_relation(ctx.result)
-    if closed != transitive_closure(base):
-        problems.append("resulting relation is not the transitive closure")
-    if apply_rule(ctx.rule, ctx.result, ctx.grammar.type_graphs) is not None:
-        problems.append("rule still applicable after reaching the closure")
-    return problems
+    if step_relation(ctx.result) != transitive_closure(
+            step_relation(ctx.start)):
+        return ["resulting relation is not the transitive closure"]
+    return []
 
 
 def fixtures() -> list[Fixture]:
     out = [
         Fixture(id="makeGreeting", grammar="greeting", rule="makeGreeting",
-                expected_output=lambda start, rule: "Hello World\n",
-                check=_isomorphic_to(_GREETING_EXPECTED)),
+                check=_check_greeting),
         Fixture(id="helloMessage", grammar="hello", rule="helloMessage",
-                mode="once",
-                expected_output=lambda start, rule:
-                    "The output is Hello TTC Participants \n",
-                check=_check_hello),
+                fixpoint=False, check=_check_hello),
     ]
     for key, rule in [
         ("nodes", "countNodes"),
@@ -402,12 +397,11 @@ def fixtures() -> list[Fixture]:
         ("dangling", "countDanglingEdges"),
     ]:
         out.append(Fixture(
-            id=rule, grammar="counting", rule=rule, mode="once",
-            expected_output=_oracle_count_output(key),
+            id=rule, grammar="counting", rule=rule, fixpoint=False,
             check=_counting_check(key)))
     out += [
         Fixture(id="reverseEdges", grammar="reverse", rule="reverseEdges",
-                mode="once", check=_check_reverse),
+                fixpoint=False, check=_check_reverse),
         Fixture(id="migrateToGraphComponent", grammar="migration_gc",
                 rule="migrateToGraphComponent", check=_check_migration_gc),
         Fixture(id="migrateTopologyChange", grammar="migration_topo",
@@ -420,12 +414,6 @@ def fixtures() -> list[Fixture]:
                 rule="insertTransitiveEdges", check=_check_transitive),
     ]
     return out
-
-
-def _oracle_count_output(key: str) -> Callable[[HostGraph, Rule], str]:
-    def expected(start: HostGraph, rule: Rule) -> str:
-        return _render_count(rule, oracle_counts(start)[key])
-    return expected
 
 
 # ---------------------------------------------------------------------------
@@ -452,28 +440,17 @@ def run_fixture(fixture: Fixture) -> FixtureResult:
     if problems:
         return FixtureResult(fixture, 0, "", problems)
 
-    start = grammar.start
-    once = fixture.mode == "once"
-    g, outputs, applications = apply_repeatedly(
-        rule, start, grammar.type_graphs, 1 if once else _MAX_ITERATIONS)
-    if once and applications == 0:
-        problems.append("rule was inapplicable")
-    elif not once and applications == _MAX_ITERATIONS:
-        problems.append("rule did not reach a fixpoint")
-
-    output = "".join(outputs)
-    if applications != fixture.expected_applications:
-        problems.append(
-            f"expected {fixture.expected_applications} application(s), "
-            f"got {applications}")
-    if fixture.expected_output is not None and not problems:
-        want = fixture.expected_output(start, rule)
-        if output != want:
-            problems.append(f"output {output!r}, expected {want!r}")
-    if fixture.check is not None and not problems:
-        ctx = FixtureContext(grammar, rule, start, g, outputs, applications)
-        problems.extend(fixture.check(ctx))
-    return FixtureResult(fixture, applications, output, problems)
+    res = apply_rule(rule, grammar.start, grammar.type_graphs)
+    if res is None:
+        return FixtureResult(fixture, 0, "", ["rule was inapplicable"])
+    output = res.output or ""
+    if (fixture.fixpoint
+            and apply_rule(rule, res.graph, grammar.type_graphs) is not None):
+        problems.append("rule is still applicable after one application")
+    elif fixture.check is not None:
+        problems = fixture.check(
+            FixtureContext(grammar, rule, grammar.start, res.graph, output))
+    return FixtureResult(fixture, 1, output, problems)
 
 
 def run_suite(filter_substring: str | None = None) -> SuiteReport:

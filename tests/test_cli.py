@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -374,7 +377,7 @@ def test_suite_filter_narrows_the_run(capsys):
 def test_suite_prints_a_failing_fixture_and_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(gtx.suite, "fixtures", lambda: [
         Fixture(id="helloMessage", grammar="hello", rule="helloMessage",
-                mode="once"),
+                fixpoint=False),
         Fixture(id="broken", grammar="hello", rule="nope"),
     ])
     code = main(["suite"])
@@ -383,6 +386,18 @@ def test_suite_prints_a_failing_fixture_and_exits_1(monkeypatch, capsys):
         "PASS helloMessage (1 application)",
         "FAIL broken: no rule named 'nope'",
         "1 passed, 1 failed of 2 fixtures",
+    ]
+
+
+def test_python_dash_m_gtx_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(gtx.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gtx", "suite", "--filter", "helloMessage"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "PASS helloMessage (1 application)",
+        "1 passed, 0 failed of 1 fixtures",
     ]
 
 

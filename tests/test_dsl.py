@@ -384,7 +384,7 @@ def test_parse_rule_structure():
     assert r.nodes["e"].flag_ops == [(flag("marked"), Role.READER)]
     assert r.nodes["g"].attr_constraints["kind"].kind is ConstraintKind.MATCH
     assert set(r.nac_groups) == {"hasSrc", "hasTrg"}
-    assert r.disjunction_sets[0].group_ids == ("hasSrc", "hasTrg")
+    assert r.disjunction_sets[0] == ("hasSrc", "hasTrg")
     assert r.params == {0: ("g", "kind")}
     assert r.print_format == "%s of %s"
     path_edges = [e for e in r.edges if e.is_path()]

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtx.graph import (
+    HostEdge,
     HostGraph,
+    HostNode,
     KindMismatchError,
     Label,
     LabelKind,
@@ -264,3 +266,24 @@ def test_query_results_belong_to_the_caller():
     g.predecessors(b, e).clear()
     assert g.successors(a, e) == {b}
     assert g.predecessors(b, e) == {a}
+
+
+def test_a_graph_is_built_only_through_add_node_and_add_edge():
+    # a node passed in would leave the id counter at 0, so the next
+    # add_node would hand out 0 again and replace it
+    with pytest.raises(TypeError):
+        HostGraph("g", nodes={0: HostNode(0, name="a")})
+    with pytest.raises(TypeError):
+        HostGraph("g", edges=set())
+
+
+def test_an_edge_is_a_named_triple_equal_to_the_plain_tuple():
+    g, _ = build_triangle()
+    for e in g.edges:
+        src, label, tgt = e
+        assert isinstance(e, HostEdge) and e == (src, label, tgt)
+        assert (src, label, tgt) in g.edges and g.has_edge(src, label, tgt)
+        assert e.key() == (src, label.name, tgt)
+    src, label, tgt = next(iter(g.edges))
+    assert g.remove_edge(src, label, tgt)
+    assert (src, label, tgt) not in g.edges

@@ -23,7 +23,6 @@ from gtx.rules import (
     POSITIVE_ROLES,
     AttrConstraint,
     ConstraintKind,
-    DisjunctionSet,
     Quantifier,
     RegexPath,
     Role,
@@ -103,7 +102,7 @@ def brute_level_matches(rule: Rule, g: HostGraph, base: dict[str, int],
     pos_edges = [e for e in rule.edges
                  if e.role in POSITIVE_ROLES and e.level == level]
     in_disjunction = {gid for ds in rule.disjunction_sets
-                      for gid in ds.group_ids}
+                      for gid in ds}
     out = []
     for combo in itertools.product(g.node_ids(), repeat=len(free)):
         asg = dict(base) | dict(zip(free, combo))
@@ -119,7 +118,7 @@ def brute_level_matches(rule: Rule, g: HostGraph, base: dict[str, int],
             for gid, grp in rule.nac_groups.items()
             if gid not in in_disjunction and grp.level == level)
         for ds in rule.disjunction_sets:
-            members = [rule.nac_groups[gid] for gid in ds.group_ids]
+            members = [rule.nac_groups[gid] for gid in ds]
             if members[0].level == level and all(
                     _b_group_matchable(rule, g, asg, grp) for grp in members):
                 blocked = True
@@ -213,7 +212,7 @@ def add_nacs(rng: random.Random, r: Rule, anchors: list[str],
     gids = (f"{level}A", f"{level}B")
     for gid in gids:
         add_nac(rng, r, anchors, level, gid)
-    r.disjunction_sets.append(DisjunctionSet(gids))
+    r.disjunction_sets.append(gids)
 
 
 def random_rule(rng: random.Random) -> Rule:
@@ -293,7 +292,7 @@ def random_grouped_rule(rng: random.Random) -> Rule:
         r.edges.append(e)
     r.nac_groups = group_embargo_elements(r.nodes, r.edges, r.quantifiers)
     if {"g", "h"} <= set(r.nac_groups) and rng.random() < 0.4:
-        r.disjunction_sets.append(DisjunctionSet(("g", "h")))
+        r.disjunction_sets.append(("g", "h"))
     return r
 
 

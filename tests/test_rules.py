@@ -8,7 +8,6 @@ from gtx.graph import Value, edge_label, flag, node_type
 from gtx.rules import (
     AttrConstraint,
     ConstraintKind,
-    DisjunctionSet,
     Quantifier,
     Role,
     Rule,
@@ -348,8 +347,7 @@ def test_disjunction_set_validation():
     nodes = {"x": embargo("x"), "y": embargo("y")}
     groups = grouped(nodes, [])
     r = Rule("r", nodes=dict(nodes), nac_groups=groups,
-             disjunction_sets=[DisjunctionSet(("nac0",)),
-                               DisjunctionSet(("nac0", "ghost"))])
+             disjunction_sets=[("nac0",), ("nac0", "ghost")])
     assert_flags(r, "needs at least two", "unknown NAC group 'ghost'",
                  "more than one disjunction set")
 
@@ -443,3 +441,48 @@ UNLICENSED = "is not licensed by any enabled type graph"
 def test_rules_are_checked_against_type_graphs(lines, messages):
     r = parse_rule(f"rule r\n{lines}\n")
     assert [v.message for v in validate_rule(r, [TYPES])] == messages
+
+
+# -- NAC group levels, synthetic ids and parameter signs ---------------
+
+
+@pytest.mark.parametrize("lines, messages", [
+    ("node a role=reader\nquant q forall\nnode x role=embargo in q\n"
+     "edge a -e-> x role=embargo",
+     ["NAC group 'nac0' mixes quantifier levels (q, root)"]),
+    ("quant q forall\nnode a role=reader in q\nnode x role=embargo\n"
+     "edge a -e-> x role=embargo",
+     ["NAC group 'nac0': anchor 'a' is not bound at level 'root'"]),
+    ("quant q forall\nnode a role=reader\nnode x role=embargo\n"
+     "node y role=embargo in q\nedge a -e-> x role=embargo group g\n"
+     "edge a -f-> y role=embargo in q group h\ndisjoin g h",
+     ["disjunction set mixes NAC group levels (q, root)"]),
+], ids=["mixed-group", "unbound-anchor", "mixed-disjunction"])
+def test_nac_groups_are_checked_level_by_level(lines, messages):
+    r = parse_rule(f"rule r\n{lines}\n")
+    assert [v.message for v in validate_rule(r)] == messages
+
+
+def test_a_synthetic_group_id_skips_an_explicit_one():
+    r = parse_rule("rule r\nnode a role=reader\nnode x role=embargo\n"
+                   "node y role=embargo\n"
+                   "edge a -e-> x role=embargo group nac0\n"
+                   "edge a -f-> y role=embargo\n")
+    assert {gid: g.node_ids for gid, g in r.nac_groups.items()} == {
+        "nac0": ("x",), "nac1": ("y",)}
+    assert validate_rule(r) == []
+
+
+@pytest.mark.parametrize("rule, messages", [
+    (Rule("r", nodes={"a": reader("a")}, params={-1: ("a", "x")}),
+     ["parameter index -1 is negative",
+      "parameter indices must be dense from 0, got [-1]"]),
+    (Rule("r", quantifiers={"q": forall("q", count=-1)}),
+     ["count parameter of 'q' is negative",
+      "parameter indices must be dense from 0, got [-1]"]),
+    (Rule("r", nodes={"a": reader("a")},
+          edges=[RuleEdge("a", E("e"), "a", Role.READER, level="ghost")]),
+     ["edge a -e-> a references unknown quantifier 'ghost'"]),
+], ids=["negative-param", "negative-count", "edge-in-unknown-quantifier"])
+def test_hand_built_rules_report_each_fault(rule, messages):
+    assert [v.message for v in validate_rule(rule)] == messages

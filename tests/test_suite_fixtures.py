@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import gtx.suite
+from gtx.dsl import build_grammar, parse_rule
 from gtx.explorer import isomorphic
 from gtx.graph import HostGraph
+from gtx.rewriter import apply_rule
 from gtx.suite import (
     EDGE,
     NODE,
     SRC,
     TRG,
     Fixture,
+    FixtureContext,
     OracleError,
     fixture_grammar_names,
     fixtures,
@@ -174,23 +178,23 @@ def test_greeting_fixture_prints_what_it_created():
 
 
 def test_failed_expectations_are_reported_not_raised():
-    wrong = Fixture(id="synthetic", grammar="counting", rule="countNodes",
-                    mode="once", expected_applications=5)
+    # counting is read-only and prints, so it stays applicable
+    wrong = Fixture(id="synthetic", grammar="counting", rule="countNodes")
     result = run_fixture(wrong)
     assert not result.ok
-    assert any("expected 5 application" in p for p in result.problems)
+    assert result.problems == [
+        "rule is still applicable after one application"]
     missing = Fixture(id="ghost", grammar="counting", rule="nope")
     assert "no rule named 'nope'" in run_fixture(missing).problems
 
 
-def test_a_rule_that_never_stops_is_reported(monkeypatch):
+def test_a_rule_that_never_stops_is_reported():
     # reversing every edge is always effective, so it has no fixpoint
-    monkeypatch.setattr(gtx.suite, "_MAX_ITERATIONS", 3)
-    endless = Fixture(id="endless", grammar="reverse", rule="reverseEdges",
-                      mode="fixpoint")
+    endless = Fixture(id="endless", grammar="reverse", rule="reverseEdges")
     result = run_fixture(endless)
-    assert result.applications == 3
-    assert "rule did not reach a fixpoint" in result.problems
+    assert result.applications == 1
+    assert result.problems == [
+        "rule is still applicable after one application"]
 
 
 def test_counting_fixture_checks_rule_against_oracle_samples():
@@ -205,3 +209,120 @@ def test_fixture_list_is_rebuilt_per_call():
     a, b = fixtures(), fixtures()
     assert [f.id for f in a] == [f.id for f in b]
     assert all(x is not y for x, y in zip(a, b))
+
+
+# -- every problem a fixture can report --------------------------------
+
+
+def planted_problems(fid, result=None, output="", rule=None):
+    """What fixture ``fid``'s check says of a planted application: the
+    start graph as the result unless another graph is given."""
+    fixture = next(f for f in fixtures() if f.id == fid)
+    grammar = load_fixture_grammar(fixture.grammar)
+    ctx = FixtureContext(grammar, rule or grammar.rules[fixture.rule],
+                         grammar.start,
+                         grammar.start if result is None else result, output)
+    return fixture.check(ctx)
+
+
+def grown_start(grammar_name):
+    g = load_fixture_grammar(grammar_name).start
+    g.add_node()
+    return g
+
+
+@pytest.mark.parametrize("fid, problems", [
+    ("makeGreeting", ["output '', expected 'Hello World\\n'",
+                      "result is not isomorphic to the expected graph"]),
+    ("helloMessage",
+     ["output '', expected 'The output is Hello TTC Participants \\n'"]),
+    ("reverseEdges", ["result does not match the edge-swap oracle",
+                      "reversing twice did not restore the start graph"]),
+    ("migrateToGraphComponent", [
+        "migrated graph does not conform to the target model",
+        "migrated graph still conforms to the source model alone",
+        "stale containment reference edges",
+        "edge node e1 lacks its empty text"]),
+    ("migrateTopologyChange", [
+        "migrated graph does not conform to the target model",
+        "linksTo edges [] differ from the represented relation "
+        "[(10, 10), (10, 11), (11, 12), (12, 10), (13, 15), (15, 13)]",
+        "edge nodes survived the migration"]),
+    ("deleteNodeN1", ["result differs from plain node deletion"]),
+    ("deleteNodeN1WithEdges",
+     ["result differs from deletion with incident edge nodes"]),
+    ("insertTransitiveEdges",
+     ["resulting relation is not the transitive closure"]),
+])
+def test_a_check_reports_the_start_graph_as_a_wrong_result(fid, problems):
+    assert planted_problems(fid) == problems
+
+
+def test_a_read_only_check_reports_a_changed_graph():
+    assert planted_problems(
+        "helloMessage", grown_start("hello"),
+        "The output is Hello TTC Participants \n") == [
+        "a read-only rule changed the graph"]
+    assert planted_problems("countNodes", grown_start("counting")) == [
+        "output '', expected '6 nodes'", "a counting rule changed the graph"]
+
+
+def test_a_counting_check_reports_each_sample_the_rule_gets_wrong(
+        monkeypatch):
+    sample = random_nodified_graph(random.Random(0))
+    assert oracle_counts(sample)["nodes"] == 7
+    monkeypatch.setattr(gtx.suite, "_counting_corpus",
+                        lambda: (HostGraph("empty"), sample))
+    # counts edge nodes, and needs a Graph node the empty sample lacks
+    edge_counter = parse_rule(
+        'rule r\nnode gr role=reader : Graph\nquant q forall count 0\n'
+        'node e role=reader : Edge in q\nformat "%s nodes"\n')
+    assert planted_problems("countNodes", output="6 nodes",
+                            rule=edge_counter) == [
+        "sample 0: rule was inapplicable",
+        "sample 1: rule said '12 nodes', oracle says '7 nodes'"]
+
+
+def test_the_migration_check_reports_a_node_that_kept_its_attribute():
+    grammar = load_fixture_grammar("migration_gc")
+    result = apply_rule(grammar.rules["migrateToGraphComponent"],
+                        grammar.start, grammar.type_graphs).graph
+    n1 = next(nid for nid in result.node_ids()
+              if NODE in result.nodes[nid].types)
+    del result.nodes[n1].attrs["text"]
+    assert planted_problems("migrateToGraphComponent", result) == [
+        "node n1 kept its old attribute"]
+
+
+def test_a_broken_fixture_grammar_names_each_faulty_element(monkeypatch):
+    broken = build_grammar({
+        "t.gty": "typegraph t\ntype A extends Ghost\n",
+        "r.gpr": "rule r\nnode a role=reader : Missing\n",
+        "s.gst": "graph s\nnode n : Other\n",
+    }, "broken")
+    monkeypatch.setattr(gtx.suite, "load_fixture_grammar", lambda _: broken)
+    undeclared = "is not declared in any enabled type graph"
+    assert run_fixture(Fixture(id="x", grammar="broken", rule="r")) \
+        .problems == [
+        "type graph t: type 'A' extends undeclared type 'Ghost'",
+        f"rule r: node 'a': type 'Missing' {undeclared}",
+        f"start graph: node n: type 'Other' {undeclared}"]
+
+
+def test_a_fixture_grammar_without_a_start_graph_is_reported(monkeypatch):
+    hello = replace(load_fixture_grammar("hello"), start=None)
+    monkeypatch.setattr(gtx.suite, "load_fixture_grammar", lambda _: hello)
+    result = run_fixture(
+        Fixture(id="x", grammar="hello", rule="helloMessage"))
+    assert result.problems == ["fixture grammar has no start graph"]
+
+
+def test_a_rule_inapplicable_to_the_start_graph_is_reported(monkeypatch):
+    closed = load_fixture_grammar("transitive")
+    rule = closed.rules["insertTransitiveEdges"]
+    closed.start = apply_rule(rule, closed.start, closed.type_graphs).graph
+    monkeypatch.setattr(gtx.suite, "load_fixture_grammar", lambda _: closed)
+    result = run_fixture(next(f for f in fixtures()
+                              if f.id == "insertTransitiveEdges"))
+    assert (result.applications, result.output, result.problems) == (
+        0, "", ["rule was inapplicable"])
