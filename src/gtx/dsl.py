@@ -34,16 +34,18 @@ Rule (``.gpr``)::
     disjoin GID GID [GID]*
 
 Values: double-quoted strings (``\\"``, ``\\\\``, ``\\n``, ``\\r``, ``\\t``
-and ``\\uXXXX`` escapes, four hex digits), decimal integers,
-``true``/``false``, and reals with a mandatory decimal point; a real
-that overflows to infinity, or has a nonzero mantissa and underflows to
-zero, is an error.  Elements without ``in QID`` belong to the root
-quantifier.
+and ``\\uXXXX`` escapes, four hex digits that do not name a surrogate,
+D800 to DFFF), decimal integers, ``true``/``false``, and reals with a
+mandatory decimal point; a real that overflows to infinity, or has a
+nonzero mantissa and underflows to zero, is an error.  Elements without
+``in QID`` belong to the root quantifier.
 
 Serialization is deterministic (nodes sorted by name, then each node's
 attributes, then edges lexicographically) and stable: serializing a
 just-parsed graph twice yields identical bytes.  Strings are written with
-the named escapes and ``\\uXXXX`` for other control characters.
+the named escapes and ``\\uXXXX`` for other control characters.  A name
+that would not read back is replaced: a node's by a fresh one, the
+graph's by ``g``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import TYPE_CHECKING
 from .graph import (
     HostGraph,
     Label,
-    RESERVED_LABEL_CHARS,
+    RESERVED_RE,
     Value,
     ValueKind,
     edge_label,
@@ -95,16 +97,16 @@ _PATH_ARROW_RE = re.compile(r"~(.+)~>\Z")
 _VALUE_KINDS = {k.value: k for k in ValueKind}
 _ROLES = {r.value: r for r in Role}
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_NAMED_ESCAPES = {ch: "\\" + esc for esc, ch in _STRING_ESCAPES.items()}
+# What may follow a backslash in a string: a named escape, or four hex
+# digits that do not name a surrogate, which UTF-8 cannot encode.
+_ESCAPE = r'[\\"nrt]|u(?![dD][89a-fA-F])[0-9a-fA-F]{4}'
 # One token: a string (group 1 its well-formed body, group 2 its closing
 # quote, empty when the body stops at an invalid escape or the line's
 # end), a comment, or a bare word.
 _TOKEN_RE = re.compile(
-    r'"((?:[^"\\]|\\(?:[\\"nrt]|u[0-9a-fA-F]{4}))*)("?)|#|[^ \t\r#]+')
-_ESCAPE_RE = re.compile(r'\\([\\"nrt]|u[0-9a-fA-F]{4})')
-# What a Label name may not contain: for str patterns ``\s`` matches
-# exactly the characters str.isspace accepts.
-_RESERVED_RE = re.compile(
-    r"[\s" + re.escape("".join(sorted(RESERVED_LABEL_CHARS))) + "]")
+    rf'"((?:[^"\\]|\\(?:{_ESCAPE}))*)("?)|#|[^ \t\r#]+')
+_ESCAPE_RE = re.compile(rf'\\({_ESCAPE})')
 
 
 def _needs_u_escape(ch: str) -> bool:
@@ -151,7 +153,7 @@ def _ident(tok: Token, what: str, dots: int = 0) -> str:
     """``tok`` as a name; its first ``dots`` dots separate names."""
     if tok.quoted or not tok.text:
         raise ParseError(f"expected {what}", tok.span)
-    found = _RESERVED_RE.search(tok.text.replace(".", "", dots))
+    found = RESERVED_RE.search(tok.text.replace(".", "", dots))
     if found:
         raise ParseError(
             f"{what} {tok.text!r} contains reserved character {found.group()!r}",
@@ -200,10 +202,6 @@ def parse_value(tok: Token) -> Value:
             raise ParseError("real literal out of range", tok.span)
         return Value.real(x)
     raise ParseError(f"invalid value literal {tok.text!r}", tok.span)
-
-
-_NAMED_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
-                  "\t": "\\t"}
 
 
 def serialize_value(v: Value) -> str:
@@ -391,17 +389,22 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
     return g
 
 
+def _reads_back(name: str | None) -> bool:
+    """Whether ``parse_graph`` reads ``name`` back as a name: one bare
+    token (no comment, no string) without reserved characters."""
+    return bool(name) and name[0] != '"' and "#" not in name \
+        and not RESERVED_RE.search(name)
+
+
 def _serialized_names(g: HostGraph) -> dict[int, str]:
     """Each node's name in the text: its own if no lower id kept it and it
-    is one bare token (no comment, no string) without reserved characters,
-    else a fresh one, so that ``parse_graph`` reads every name back."""
+    reads back, else a fresh one."""
     used = {n.name for n in g.nodes.values() if n.name}
     kept: set[str] = set()
     names: dict[int, str] = {}
     for nid in g.node_ids():
         name = g.nodes[nid].name
-        if (name and name not in kept and name[0] != '"'
-                and "#" not in name and not _RESERVED_RE.search(name)):
+        if _reads_back(name) and name not in kept:
             kept.add(name)
             names[nid] = name
             continue
@@ -415,7 +418,8 @@ def _serialized_names(g: HostGraph) -> dict[int, str]:
 
 def serialize_graph(g: HostGraph) -> str:
     names = _serialized_names(g)
-    out = [f"graph {g.name}"]
+    # a name that would not read back becomes the HostGraph default
+    out = [f"graph {g.name if _reads_back(g.name) else 'g'}"]
     for nid in sorted(g.nodes, key=lambda n: names[n]):
         node = g.nodes[nid]
         line = f"node {names[nid]}"
@@ -460,8 +464,8 @@ def parse_type_graph(text: str, filename: str = "<typegraph>") -> TypeGraph:
                 _expect(tokens[i], "extends")
                 supertypes, i = _type_list(tokens, i, "supertype name")
             _no_more(tokens, i)
-            tg.types[tname] = TypeDecl(node_type(tname), abstract,
-                                       set(supertypes), span=tokens[1].span)
+            tg.types[tname] = TypeDecl(abstract, set(supertypes),
+                                       span=tokens[1].span)
         elif keyword == "attr":
             _shape(tokens, "attr TYPE.NAME : KIND")
             _expect(tokens[2], ":")
@@ -785,18 +789,19 @@ class Grammar:
     start_file: str | None = None
 
     def violations(self, start: HostGraph | None
-                   ) -> Iterator[tuple[TypeGraph | Rule | HostGraph, Violation]]:
+                   ) -> Iterator[tuple[str, Violation]]:
         """Each violation of the type graphs, of the rules in name order and
-        of ``start`` (when given), with the element it belongs to."""
+        of ``start`` (when given), after the text naming its owner:
+        ``type graph NAME``, ``rule NAME`` or ``start graph``."""
         for tg in self.type_graphs:
             for v in validate_type_graph(tg):
-                yield tg, v
+                yield f"type graph {tg.name}", v
         for name in sorted(self.rules):
             for v in validate_rule(self.rules[name], self.type_graphs):
-                yield self.rules[name], v
+                yield f"rule {name}", v
         if start is not None:
             for v in conforms(self.type_graphs, start):
-                yield start, v
+                yield "start graph", v
 
 
 def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:

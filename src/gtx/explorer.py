@@ -246,7 +246,8 @@ def explore(rules: list[Rule], start: HostGraph,
     by_graph: dict[tuple[frozenset, frozenset], int] = {}
     by_bucket: dict[tuple[tuple[int, ...], int], list[int]] = {}
     queue: deque[int] = deque()
-    seen_transitions: set[tuple[int, str, int]] = set()
+    #: each transition once, in the order it was first met
+    transitions: dict[tuple[int, str, int], None] = {}
 
     def intern(g: HostGraph, depth: int) -> int | None:
         seeds = {nid: table.seed(node) for nid, node in g.nodes.items()}
@@ -287,10 +288,8 @@ def explore(rules: list[Rule], start: HostGraph,
                 if tgt is None:
                     lts.truncated = True
                     continue
-                key = (idx, rule.name, tgt)
-                if key not in seen_transitions:
-                    seen_transitions.add(key)
-                    lts.transitions.append(key)
+                transitions[(idx, rule.name, tgt)] = None
+    lts.transitions = list(transitions)
     return lts
 
 

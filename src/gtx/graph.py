@@ -10,29 +10,27 @@ contain a dangling edge.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import copysign
 from typing import Iterable, NamedTuple
 
-#: Characters that may not appear in label names (they have syntactic
-#: meaning in the textual formats).  Whitespace is excluded as well.
-RESERVED_LABEL_CHARS = frozenset(".-!+=:|")
+#: A character that may not appear in a label name: whitespace, or one
+#: with syntactic meaning in the textual formats.  For str patterns ``\s``
+#: matches exactly the characters ``str.isspace`` accepts.
+RESERVED_RE = re.compile(r"[\s.\-!+=:|]")
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-class GraphError(Exception):
-    """Base class for host-graph errors."""
-
-
-class KindMismatchError(GraphError):
+class KindMismatchError(Exception):
     """A label was used in a position that requires a different kind."""
 
 
-class MissingNodeError(GraphError):
+class MissingNodeError(Exception):
     """An operation referenced a node id that is not in the graph."""
 
 
@@ -52,11 +50,10 @@ class Label:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("label name must be non-empty")
-        for ch in self.name:
-            if ch.isspace() or ch in RESERVED_LABEL_CHARS:
-                raise ValueError(
-                    f"label name {self.name!r} contains reserved character {ch!r}"
-                )
+        found = RESERVED_RE.search(self.name)
+        if found:
+            raise ValueError(f"label name {self.name!r} contains reserved "
+                             f"character {found.group()!r}")
 
     def __repr__(self) -> str:  # keep assertion output short
         return f"{self.kind.value}:{self.name}"
@@ -124,6 +121,12 @@ class Value:
     def string(s: str) -> "Value":
         if not isinstance(s, str):
             raise TypeError("string value expected")
+        try:
+            s.encode()
+        except UnicodeEncodeError:
+            # a lone surrogate: files, certificates and output are UTF-8
+            raise ValueError(
+                "string value must be encodable as UTF-8") from None
         return Value(ValueKind.STRING, s)
 
     @staticmethod
@@ -318,17 +321,8 @@ class HostGraph:
         out: dict[tuple[int, str], list[int]] = {}
         in_: dict[tuple[int, str], list[int]] = {}
         for src, label, tgt in self.edges:
-            name = label.name
-            ends = out.get((src, name))
-            if ends is None:
-                out[(src, name)] = [tgt]
-            else:
-                ends.append(tgt)
-            ends = in_.get((tgt, name))
-            if ends is None:
-                in_[(tgt, name)] = [src]
-            else:
-                ends.append(src)
+            out.setdefault((src, label.name), []).append(tgt)
+            in_.setdefault((tgt, label.name), []).append(src)
         self._out, self._in = out, in_
 
     def successors(self, nid: int, label: Label) -> set[int]:

@@ -14,7 +14,10 @@ disjunction set, with one search per group, and blocks a match when every
 search in it succeeds.
 
 A search first checks the edges between the nodes bound before it, then
-backtracks over one step per node to bind.  It binds next a node that an
+runs depth first over one step per node to bind.  The search is a
+generator that keeps one candidate iterator per bound step on an explicit
+stack, so rule size is not bounded by the recursion limit, and a NAC
+search stops at its first result.  It binds next a node that an
 edge or path links to an already-bound node, preferring typed,
 attribute-constrained and better-connected nodes among those.  Such a
 node's candidates are the host nodes reached from the bound neighbours'
@@ -30,6 +33,7 @@ match list is sorted, so results are deterministic for a given host graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graph import HostGraph, HostNode, Label, Value
@@ -249,55 +253,55 @@ def _compile(rule: Rule) -> dict[str, _Search]:
 
 
 def _extend(search: _Search, g: HostGraph, base: dict[str, int],
-            tgs: list[TypeGraph] | None,
-            limit: int | None = None) -> list[dict[str, int]]:
-    """All ways of running ``search`` on top of ``base``."""
+            tgs: list[TypeGraph] | None) -> Iterator[dict[str, int]]:
+    """Each way of running ``search`` on top of ``base``, depth first."""
     steps = search.steps
     if steps is None or not all(_edge_holds(g, e, base[e.src], base[e.tgt])
                                 for e in search.checks):
-        return []
-    results: list[dict[str, int]] = []
+        return
+    if not steps:
+        yield dict(base)
+        return
     assignment = dict(base)
     host_ids = g.node_ids() if any(not s.sources for s in steps) else []
 
-    def candidates(step: _Step) -> list[int]:
+    def candidates(step: _Step) -> Iterator[int]:
         taken = {assignment[m] for m in step.distinct}
         if not step.sources:
-            return [h for h in host_ids if h not in taken]
+            return iter([h for h in host_ids if h not in taken])
         (other, label, inverse), *rest = step.sources
         found = _far_ends(g, assignment[other], label, inverse)
         for other, label, inverse in rest:
             if not found:
                 break
             found &= _far_ends(g, assignment[other], label, inverse)
-        return sorted(found - taken)
+        return iter(sorted(found - taken))
 
-    def backtrack(k: int) -> bool:
-        if k == len(steps):
-            results.append(dict(assignment))
-            return limit is not None and len(results) >= limit
-        step = steps[k]
-        for hid in candidates(step):
-            if not _node_compatible(step.node, g.nodes[hid], tgs):
-                continue
-            if step.loops and not all(_edge_holds(g, e, hid, hid)
-                                      for e in step.loops):
-                continue
+    # stack[k] iterates the candidates of steps[k].  A popped step's binding
+    # stays in ``assignment``, but is overwritten before anything reads it.
+    stack = [candidates(steps[0])]
+    while stack:
+        step = steps[len(stack) - 1]
+        for hid in stack[-1]:
+            if _node_compatible(step.node, g.nodes[hid], tgs) and (
+                    not step.loops
+                    or all(_edge_holds(g, e, hid, hid) for e in step.loops)):
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(steps):
+            yield {**assignment, step.node.id: hid}
+        else:
             assignment[step.node.id] = hid
-            stop = backtrack(k + 1)
-            del assignment[step.node.id]
-            if stop:
-                return True
-        return False
-
-    backtrack(0)
-    return results
+            stack.append(candidates(steps[len(stack)]))
 
 
 def nacs_satisfied(rule: Rule, g: HostGraph, assignment: dict[str, int],
                    level: str, tgs: list[TypeGraph] | None = None) -> bool:
     """True if no forbidden pattern at ``level`` blocks this assignment."""
-    return not any(all(_extend(s, g, assignment, tgs, limit=1) for s in c)
+    return not any(all(next(_extend(s, g, assignment, tgs), None) is not None
+                       for s in c)
                    for c in _compile(rule)[level].nacs)
 
 

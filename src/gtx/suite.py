@@ -23,7 +23,7 @@ from .explorer import isomorphic
 from .graph import HostGraph, Value, edge_label, node_type
 from .rewriter import apply_rule
 from .rules import Rule
-from .typegraph import TypeGraph, conforms
+from .typegraph import conforms
 
 GRAPH = node_type("Graph")
 NODE = node_type("Node")
@@ -34,6 +34,8 @@ NODES = edge_label("nodes")
 EDGES = edge_label("edges")
 
 FIXTURE_ROOT = "fixtures/helloworld"
+#: the chance that a random edge node lacks one of its two references
+P_DANGLING = 0.15
 
 
 class OracleError(Exception):
@@ -137,8 +139,7 @@ def transitive_closure(rel: set[tuple[int, int]]) -> set[tuple[int, int]]:
 
 
 def random_nodified_graph(rng: random.Random, max_nodes: int = 8,
-                          max_edges: int = 12,
-                          p_dangling: float = 0.15) -> HostGraph:
+                          max_edges: int = 12) -> HostGraph:
     """A random well-formed nodified graph (danglers allowed, each edge
     node has at most one src and one trg reference)."""
     g = HostGraph(name="random")
@@ -154,7 +155,7 @@ def random_nodified_graph(rng: random.Random, max_nodes: int = 8,
     for i in range(1, n_edges + 1):
         eid = g.add_node([EDGE], name=f"e{i}")
         g.add_edge(gr, EDGES, eid)
-        drop = rng.random() < p_dangling
+        drop = rng.random() < P_DANGLING
         drop_src = drop and rng.random() < 0.5
         drop_trg = drop and not drop_src
         if not drop_src:
@@ -322,11 +323,9 @@ def _check_migration_gc(ctx: FixtureContext) -> list[str]:
             if "name" in node.attrs or "text" not in node.attrs:
                 problems.append(
                     f"node {ctx.result.display(nid)} kept its old attribute")
-                break
         if EDGE in node.types and node.attrs.get("text") != Value.string(""):
             problems.append(
                 f"edge node {ctx.result.display(nid)} lacks its empty text")
-            break
     return problems
 
 
@@ -420,18 +419,10 @@ def fixtures() -> list[Fixture]:
 # runner
 
 
-def _owner(element: TypeGraph | Rule | HostGraph) -> str:
-    if isinstance(element, TypeGraph):
-        return f"type graph {element.name}"
-    if isinstance(element, Rule):
-        return f"rule {element.name}"
-    return "start graph"
-
-
 def run_fixture(fixture: Fixture) -> FixtureResult:
     grammar = load_fixture_grammar(fixture.grammar)
-    problems = [f"{_owner(element)}: {v.message}"
-                for element, v in grammar.violations(grammar.start)]
+    problems = [f"{owner}: {v.message}"
+                for owner, v in grammar.violations(grammar.start)]
     rule = grammar.rules.get(fixture.rule)
     if rule is None:
         problems.append(f"no rule named {fixture.rule!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from .graph import HostGraph, HostEdge, Label, LabelKind, ValueKind
+from .graph import HostGraph, HostEdge, Label, ValueKind
 from .source import SourceSpan, Violation
 
 
@@ -23,15 +23,10 @@ class UnknownTypeError(Exception):
 
 @dataclass
 class TypeDecl:
-    name: Label
     abstract: bool = False
     supertypes: set[Label] = field(default_factory=set)
     attr_decls: dict[str, ValueKind] = field(default_factory=dict)
     span: SourceSpan | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.name.kind is not LabelKind.NODE_TYPE:
-            raise ValueError("type declaration requires a node-type label")
 
 
 @dataclass

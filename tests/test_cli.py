@@ -87,6 +87,20 @@ def test_parse_errors_carry_file_line_column(tmp_path, capsys):
     assert re.match(r"^h\.gst:3:6: error: duplicate node", err)
 
 
+@pytest.mark.parametrize("args", [["apply", "r"], ["explore"]])
+def test_a_surrogate_escape_is_a_parse_error(tmp_path, capsys, args):
+    # UTF-8 cannot encode a lone surrogate, so no graph may hold one
+    d = write_grammar(tmp_path, {
+        "r.gpr": "rule r\nnode a role=reader\n"
+                 "flag a creator done\nflag a embargo done\n",
+        "s.gst": 'graph s\nnode a\nattr a.s = "\\ud800"\n',
+    })
+    code = main([args[0], d, *args[1:]])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (
+        2, "", "s.gst:3:13: error: invalid string escape\n")
+
+
 def test_missing_directory_is_an_io_error(capsys):
     assert main(["validate", "/no/such/dir"]) == 2
     assert "error:" in capsys.readouterr().err

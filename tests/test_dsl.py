@@ -55,6 +55,14 @@ def test_scanner_rejects_bad_escapes():
         assert "invalid string escape" in e.message
 
 
+def test_a_surrogate_escape_is_invalid():
+    for bad in (r'"\ud800"', r'"\uDBFF"', r'"\udc00"', r'"\uDfFf"'):
+        e = err(_scan_line, f"x {bad}", "f", 1)
+        assert (e.message, e.span.col) == ("invalid string escape", 4)
+    toks = _scan_line(r'x "\ud7ff\ue000"', "f", 1)
+    assert toks[1].text == "\ud7ff\ue000"
+
+
 def test_scanner_comments_start_a_token():
     toks = _scan_line("node a # the rest is ignored", "f", 1)
     assert [t.text for t in toks] == ["node", "a"]
@@ -225,6 +233,16 @@ def test_serialize_renames_node_names_the_parser_would_reject():
     # of the two nodes named n, the lower id keeps the name
     assert kept == {"n": Value.int_(0)}
     assert "node x9 : T" in text  # a valid name stays
+
+
+@pytest.mark.parametrize("name, written", [
+    ("demo", "demo"), ("a#b", "g"), ("my graph", "g"), ("", "g"),
+    ('"q', "g"), ("a.b", "g")])
+def test_a_graph_name_the_parser_would_reject_is_written_as_g(name, written):
+    text = serialize_graph(HostGraph(name))
+    reparsed = parse_graph(text)
+    assert reparsed.name == written
+    assert serialize_graph(reparsed) == text
 
 
 @settings(max_examples=60, deadline=None)

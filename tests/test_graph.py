@@ -69,6 +69,11 @@ class TestValue:
         with pytest.raises(ValueError):
             Value.real(float("inf"))
 
+    def test_string_rejects_a_lone_surrogate(self):
+        with pytest.raises(ValueError, match="UTF-8"):
+            Value.string("\ud800")
+        assert Value.string("\ud7ff\ue000").raw == "\ud7ff\ue000"
+
     def test_equality_is_kind_sensitive(self):
         assert Value.int_(1) != Value.real(1.0)
         assert Value.string("true") != Value.bool_(True)

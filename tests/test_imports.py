@@ -1,0 +1,57 @@
+"""Every name a ``gtx`` module imports is used.
+
+A name counts as used when the module reads it (annotations included) or
+lists it in ``__all__``.  An import line marked ``# noqa: F401`` is exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gtx"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              and not any("# noqa: F401" in line
+                          for line in lines[node.lineno - 1:node.end_lineno])):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = \
+                    node.lineno
+        for note in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(note.value))
+                            if isinstance(n, ast.Name))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport re  # noqa: F401\n"
+              "from typing import Any, Iterator as It, Sized\n"
+              "import xml.dom\n"
+              "__all__ = ['Any']\n"
+              "def f(x: 'Sized') -> It: ...\n")
+    assert unused_imports(source) == ["line 2: os", "line 5: xml"]

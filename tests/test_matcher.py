@@ -513,6 +513,15 @@ def test_match_order_is_canonical():
     assert got == sorted(got)
 
 
+def test_a_rule_with_more_nodes_than_the_recursion_limit_applies():
+    nodes = "".join(f"node n{i} role=reader\n" for i in range(1200))
+    rule = parse_rule(f"rule big\n{nodes}"
+                      "flag n0 creator done\nflag n0 embargo done\n")
+    res = apply_rule(rule, parse_graph("graph g\nnode a\n"))
+    assert res is not None
+    assert [n.flags for n in res.graph.nodes.values()] == [{flag("done")}]
+
+
 # -- quantified levels -------------------------------------------------
 
 

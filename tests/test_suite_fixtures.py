@@ -242,7 +242,8 @@ def grown_start(grammar_name):
         "migrated graph does not conform to the target model",
         "migrated graph still conforms to the source model alone",
         "stale containment reference edges",
-        "edge node e1 lacks its empty text"]),
+        *[f"edge node e{i} lacks its empty text" for i in range(1, 9)],
+        *[f"node n{i} kept its old attribute" for i in range(1, 7)]]),
     ("migrateTopologyChange", [
         "migrated graph does not conform to the target model",
         "linksTo edges [] differ from the represented relation "
@@ -292,6 +293,19 @@ def test_the_migration_check_reports_a_node_that_kept_its_attribute():
     del result.nodes[n1].attrs["text"]
     assert planted_problems("migrateToGraphComponent", result) == [
         "node n1 kept its old attribute"]
+
+
+def test_the_migration_check_reports_every_faulty_node():
+    grammar = load_fixture_grammar("migration_gc")
+    result = apply_rule(grammar.rules["migrateToGraphComponent"],
+                        grammar.start, grammar.type_graphs).graph
+    types = {nid: result.nodes[nid].types for nid in result.node_ids()}
+    node = [nid for nid in types if NODE in types[nid]][-1]
+    edge = [nid for nid in types if EDGE in types[nid]][-1]
+    del result.nodes[node].attrs["text"]
+    del result.nodes[edge].attrs["text"]
+    assert planted_problems("migrateToGraphComponent", result) == [
+        "edge node e8 lacks its empty text", "node n6 kept its old attribute"]
 
 
 def test_a_broken_fixture_grammar_names_each_faulty_element(monkeypatch):
