@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .dsl import (Grammar, load_grammar_dir, parse_graph, read_utf8,
                   serialize_graph)
-from .explorer import explore, export_lts
+from .explorer import check_bounds, explore, export_lts
 from .graph import HostGraph
 from .matcher import find_root_matches
 from .rewriter import FormatError, apply_repeatedly, apply_rule
@@ -131,12 +131,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
         _diag("no start graph; add one or pass --graph")
         return EXIT_IO
     try:
-        lts = explore(list(grammar.rules.values()), g,
-                      max_states=args.max_states, max_depth=args.max_depth,
-                      tgs=grammar.type_graphs)
+        check_bounds(args.max_states, args.max_depth)
     except ValueError as exc:
         _diag(str(exc))
         return EXIT_IO
+    lts = explore(list(grammar.rules.values()), g,
+                  max_states=args.max_states, max_depth=args.max_depth,
+                  tgs=grammar.type_graphs)
     sys.stdout.write(export_lts(lts))
     return EXIT_TRUNCATED if lts.truncated else EXIT_OK
 

@@ -56,7 +56,7 @@ import re
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import (
     HostGraph,
@@ -67,6 +67,7 @@ from .graph import (
     edge_label,
     flag as flag_label,
     node_type,
+    utf8_encodable,
 )
 from .rules import (
     AttrConstraint,
@@ -116,11 +117,22 @@ def _needs_u_escape(ch: str) -> bool:
     return o < 0x20 or o == 0x7F or 0x80 <= o <= 0x9F or ch in "\u2028\u2029"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token of a line, with its 1-based, half-open column range.
+
+    A valid file never asks where a token is, so the ``SourceSpan`` is
+    built on demand, when a diagnostic or a stored element needs it."""
+
     text: str
-    span: SourceSpan
+    file: str
+    line: int
+    col: int
+    end_col: int
     quoted: bool = False
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, self.end_col)
 
 
 def _unescape(m: re.Match) -> str:
@@ -133,16 +145,16 @@ def _scan_line(text: str, file: str, lineno: int) -> list[Token]:
     for m in _TOKEN_RE.finditer(text):
         body, closed = m.group(1, 2)
         start, end = m.span()
-        span = SourceSpan(file, lineno, start + 1, end + 1)
         if body is None:
             if m.group() == "#":
                 break
-            tokens.append(Token(m.group(), span))
+            tokens.append(Token(m.group(), file, lineno, start + 1, end + 1))
         elif closed:
-            tokens.append(Token(_ESCAPE_RE.sub(_unescape, body), span,
-                                quoted=True))
+            tokens.append(Token(_ESCAPE_RE.sub(_unescape, body), file, lineno,
+                                start + 1, end + 1, True))
         elif end == len(text):
-            raise ParseError("unterminated string literal", span)
+            raise ParseError("unterminated string literal",
+                             SourceSpan(file, lineno, start + 1, end + 1))
         else:
             raise ParseError("invalid string escape",
                              SourceSpan(file, lineno, end + 1, end + 3))
@@ -175,11 +187,11 @@ def _dotted(tok: Token, what: str) -> tuple[str, str]:
     return left, right
 
 
-def _label(make: Callable[[str], Label], name: str, span: SourceSpan) -> Label:
+def _label(make: Callable[[str], Label], name: str, tok: Token) -> Label:
     try:
         return make(name)
     except ValueError as exc:
-        raise ParseError(str(exc), span)
+        raise ParseError(str(exc), tok.span)
 
 
 def parse_value(tok: Token) -> Value:
@@ -274,7 +286,7 @@ def _type_list(tokens: list[Token], i: int, what: str) -> tuple[list[Label], int
         raise ParseError(
             f"expected a {what}",
             tokens[i].span if i < len(tokens) else _end_span(tokens))
-    return [_label(node_type, n, keyword.span) for n in names], i
+    return [_label(node_type, n, keyword) for n in names], i
 
 
 def _declarations(text: str, file: str,
@@ -309,7 +321,7 @@ def _edge_label_token(tok: Token) -> Label:
     m = None if tok.quoted else _EDGE_ARROW_RE.match(tok.text)
     if not m:
         raise ParseError("expected an edge arrow of the form -label->", tok.span)
-    return _label(edge_label, m.group(1), tok.span)
+    return _label(edge_label, m.group(1), tok)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +403,10 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
 
 def _reads_back(name: str | None) -> bool:
     """Whether ``parse_graph`` reads ``name`` back as a name: one bare
-    token (no comment, no string) without reserved characters."""
+    token (no comment, no string) without reserved characters, in text
+    that UTF-8 can encode."""
     return bool(name) and name[0] != '"' and "#" not in name \
-        and not RESERVED_RE.search(name)
+        and not RESERVED_RE.search(name) and utf8_encodable(name)
 
 
 def _serialized_names(g: HostGraph) -> dict[int, str]:
@@ -504,14 +517,15 @@ def parse_type_graph(text: str, filename: str = "<typegraph>") -> TypeGraph:
 # rules
 
 
-def _parse_regex_text(text: str, span: SourceSpan) -> RegexPath:
+def _parse_regex_text(text: str, tok: Token) -> RegexPath:
+    """The path expression ``text``; errors point at all of ``tok``."""
     atoms = []
     for part in text.split("."):
         inverse = part.startswith("-")
         name = part[1:] if inverse else part
         if not name:
-            raise ParseError("empty regex atom", span)
-        atoms.append(RegexAtom(_label(edge_label, name, span), inverse))
+            raise ParseError("empty regex atom", tok.span)
+        atoms.append(RegexAtom(_label(edge_label, name, tok), inverse))
     return RegexPath(tuple(atoms))
 
 
@@ -519,13 +533,12 @@ def _path_token(tok: Token) -> RegexPath:
     m = None if tok.quoted else _PATH_ARROW_RE.match(tok.text)
     if not m:
         raise ParseError("expected a path arrow of the form ~regex~>", tok.span)
-    return _parse_regex_text(m.group(1), tok.span)
+    return _parse_regex_text(m.group(1), tok)
 
 
 def parse_regex(text: str) -> RegexPath:
     """Parse a bare path expression such as ``-src.trg``."""
-    span = SourceSpan("<regex>", 1, 1, len(text) + 1)
-    return _parse_regex_text(text, span)
+    return _parse_regex_text(text, Token(text, "<regex>", 1, 1, len(text) + 1))
 
 
 def _parse_role(tok: Token) -> Role:

@@ -40,9 +40,22 @@ class LabelKind(Enum):
     EDGE_LABEL = "edge-label"
 
 
+def utf8_encodable(s: str) -> bool:
+    """Whether UTF-8 can encode ``s``, that is, it holds no lone surrogate.
+    Files, certificates and output are UTF-8."""
+    try:
+        s.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Label:
-    """An interned name with a kind; the same name may exist in every kind."""
+    """An interned name with a kind; the same name may exist in every kind.
+
+    Equality compares kind and name; the hash of the pair is computed once,
+    since sets and dicts of labels and edge triples hash it constantly."""
 
     kind: LabelKind
     name: str
@@ -54,6 +67,16 @@ class Label:
         if found:
             raise ValueError(f"label name {self.name!r} contains reserved "
                              f"character {found.group()!r}")
+        if not utf8_encodable(self.name):
+            raise ValueError("label name must be encodable as UTF-8")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuild on unpickling: string hashes differ between processes
+        return Label, (self.kind, self.name)
 
     def __repr__(self) -> str:  # keep assertion output short
         return f"{self.kind.value}:{self.name}"
@@ -121,12 +144,8 @@ class Value:
     def string(s: str) -> "Value":
         if not isinstance(s, str):
             raise TypeError("string value expected")
-        try:
-            s.encode()
-        except UnicodeEncodeError:
-            # a lone surrogate: files, certificates and output are UTF-8
-            raise ValueError(
-                "string value must be encodable as UTF-8") from None
+        if not utf8_encodable(s):
+            raise ValueError("string value must be encodable as UTF-8")
         return Value(ValueKind.STRING, s)
 
     @staticmethod

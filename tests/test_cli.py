@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gtx
+import gtx.cli
 import gtx.suite
 from gtx.cli import main
 from gtx.suite import Fixture
@@ -366,6 +367,18 @@ def test_explore_rejects_negative_max_depth(capsys):
     code = main(["explore", str(FIXTURES / "reverse"), "--max-depth", "0"])
     assert code == 4
     assert capsys.readouterr().out.splitlines()[-1] == "truncated"
+
+
+def test_explore_does_not_report_an_engine_fault_as_a_usage_error(
+        monkeypatch, capsys):
+    def broken_explore(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(gtx.cli, "explore", broken_explore)
+    # only a bad --max-states or --max-depth is a usage error (exit 2)
+    with pytest.raises(ValueError, match="boom"):
+        main(["explore", str(FIXTURES / "reverse")])
+    assert capsys.readouterr().err == ""
 
 
 # -- suite -------------------------------------------------------------

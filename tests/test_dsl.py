@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gtx.dsl
 from gtx.dsl import (
     Token,
     _scan_line,
@@ -23,7 +24,7 @@ from gtx.explorer import isomorphic
 from gtx.graph import HostGraph, Value, ValueKind, edge_label, flag, node_type
 from gtx.rewriter import apply_rule
 from gtx.rules import ConstraintKind, Role
-from gtx.source import ParseError
+from gtx.source import ParseError, SourceSpan
 from gtx.suite import fixture_grammar_names, load_fixture_grammar
 
 
@@ -75,6 +76,29 @@ def test_scanner_rejects_unterminated_string():
     e = err(_scan_line, 'format "oops', "f", 2)
     assert "unterminated" in e.message
     assert e.span.line == 2
+
+
+def test_parsing_a_valid_graph_builds_no_source_span(monkeypatch):
+    built = []
+
+    class CountingSpan(SourceSpan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gtx.dsl, "SourceSpan", CountingSpan)
+    lines = ["graph g", "node gr : Graph"]
+    for i in range(50):
+        lines += [f"node n{i} : Node flag seen", f'attr n{i}.name = "n{i}"',
+                  f"edge gr -nodes-> n{i}", f"node e{i} : Edge",
+                  f"edge gr -edges-> e{i}", f"edge e{i} -src-> n{i}",
+                  f"edge e{i} -trg-> n{(i + 1) % 50}"]
+    g = parse_graph("\n".join(lines))
+    assert (len(g.nodes), len(g.edges)) == (101, 200)
+    assert built == []
+    # an error still builds its span
+    assert err(parse_graph, "graph g\nnode a : bad.type").span.col == 8
+    assert built == [("<graph>", 2, 8, 9)]
 
 
 # -- values ------------------------------------------------------------
@@ -243,6 +267,14 @@ def test_a_graph_name_the_parser_would_reject_is_written_as_g(name, written):
     reparsed = parse_graph(text)
     assert reparsed.name == written
     assert serialize_graph(reparsed) == text
+
+
+def test_a_name_utf8_cannot_encode_is_renamed():
+    g = HostGraph("g\ud800")
+    g.add_node(name="a\ud800")
+    text = serialize_graph(g)
+    assert text == "graph g\nnode x0\n"
+    text.encode()
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gtx
 from gtx.graph import (
     HostEdge,
     HostGraph,
@@ -34,6 +39,30 @@ class TestLabel:
     def test_rejects_malformed_names(self, bad):
         with pytest.raises(ValueError):
             edge_label(bad)
+
+    def test_rejects_a_name_utf8_cannot_encode(self):
+        with pytest.raises(ValueError, match="encodable as UTF-8"):
+            node_type("\ud800")
+
+    def test_hash_is_the_value_hash(self):
+        lbl = Label(LabelKind.FLAG, "A")
+        assert lbl is not flag("A")
+        assert hash(lbl) == hash(flag("A")) == hash((LabelKind.FLAG, "A"))
+        assert {lbl} == {flag("A")}
+
+    def test_unpickling_recomputes_the_hash(self):
+        # string hashes differ between processes with different seeds
+        def run(seed: str, code: str) -> str:
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(gtx.__file__).parents[1]))
+            return subprocess.run(
+                [sys.executable, "-c", "import pickle\n"
+                 "from gtx.graph import flag\n" + code],
+                env=env, capture_output=True, text=True, check=True).stdout
+
+        data = run("1", "print(pickle.dumps(flag('A')).hex())").strip()
+        assert run("2", f"print(pickle.loads(bytes.fromhex('{data}'))"
+                        " in {flag('A')})") == "True\n"
 
     def test_reserved_characters_all_rejected(self):
         for ch in ".-!+=:|":
