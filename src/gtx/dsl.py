@@ -1,7 +1,9 @@
 """Line-oriented textual formats for graphs, type graphs and rules.
 
 One declaration per line, ``#`` starts a comment, files are UTF-8.
-Within a file forward references are fine; parsing is two-pass.
+Within a file forward references are fine; parsing is two-pass, a graph
+file's ``node`` lines first: a bad one is reported before an earlier bad
+``attr`` or ``edge`` line.
 
 Graph (``.gst``)::
 
@@ -332,72 +334,60 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
     name, lines = _declarations(text, filename, "graph")
 
     node_specs: dict[str, tuple[list[Label], list[Label]]] = {}
-    attr_specs: list[tuple[Token, str, str, Value]] = []
-    edge_specs: list[tuple[Token, Label, Token]] = []
-    seen_triples: set[tuple[str, str, str]] = set()
+    for tokens in lines:
+        if _keyword(tokens) != "node":
+            continue
+        if len(tokens) < 2:
+            raise ParseError("node line needs a name", _end_span(tokens))
+        nid = _ident(tokens[1], "node name")
+        if nid in node_specs:
+            raise ParseError(f"duplicate node {nid!r}", tokens[1].span)
+        types: list[Label] = []
+        flags: list[Label] = []
+        i = 2
+        if i < len(tokens) and not tokens[i].quoted and tokens[i].text == ":":
+            types, i = _type_list(tokens, i, "type name")
+        while i < len(tokens):
+            _expect(tokens[i], "flag")
+            if i + 1 >= len(tokens):
+                raise ParseError("expected a flag name", _end_span(tokens))
+            flags.append(flag_label(_ident(tokens[i + 1], "flag name")))
+            i += 2
+        node_specs[nid] = (types, flags)
+
+    g = HostGraph(name=name)
+    # Canonical ids: assigned in sorted-name order so that parsing the
+    # serialized form reproduces the same internal ids.
+    ids = {nid: g.add_node(*node_specs[nid], name=nid)
+           for nid in sorted(node_specs)}
 
     for tokens in lines:
         keyword = _keyword(tokens)
-        if keyword == "node":
-            if len(tokens) < 2:
-                raise ParseError("node line needs a name", _end_span(tokens))
-            nid = _ident(tokens[1], "node name")
-            if nid in node_specs:
-                raise ParseError(f"duplicate node {nid!r}", tokens[1].span)
-            types: list[Label] = []
-            flags: list[Label] = []
-            i = 2
-            if i < len(tokens) and not tokens[i].quoted and tokens[i].text == ":":
-                types, i = _type_list(tokens, i, "type name")
-            while i < len(tokens):
-                _expect(tokens[i], "flag")
-                if i + 1 >= len(tokens):
-                    raise ParseError("expected a flag name", _end_span(tokens))
-                flags.append(flag_label(_ident(tokens[i + 1], "flag name")))
-                i += 2
-            node_specs[nid] = (types, flags)
-        elif keyword == "attr":
+        if keyword == "attr":
             _shape(tokens, "attr ID.NAME = VALUE")
             owner, attr = _dotted(tokens[1], "attribute reference")
             _expect(tokens[2], "=")
-            attr_specs.append((tokens[1], owner, attr, parse_value(tokens[3])))
+            value = parse_value(tokens[3])
+            if owner not in ids:
+                raise ParseError(f"attribute on unknown node {owner!r}",
+                                 tokens[1].span)
+            if g.set_attr(ids[owner], attr, value) is not None:
+                raise ParseError(f"duplicate attribute {owner}.{attr}",
+                                 tokens[1].span)
         elif keyword == "edge":
             _shape(tokens, "edge SRC -LABEL-> TGT")
             src = _ident(tokens[1], "edge source")
             lbl = _edge_label_token(tokens[2])
             tgt = _ident(tokens[3], "edge target")
-            triple = (src, lbl.name, tgt)
-            if triple in seen_triples:
+            for tok in (tokens[1], tokens[3]):
+                if tok.text not in ids:
+                    raise ParseError(
+                        f"edge references unknown node {tok.text!r}", tok.span)
+            if not g.add_edge(ids[src], lbl, ids[tgt]):
                 raise ParseError(
                     f"duplicate edge {src} -{lbl.name}-> {tgt}", tokens[2].span)
-            seen_triples.add(triple)
-            edge_specs.append((tokens[1], lbl, tokens[3]))
-        else:
+        elif keyword != "node":
             raise ParseError(f"unknown declaration {keyword!r}", tokens[0].span)
-
-    g = HostGraph(name=name)
-    ids: dict[str, int] = {}
-    # Canonical ids: assigned in sorted-name order so that parsing the
-    # serialized form reproduces the same internal ids.
-    for nid in sorted(node_specs):
-        types, flags = node_specs[nid]
-        ids[nid] = g.add_node(types, flags, name=nid)
-
-    seen_attrs: set[tuple[str, str]] = set()
-    for tok, owner, attr, value in attr_specs:
-        if owner not in ids:
-            raise ParseError(f"attribute on unknown node {owner!r}", tok.span)
-        if (owner, attr) in seen_attrs:
-            raise ParseError(f"duplicate attribute {owner}.{attr}", tok.span)
-        seen_attrs.add((owner, attr))
-        g.set_attr(ids[owner], attr, value)
-
-    for src_tok, lbl, tgt_tok in edge_specs:
-        for tok in (src_tok, tgt_tok):
-            if tok.text not in ids:
-                raise ParseError(f"edge references unknown node {tok.text!r}",
-                                 tok.span)
-        g.add_edge(ids[src_tok.text], lbl, ids[tgt_tok.text])
     return g
 
 
@@ -890,9 +880,11 @@ def read_utf8(path: Path | Traversable) -> str:
 
 
 def load_grammar_dir(path: str | os.PathLike[str] | Traversable) -> Grammar:
-    """The grammar in a directory, named after it: a file-system path or an
-    ``importlib.resources`` Traversable such as a packaged fixture."""
-    directory = Path(path) if isinstance(path, (str, os.PathLike)) else path
+    """The grammar in a directory, named after it: a file-system path,
+    named after the directory it resolves to so that ``.`` has a name, or
+    an ``importlib.resources`` Traversable such as a packaged fixture."""
+    directory = (Path(path).resolve() if isinstance(path, (str, os.PathLike))
+                 else path)
     if not directory.is_dir():
         raise OSError(f"{path}: not a directory")
     files = {}

@@ -9,10 +9,13 @@ so a colour collision can never merge genuinely different states.
 
 One run shares one signature table.  Each distinct node seed or round
 signature gets an int colour and is hashed once, to the sha colour that
-the printed certificate of a kept state is made of.  A state keeps its
-colours and adjacency.  The exact check is iterative, so graph size is
-not bounded by the recursion limit, and neighbour-local: extending the
-mapping by one node costs time in that node's degree.
+the printed certificate of a kept state is made of.  A kept state's record
+is its colours and, per node, its arcs (other node, tag): a tag is a label
+name plus ``>`` at the edge's source or ``<`` at its target, so a loop
+gives its node both.  Refinement and the exact check read the same arcs.
+The exact check is iterative, so graph size is not bounded by the
+recursion limit, and neighbour-local: extending the mapping by one node
+costs time in that node's degree.
 
 Exploration is breadth-first and deterministic: rules fire in name order,
 matches in canonical match order, and states are numbered in discovery
@@ -25,7 +28,6 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 from .graph import HostGraph, HostNode
@@ -43,16 +45,16 @@ def _h(*parts: str) -> str:
 
 class _Table:
     """The signature table of one run.  A node's seed key, and each round's
-    signature (own colour, then its sorted (neighbour colour, label code)
-    pairs, flattened), map to an int colour.  When an int is made its sha
-    colour is hashed once, from the sha colours the signature is built of,
-    so equal ints mean equal sha colours in every graph of the run."""
+    signature (own colour, then its sorted (neighbour colour, tag) pairs),
+    map to an int colour.  When an int is made its sha colour is hashed
+    once, from the sha colours the signature is built of, so equal ints
+    mean equal sha colours in every graph of the run."""
 
     def __init__(self) -> None:
         self.ints: dict[tuple, int] = {}
         self.sha: list[str] = []
-        #: label name -> out-edge code (even); the in-edge code is one more
-        self.codes: dict[str, int] = {}
+        #: label name -> its (source, target) tags, shared by every record
+        self.tags: dict[str, tuple[str, str]] = {}
 
     def seed(self, node: HostNode) -> int:
         # Tuples, not joined strings: a name or a value may hold a separator.
@@ -67,24 +69,23 @@ class _Table:
         return self.ints[key]
 
     def refine(self, colors: dict[int, int],
-               adj: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+               arcs: dict[int, tuple[tuple[int, str], ...]]) -> dict[int, int]:
         """Colour refinement from ``colors`` until no class splits."""
-        ints, sha, names = self.ints, self.sha, list(self.codes)
+        ints, sha = self.ints, self.sha
         distinct = len(set(colors.values()))
         for _ in range(max(1, len(colors))):
             new = {}
-            for nid, pairs in adj.items():
-                sig = (colors[nid], *chain.from_iterable(
-                    sorted([(colors[m], k) for m, k in pairs])))
+            for nid, node_arcs in arcs.items():
+                sig = (colors[nid],
+                       *sorted([(colors[m], tag) for m, tag in node_arcs]))
                 c = ints.get(sig)
                 if c is None:
-                    arcs = list(zip(sig[1::2], sig[2::2]))
-                    outs = ",".join(sorted(f"{names[k >> 1]}>{sha[x]}"
-                                           for x, k in arcs if not k & 1))
-                    ins = ",".join(sorted(f"{names[k >> 1]}<{sha[x]}"
-                                          for x, k in arcs if k & 1))
+                    signed: dict[str, list[str]] = {">": [], "<": []}
+                    for x, tag in sig[1:]:  # tag[-1]: a name may end in > or <
+                        signed[tag[-1]].append(f"{tag}{sha[x]}")
                     ints[sig] = c = len(sha)
-                    sha.append(_h(sha[sig[0]], outs, ins))
+                    sha.append(_h(sha[sig[0]], ",".join(sorted(signed[">"])),
+                                  ",".join(sorted(signed["<"]))))
                 new[nid] = c
             colors, before, distinct = new, distinct, len(set(new.values()))
             if distinct == before:
@@ -101,33 +102,24 @@ class _Shape(NamedTuple):
 
     #: node -> int colour from the run's signature table
     colors: dict[int, int]
-    #: (src, tgt) -> sorted names of the labels of the edges from src to tgt
-    labels: dict[tuple[int, int], tuple[str, ...]]
-    #: node -> the other nodes it has an edge to or from
-    nbrs: dict[int, tuple[int, ...]]
+    #: node -> its arcs (other node, tag)
+    arcs: dict[int, tuple[tuple[int, str], ...]]
 
 
 def _shape(g: HostGraph, table: _Table | None = None,
            seeds: dict[int, int] | None = None) -> _Shape:
     table = table or _Table()
     seeds = seeds or {nid: table.seed(node) for nid, node in g.nodes.items()}
-    adj: dict[int, list[tuple[int, int]]] = {nid: [] for nid in g.nodes}
-    labels: dict[tuple[int, int], list[str]] = {}
-    nbrs: dict[int, set[int]] = {nid: set() for nid in g.nodes}
+    arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in g.nodes}
     for src, label, tgt in g.edges:
-        code = table.codes.setdefault(label.name, 2 * len(table.codes))
-        adj[src].append((tgt, code))
-        adj[tgt].append((src, code + 1))
-        labels.setdefault((src, tgt), []).append(label.name)
-        if src != tgt:
-            nbrs[src].add(tgt)
-            nbrs[tgt].add(src)
-    # Every stored state keeps its record: tuples take a quarter of the
-    # memory of small sets.
-    return _Shape(table.refine(seeds, adj),
-                  {pair: tuple(sorted(names))
-                   for pair, names in labels.items()},
-                  {nid: tuple(ns) for nid, ns in nbrs.items()})
+        name = label.name
+        out, into = table.tags.get(name) or table.tags.setdefault(
+            name, (f"{name}>", f"{name}<"))
+        arcs[src].append((tgt, out))
+        arcs[tgt].append((src, into))
+    # Every stored state keeps its record: tuples are smaller than lists.
+    record = {nid: tuple(node_arcs) for nid, node_arcs in arcs.items()}
+    return _Shape(table.refine(seeds, record), record)
 
 
 def certificate(g: HostGraph) -> str:
@@ -151,7 +143,6 @@ def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
     g_order = sorted(g.nodes, key=lambda nid: (len(by_color[gc[nid]]), nid))
     if not g_order:
         return True
-    gl, hl = gs.labels, hs.labels
     mapping: dict[int, int] = {}
     inverse: dict[int, int] = {}
 
@@ -159,22 +150,12 @@ def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
         na, nb = g.nodes[a], h.nodes[b]
         if na.types != nb.types or na.flags != nb.flags or na.attrs != nb.attrs:
             return False
-        if gl.get((a, a)) != hl.get((b, b)):
-            return False
-        # Each mapped neighbour of a must map to a neighbour of b with the
-        # same labels both ways.  Equal counts mean b has no other mapped
-        # neighbour; equal edge totals imply that for a complete mapping,
-        # so the count only cuts dead branches early.
-        mapped = 0
-        for x in gs.nbrs[a]:
-            y = mapping.get(x)
-            if y is None:
-                continue
-            if gl.get((a, x)) != hl.get((b, y)) \
-                    or gl.get((x, a)) != hl.get((y, b)):
-                return False
-            mapped += 1
-        return mapped == sum(1 for y in hs.nbrs[b] if y in inverse)
+        # The arcs between a and the mapped nodes, loops included, must map
+        # onto the arcs between b and their images, and onto no more.
+        return sorted([(b if x == a else mapping[x], tag)
+                       for x, tag in gs.arcs[a] if x == a or x in mapping]) \
+            == sorted([(y, tag) for y, tag in hs.arcs[b]
+                       if y == b or y in inverse])
 
     # Iterative backtracking: stack[k] iterates the candidates of g_order[k].
     stack = [iter(by_color[gc[g_order[0]]])]
@@ -207,7 +188,6 @@ class LtsState:
     graph: HostGraph
     cert: str
     depth: int
-    shape: _Shape | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -250,7 +230,9 @@ def explore(rules: list[Rule], start: HostGraph,
     table = _Table()
     #: exact key of every graph met so far -> its state
     by_graph: dict[tuple[frozenset, frozenset], int] = {}
-    by_bucket: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    #: sorted colours and edge count -> (index, record) of its states
+    by_bucket: dict[tuple[tuple[int, ...], int],
+                    list[tuple[int, _Shape]]] = {}
     queue: deque[int] = deque()
     #: each transition once, in the order it was first met
     transitions: dict[tuple[int, str, int], None] = {}
@@ -263,17 +245,16 @@ def explore(rules: list[Rule], start: HostGraph,
             return by_graph[exact]
         shape = _shape(g, table, seeds)
         bucket = (tuple(sorted(shape.colors.values())), len(g.edges))
-        for idx in by_bucket.get(bucket, []):
-            state = lts.states[idx]
-            if _isomorphic(state.graph, state.shape, g, shape):
+        for idx, record in by_bucket.get(bucket, []):
+            if _isomorphic(lts.states[idx].graph, record, g, shape):
                 break
         else:
             if max_states is not None and len(lts.states) >= max_states:
                 return None
             idx = len(lts.states)
             lts.states.append(LtsState(idx, g, table.certificate(
-                shape, len(g.edges)), depth, shape))
-            by_bucket.setdefault(bucket, []).append(idx)
+                shape, len(g.edges)), depth))
+            by_bucket.setdefault(bucket, []).append((idx, shape))
             queue.append(idx)
         by_graph[exact] = idx
         return idx

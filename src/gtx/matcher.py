@@ -339,6 +339,9 @@ def _level_assignments(rule: Rule, g: HostGraph, qid: str,
 def find_root_matches(rule: Rule, g: HostGraph,
                       tgs: list[TypeGraph] | None = None) -> list[Match]:
     """All NAC-respecting matches of the root level, in canonical order."""
+    # An invalid rule may count a level in a parent cycle: it has no match.
+    if not rule.count_params().keys() <= _compile(rule).keys():
+        return []
     matches: list[Match] = []
     for assignment in _level_assignments(rule, g, ROOT_QUANT, {}, tgs):
         params = _bind_params(rule, g, assignment)

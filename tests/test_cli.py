@@ -49,6 +49,13 @@ def test_validate_reports_ok(capsys):
     assert out.err == ""
 
 
+def test_validate_names_the_current_directory(monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES / "hello")
+    code = main(["validate", "."])
+    assert code == 0
+    assert capsys.readouterr().out == "hello: 1 rules, 1 type graphs: ok\n"
+
+
 def test_validate_reports_semantic_violations(tmp_path, capsys):
     d = write_grammar(tmp_path, {
         "t.gty": "typegraph t\ntype A extends Ghost\n",
@@ -266,6 +273,43 @@ def test_commands_without_a_start_graph_exit_2(tmp_path, capsys, command):
     out = capsys.readouterr()
     assert code == 2
     assert (out.out, out.err) == ("", NO_START)
+
+
+#: a count on a quantifier in a parent cycle, which the root never reaches
+CYCLIC_COUNTS = {
+    "self": "quant q forall in q count 0\nnode n role=reader in q\n",
+    "mutual": "quant a forall in b\nquant b forall in a count 0\n"
+              "node n role=reader in b\n",
+}
+
+
+def cyclic_count_grammar(tmp_path: Path, cycle: str) -> str:
+    return write_grammar(tmp_path, {
+        "r.gpr": f'rule r\n{CYCLIC_COUNTS[cycle]}format "%s"\n',
+        "h.gst": "graph h\nnode a\n",
+    })
+
+
+@pytest.mark.parametrize("cycle", sorted(CYCLIC_COUNTS))
+@pytest.mark.parametrize("command", ["apply", "count"])
+def test_a_count_the_root_does_not_reach_is_not_applicable(tmp_path, capsys,
+                                                           command, cycle):
+    code = main([command, cyclic_count_grammar(tmp_path, cycle), "r"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert (out.out, out.err) == ("", "error: rule 'r' is not applicable\n")
+
+
+@pytest.mark.parametrize("cycle", sorted(CYCLIC_COUNTS))
+def test_explore_takes_no_transition_for_a_count_the_root_does_not_reach(
+        tmp_path, capsys, cycle):
+    d = cyclic_count_grammar(tmp_path, cycle)
+    code = main(["explore", d])
+    out = capsys.readouterr()
+    assert code == 0
+    assert re.fullmatch(r"state S0 [0-9a-f]{16}\n", out.out)
+    assert main(["validate", d]) == 1
+    assert "is part of a parent cycle" in capsys.readouterr().err
 
 
 # -- count -------------------------------------------------------------

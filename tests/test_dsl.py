@@ -217,6 +217,14 @@ def test_parse_error_spans_point_into_the_file():
     assert str(e).startswith("host.gst:3:6: ")
 
 
+def test_a_bad_node_line_is_reported_before_an_earlier_bad_edge_line():
+    # node lines are read first: the graph's nodes are known before any
+    # attr or edge line is applied to it
+    e = err(parse_graph, "graph g\nedge a =e=> b\nnode b :")
+    assert e.message == "expected a type name"
+    assert (e.span.line, e.span.col, e.span.end_col) == (3, 9, 10)
+
+
 def test_missing_header_is_an_error():
     assert "expected" in err(parse_graph, "node a\n").message
 

@@ -125,6 +125,9 @@ GOLDEN_GRAPH_CERTS = [
      "edge a -x-> b\nedge b -y-> a\n", "8eda0381f27c27e8"),
     ("graph g\nnode a\nattr a.r = 0.0\n", "c8f76403e22f7640"),
     ("graph g\nnode a\nattr a.r = -0.0\n", "ce5c2f6c2919a686"),
+    # a label name may end in an arrow's direction character
+    ("graph g\nnode a : A\nnode b : B\nedge a -x<-> b\nedge a -x-> b\n",
+     "36b94e2eed99fab0"),
 ]
 
 
@@ -136,6 +139,22 @@ def test_fixture_start_certificates_are_pinned():
 @pytest.mark.parametrize("text, cert", GOLDEN_GRAPH_CERTS)
 def test_flagged_and_attributed_certificates_are_pinned(text, cert):
     assert certificate(parse_graph(text)) == cert
+
+
+@pytest.mark.parametrize("label, reversed_cert", [
+    ("x<", "7a1928af063977c1"), ("x>", "10a535b52189a28a")])
+def test_a_label_ending_in_a_direction_character_keeps_its_direction(
+        label, reversed_cert):
+    # a tag's direction is its last character, whatever the label name ends
+    # in: the same edge reversed gives another graph
+    def graph(src: str, tgt: str) -> HostGraph:
+        return parse_graph(f"graph g\nnode a : A\nnode b : B\n"
+                           f"edge {src} -{label}-> {tgt}\nedge a -x-> b\n")
+
+    g, h = graph("a", "b"), graph("b", "a")
+    assert certificate(h) == reversed_cert != certificate(g)
+    assert not isomorphic(g, h)
+    assert not _isomorphic(g, uniform(g), h, uniform(h))
 
 
 RING_GRAMMAR = (Path(__file__).resolve().parents[1]

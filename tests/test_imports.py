@@ -1,4 +1,5 @@
-"""Every name a ``gtx`` module imports is used.
+"""Every name a ``gtx`` module imports is used, and every module it
+imports from outside the package is in the standard library.
 
 A name counts as used when the module reads it (annotations included) or
 lists it in ``__all__``.  An import line marked ``# noqa: F401`` is exempt.
@@ -7,6 +8,7 @@ lists it in ``__all__``.  An import line marked ``# noqa: F401`` is exempt.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,23 @@ def test_an_unused_import_is_reported():
               "__all__ = ['Any']\n"
               "def f(x: 'Sized') -> It: ...\n")
     assert unused_imports(source) == ["line 2: os", "line 5: xml"]
+
+
+def outside_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports by
+    absolute name."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.partition(".")[0] for name in names}
+
+
+def test_gtx_imports_only_the_standard_library():
+    # the package has no runtime dependencies
+    found = {name: path.name for path in sorted(SRC.rglob("*.py"))
+             for name in outside_modules(path.read_text(encoding="utf-8"))}
+    assert found and {name: where for name, where in found.items()
+                      if name not in sys.stdlib_module_names} == {}
