@@ -31,7 +31,7 @@ from .graph import (
 )
 from .matcher import Match, find_root_matches
 from .rewriter import ApplicationResult, Effect, apply_effect, apply_rule, plan_application
-from .rules import Role, Rule, validate_rule
+from .rules import InvalidRuleError, Role, Rule, validate_rule
 from .source import ParseError, SourceSpan, Violation
 from .suite import SuiteReport, run_suite
 from .typegraph import TypeGraph, conforms, is_subtype, validate_type_graph
@@ -45,6 +45,7 @@ __all__ = [
     "HostEdge",
     "HostGraph",
     "HostNode",
+    "InvalidRuleError",
     "Label",
     "Lts",
     "Match",

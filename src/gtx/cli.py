@@ -3,8 +3,9 @@
 Commands operate on grammar directories: a folder of ``.gpr`` rules,
 ``.gty`` type graphs, ``.gst`` graphs and an optional ``grammar.cfg``.
 
-Exit codes: 0 success, 1 semantic violations (or failing suite fixtures),
-2 usage/parse/IO errors, 3 rule not applicable, 4 exploration truncated.
+Exit codes: 0 success, 1 semantic violations (also those of a rule that a
+command matches) or failing suite fixtures, 2 usage/parse/IO errors, 3 rule
+not applicable, 4 exploration truncated.
 Diagnostics go to stderr as ``FILE:LINE:COL: error: message``; set
 GTX_COLOR to ``always`` or ``never`` to override color autodetection.
 """
@@ -21,7 +22,8 @@ from .dsl import (Grammar, load_grammar_dir, parse_graph, read_utf8,
 from .explorer import check_bounds, explore, export_lts
 from .graph import HostGraph
 from .matcher import find_root_matches
-from .rewriter import FormatError, apply_repeatedly, apply_rule
+from .rewriter import apply_repeatedly, apply_rule
+from .rules import InvalidRuleError
 from .source import ParseError, SourceSpan
 from .suite import run_suite
 
@@ -200,8 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _diag(exc.message, exc.span)
         return EXIT_IO
-    except FormatError as exc:
-        _diag(f"rule {args.rule!r}: {exc}")
+    except InvalidRuleError as exc:
+        for v in exc.violations:
+            _diag(v.message, v.span)
         return EXIT_VIOLATIONS
     except OSError as exc:
         _diag(str(exc))

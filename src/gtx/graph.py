@@ -304,15 +304,17 @@ class HostGraph:
     def get_attr(self, nid: int, name: str) -> Value | None:
         return self._node(nid).attrs.get(name)
 
-    def delete_node_spo(self, nid: int) -> int:
-        """Delete a node plus every incident edge; returns the number of
-        edges removed.  A loop is one edge and counts once."""
-        self._node(nid)
-        incident = {e for e in self.edges if e.src == nid or e.tgt == nid}
+    def delete_node_spo(self, *nids: int) -> int:
+        """Delete nodes plus every edge incident to one of them, in one pass
+        over the edges; returns the number of edges removed.  An edge, a
+        loop included, counts once however many of its ends are deleted."""
+        dead = {self._node(nid).id for nid in nids}
+        incident = {e for e in self.edges if e.src in dead or e.tgt in dead}
         if incident:
             self.edges -= incident
             self._out = self._in = None
-        del self.nodes[nid]
+        for nid in dead:
+            del self.nodes[nid]
         return len(incident)
 
     # -- queries ------------------------------------------------------

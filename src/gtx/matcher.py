@@ -8,7 +8,10 @@ a candidate match survives only if every lone NAC group is unmatchable and
 every disjunction set has at least one unmatchable member group.
 
 A search plan depends only on the rule, so each rule is compiled once, on
-its first match, into one search per level, in tree order.  A level's
+its first match, into one search per level, in tree order.  It first runs
+:func:`validate_rule` without type graphs: on a violation it raises
+:class:`InvalidRuleError` and compiles nothing, so the matcher and the
+rewriter only see valid rules, and the next match raises again.  A level's
 search also holds its NAC conditions.  A condition is a lone NAC group or a
 disjunction set, with one search per group, and blocks a match when every
 search in it succeeds.
@@ -39,6 +42,7 @@ from dataclasses import dataclass, field
 from .graph import HostGraph, HostNode, Label, Value
 from .rules import (
     ConstraintKind,
+    InvalidRuleError,
     POSITIVE_ROLES,
     RegexAtom,
     RegexPath,
@@ -47,6 +51,7 @@ from .rules import (
     Rule,
     RuleEdge,
     RuleNode,
+    validate_rule,
 )
 from .typegraph import TypeGraph, is_subtype
 
@@ -169,8 +174,7 @@ class _Step:
 class _Search:
     """How to extend an assignment of the nodes bound before the search."""
 
-    #: None when a node to bind must differ from itself: it never succeeds
-    steps: list[_Step] | None
+    steps: list[_Step]
     #: edges between nodes bound before the search, checked first
     checks: list[RuleEdge]
     #: a level's NAC conditions; each blocks a result of the level's search
@@ -182,8 +186,6 @@ def _plan(rule: Rule, bound: set[str], new_nodes: list[str],
           edges: list[RuleEdge]) -> _Search:
     """The search that binds ``new_nodes`` on top of the ``bound`` ones."""
     checks = [e for e in edges if e.src in bound and e.tgt in bound]
-    if any((n, n) in rule.injectivity_pairs for n in new_nodes):
-        return _Search(None, checks)
 
     def key(nid: str) -> tuple:  # typed, constrained, connected first
         node = rule.nodes[nid]
@@ -216,8 +218,7 @@ def _plan(rule: Rule, bound: set[str], new_nodes: list[str],
         bound.add(nid)
         distinct = [b if a == nid else a
                     for a, b in sorted(rule.injectivity_pairs)
-                    if nid in (a, b) and a != b
-                    and a in bound and b in bound]
+                    if nid in (a, b) and a in bound and b in bound]
         steps.append(_Step(rule.nodes[nid], sources, loops, distinct))
     return _Search(steps, checks)
 
@@ -226,6 +227,9 @@ def _compile(rule: Rule) -> dict[str, _Search]:
     """The rule's levels in tree order, compiled on its first match."""
     if rule.compiled is not None:
         return rule.compiled
+    violations = validate_rule(rule)
+    if violations:
+        raise InvalidRuleError(rule.name, violations)
 
     def nac(gid: str, bound: set[str]) -> _Search:
         # an edge may end at an embargo node of another group: bind it too
@@ -256,8 +260,8 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
             tgs: list[TypeGraph] | None) -> Iterator[dict[str, int]]:
     """Each way of running ``search`` on top of ``base``, depth first."""
     steps = search.steps
-    if steps is None or not all(_edge_holds(g, e, base[e.src], base[e.tgt])
-                                for e in search.checks):
+    if not all(_edge_holds(g, e, base[e.src], base[e.tgt])
+               for e in search.checks):
         return
     if not steps:
         yield dict(base)
@@ -311,20 +315,13 @@ def _bind_params(rule: Rule, g: HostGraph,
     out: dict[int, Value] = {}
     for idx in sorted(rule.params):
         nid, attr = rule.params[idx]
-        node = rule.nodes[nid]
-        if node.role is Role.CREATOR:
-            constraint = node.attr_constraints.get(attr)
-            if constraint is None or constraint.value is None:
-                return None
-            out[idx] = constraint.value
+        if rule.nodes[nid].role is Role.CREATOR:
+            value = rule.nodes[nid].attr_constraints[attr].value
         else:
-            hid = assignment.get(nid)
-            if hid is None:
-                return None
-            value = g.nodes[hid].attrs.get(attr)
-            if value is None:
-                return None
-            out[idx] = value
+            value = g.nodes[assignment[nid]].attrs.get(attr)
+        if value is None:
+            return None
+        out[idx] = value
     return out
 
 
@@ -339,9 +336,6 @@ def _level_assignments(rule: Rule, g: HostGraph, qid: str,
 def find_root_matches(rule: Rule, g: HostGraph,
                       tgs: list[TypeGraph] | None = None) -> list[Match]:
     """All NAC-respecting matches of the root level, in canonical order."""
-    # An invalid rule may count a level in a parent cycle: it has no match.
-    if not rule.count_params().keys() <= _compile(rule).keys():
-        return []
     matches: list[Match] = []
     for assignment in _level_assignments(rule, g, ROOT_QUANT, {}, tgs):
         params = _bind_params(rule, g, assignment)

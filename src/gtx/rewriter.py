@@ -144,11 +144,8 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                             or value.sort_key() > writes[key].sort_key()):
                         writes[key] = value
             for edge in edges:
-                src, tgt = ctx.get(edge.src), ctx.get(edge.tgt)
-                if src is None or tgt is None:  # an invalid rule: unbound end
-                    continue
-                (edge_deletions if edge.role is Role.ERASER
-                 else edge_creations).add(HostEdge(src, edge.label, tgt))
+                (edge_deletions if edge.role is Role.ERASER else edge_creations
+                 ).add(HostEdge(ctx[edge.src], edge.label, ctx[edge.tgt]))
 
     # Normalize to the exact delta against the pre-state.  Deletion wins
     # over every change to a deleted node; deleting and recreating the
@@ -189,9 +186,8 @@ def apply_effect(g: HostGraph, effect: Effect) -> HostGraph:
     out = g.copy()
     for src, lbl, tgt in effect.edge_deletions:
         out.remove_edge(src, lbl, tgt)
-    for nid in effect.node_deletions:
-        if nid in out.nodes:
-            out.delete_node_spo(nid)
+    if effect.node_deletions:
+        out.delete_node_spo(*(set(effect.node_deletions) & out.nodes.keys()))
     for nid, types in effect.node_creations:
         if nid != out.next_id:
             raise ValueError(f"effect creates node {nid} but the graph's next "

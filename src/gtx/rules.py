@@ -42,8 +42,14 @@ ROOT_QUANT = "root"
 FORMAT_DIRECTIVE = re.compile(r"%(.)", re.DOTALL)
 
 
-class UnknownQuantifierError(Exception):
-    pass
+class InvalidRuleError(ValueError):
+    """Raised on the first match of a rule that :func:`validate_rule`
+    rejects, with what it found in ``violations``."""
+
+    def __init__(self, name: str, violations: list[Violation]):
+        super().__init__(f"rule {name!r}: "
+                         + "; ".join(v.message for v in violations))
+        self.violations = violations
 
 
 class Role(Enum):
@@ -167,12 +173,6 @@ class Rule:
 
     def children_of(self, qid: str) -> list[Quantifier]:
         return [q for q in self.quantifiers.values() if q.parent == qid]
-
-    def level_path(self, qid: str) -> list[str]:
-        """Quantifier ids from the root down to ``qid`` inclusive."""
-        if qid not in self.quantifiers:
-            raise UnknownQuantifierError(f"unknown quantifier {qid!r}")
-        return parent_chain(self.quantifiers, qid)[0][::-1]
 
     def positive_nodes_at(self, level: str) -> list[RuleNode]:
         return sorted(
@@ -401,7 +401,7 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                     f"embargo edge {e.describe()} cannot touch creator nodes",
                     e.span))
         elif e.level in r.quantifiers:
-            anc = set(r.level_path(e.level))
+            anc = set(parent_chain(r.quantifiers, e.level)[0])
             for n in endpoints:
                 if n.level not in anc:  # type: ignore[union-attr]
                     v.append(Violation(
@@ -424,7 +424,7 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                 f"({', '.join(sorted(levels))})"))
         # Positive anchors must already be bound when the group is checked.
         if len(levels) == 1 and g.level in r.quantifiers:
-            anc = set(r.level_path(g.level))
+            anc = set(parent_chain(r.quantifiers, g.level)[0])
             for i in g.edge_indexes:
                 if i >= len(r.edges):
                     continue

@@ -155,17 +155,6 @@ def test_validate_reports_a_format_with_unbound_holes(tmp_path, capsys):
         "(0)\n")
 
 
-@pytest.mark.parametrize("command", ["apply", "count"])
-def test_format_with_unbound_holes_is_one_diagnostic(tmp_path, capsys,
-                                                     command):
-    code = main([command, write_grammar(tmp_path, UNBOUND_FORMAT), "say"])
-    out = capsys.readouterr()
-    assert code == 1
-    assert out.out == ""
-    assert out.err == ("error: rule 'say': format needs parameter #0 but "
-                       "only 0 are bound\n")
-
-
 def test_files_the_grammar_does_not_use_are_not_read(tmp_path, capsys):
     d = write_grammar(tmp_path, DELETE_ALL)
     (Path(d) / "picture.png").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
@@ -275,41 +264,69 @@ def test_commands_without_a_start_graph_exit_2(tmp_path, capsys, command):
     assert (out.out, out.err) == ("", NO_START)
 
 
-#: a count on a quantifier in a parent cycle, which the root never reaches
-CYCLIC_COUNTS = {
-    "self": "quant q forall in q count 0\nnode n role=reader in q\n",
-    "mutual": "quant a forall in b\nquant b forall in a count 0\n"
-              "node n role=reader in b\n",
+# -- rules that do not validate ----------------------------------------
+
+#: rule bodies that parse but that validation rejects
+INVALID_RULES = {
+    "self_cycle_count": 'quant q forall in q count 0\n'
+                        'node n role=reader in q\nformat "%s"\n',
+    "mutual_cycle_count": 'quant a forall in b\nquant b forall in a count 0\n'
+                          'node n role=reader in b\nformat "%s"\n',
+    "unbound_hole": 'node n role=reader\nformat "value %s"\n',
+    "eraser_edge_above_its_end": 'node a role=reader\nquant q forall\n'
+                                 'node b role=reader in q\n'
+                                 'edge a -e-> b role=eraser\n',
+    "parameter_in_a_quantifier": 'quant q forall\nnode n role=reader in q\n'
+                                 'bind 0 = n.v\nformat "%s"\n',
+    "parameter_on_an_embargo_node": 'node n role=embargo\nbind 0 = n.v\n'
+                                    'format "%s"\n',
+    "nac_anchor_below_its_group": 'quant q forall\nnode a role=reader in q\n'
+                                  'node x role=embargo\n'
+                                  'edge a -e-> x role=embargo\nformat "x"\n',
+    "reader_edge_to_a_creator": 'node a role=reader\nnode c role=creator\n'
+                                'edge a -e-> c role=reader\n',
 }
 
+#: rules that write: ``count`` refuses them before it matches anything
+WRITERS = {"eraser_edge_above_its_end", "reader_edge_to_a_creator"}
+REFUSALS = [(command, case) for case in INVALID_RULES
+            for command in ("apply", "count", "explore")
+            if command != "count" or case not in WRITERS]
 
-def cyclic_count_grammar(tmp_path: Path, cycle: str) -> str:
+
+def invalid_rule_grammar(tmp_path: Path, case: str) -> str:
     return write_grammar(tmp_path, {
-        "r.gpr": f'rule r\n{CYCLIC_COUNTS[cycle]}format "%s"\n',
-        "h.gst": "graph h\nnode a\n",
+        "r.gpr": f"rule r\n{INVALID_RULES[case]}",
+        "h.gst": "graph h\nnode a\nattr a.v = 1\nedge a -e-> a\n",
     })
 
 
-@pytest.mark.parametrize("cycle", sorted(CYCLIC_COUNTS))
-@pytest.mark.parametrize("command", ["apply", "count"])
-def test_a_count_the_root_does_not_reach_is_not_applicable(tmp_path, capsys,
-                                                           command, cycle):
-    code = main([command, cyclic_count_grammar(tmp_path, cycle), "r"])
-    out = capsys.readouterr()
-    assert code == 3
-    assert (out.out, out.err) == ("", "error: rule 'r' is not applicable\n")
-
-
-@pytest.mark.parametrize("cycle", sorted(CYCLIC_COUNTS))
-def test_explore_takes_no_transition_for_a_count_the_root_does_not_reach(
-        tmp_path, capsys, cycle):
-    d = cyclic_count_grammar(tmp_path, cycle)
-    code = main(["explore", d])
-    out = capsys.readouterr()
-    assert code == 0
-    assert re.fullmatch(r"state S0 [0-9a-f]{16}\n", out.out)
+@pytest.mark.parametrize("command, case", REFUSALS)
+def test_a_rule_that_does_not_validate_is_refused(tmp_path, capsys, command,
+                                                  case):
+    d = invalid_rule_grammar(tmp_path, case)
     assert main(["validate", d]) == 1
-    assert "is part of a parent cycle" in capsys.readouterr().err
+    expected = capsys.readouterr().err
+    code = main([command, d] + (["r"] if command != "explore" else []))
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (1, "", expected)
+
+
+def test_only_the_rules_a_command_matches_are_checked(tmp_path, capsys):
+    valid = {**DELETE_ALL, "c.gpr": 'rule c\nformat "found%n"\n'
+                                    'node n role=reader\n'}
+    (tmp_path / "valid").mkdir()
+    (tmp_path / "mixed").mkdir()
+    d = write_grammar(tmp_path / "valid", valid)
+    mixed = write_grammar(tmp_path / "mixed", {
+        **valid, "r.gpr": f"rule r\n{INVALID_RULES['unbound_hole']}"})
+    for command, rule in (("apply", "del"), ("count", "c")):
+        runs = [(main([command, grammar, rule]), capsys.readouterr())
+                for grammar in (d, mixed)]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+    assert main(["explore", mixed]) == 1
+    assert capsys.readouterr() == ("", "error: rule 'r': format has more %s "
+                                       "holes (1) than parameters (0)\n")
 
 
 # -- count -------------------------------------------------------------

@@ -174,6 +174,21 @@ def test_spo_deletion_drags_incident_edges():
     assert len(g.edges) == 1
 
 
+def test_spo_deletion_of_several_nodes_counts_each_edge_once():
+    g, (a, b, c) = build_triangle()
+    g.add_edge(b, edge_label("e"), b)  # a loop on a deleted node
+    d = g.add_node()
+    g.add_edge(c, edge_label("f"), d)
+    # a>b joins two deleted nodes; b>c, c>a and the loop touch one each
+    assert g.delete_node_spo(a, b, a) == 4
+    assert g.node_ids() == [c, d]
+    assert g.edges == {(c, edge_label("f"), d)}
+    assert g.successors(c, edge_label("f")) == {d}
+    with pytest.raises(MissingNodeError):
+        g.delete_node_spo(c, a)
+    assert g.node_ids() == [c, d], "a missing node leaves the graph as it was"
+
+
 def test_remove_edge_reports_presence():
     g, (a, b, _) = build_triangle()
     assert g.remove_edge(a, edge_label("e"), b) is True

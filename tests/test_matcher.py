@@ -416,10 +416,6 @@ def test_matching_is_non_injective_by_default():
     strict = parse_rule("rule r\nnode a role=reader\nnode b role=reader\n"
                         "edge a -e-> b role=reader\nneq a b\n")
     assert find_root_matches(strict, g) == []
-    # unparseable, and flagged by validation, but still never a match
-    itself = Rule("r", nodes={"a": RuleNode("a", Role.READER)},
-                  injectivity_pairs={("a", "a")})
-    assert find_root_matches(itself, g) == []
 
 
 def test_eraser_elements_match_like_readers():

@@ -13,7 +13,6 @@ from gtx.rules import (
     Rule,
     RuleEdge,
     RuleNode,
-    UnknownQuantifierError,
     expand_neq,
     group_embargo_elements,
     validate_rule,
@@ -58,13 +57,6 @@ def test_root_quantifier_is_synthesized():
     r = Rule("r")
     assert list(r.quantifiers) == ["root"]
     assert r.quantifiers["root"].parent is None
-
-
-def test_level_path_and_depth():
-    r = Rule("r", quantifiers={"q": forall("q"), "p": forall("p", parent="q")})
-    assert r.level_path("p") == ["root", "q", "p"]
-    with pytest.raises(UnknownQuantifierError):
-        r.level_path("ghost")
 
 
 def test_children_are_reported_per_parent():

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import gtx.suite
-from gtx.dsl import build_grammar, parse_rule
+from gtx.dsl import build_grammar, load_grammar_dir, parse_rule
 from gtx.explorer import isomorphic
 from gtx.graph import HostGraph
 from gtx.rewriter import apply_rule
@@ -132,6 +133,18 @@ def test_every_fixture_grammar_ships_and_loads():
         grammar = load_fixture_grammar(name)
         assert grammar.rules
         assert grammar.start is not None
+
+
+def test_every_shipped_rule_validates_clean():
+    # the engine refuses a rule that does not validate, so none may ship
+    fixtures = Path(gtx.suite.__file__).parent / "fixtures"
+    perfbench = Path(__file__).parents[1] / "perfbench" / "grammars"
+    rules = sorted({*fixtures.rglob("*.gpr"), *perfbench.rglob("*.gpr")})
+    assert len(rules) >= 14
+    for d in sorted({r.parent for r in rules}):
+        grammar = load_grammar_dir(d)
+        assert len(grammar.rules) == len(list(d.glob("*.gpr")))
+        assert list(grammar.violations(None)) == [], d
 
 
 def test_fixture_ids_are_unique_and_stable():
