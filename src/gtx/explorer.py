@@ -1,21 +1,24 @@
 """State-space exploration.
 
-States are host graphs up to isomorphism, and each new graph meets three
-tiers.  A graph identical to one met before, node ids included, is that
-graph's state: the identity map is an isomorphism.  Otherwise integer
-colour refinement buckets it with the states of equal colours and edge
-count, and an exact backtracking check confirms any merge in the bucket,
-so a colour collision can never merge genuinely different states.
+States are host graphs up to isomorphism.  A successor's exact key, node
+seeds and edge set, comes from its parent's key and the change that
+:func:`effect_delta` reads from the effect.  A key met before, node ids
+included, names its state: the identity map is an isomorphism.  Otherwise
+integer colour refinement buckets the key with the states of equal
+colours and edge count, and an exact backtracking check confirms any
+merge, so a colour collision never merges different states.  Only a kept
+state's graph is built, by :func:`apply_effect`.
 
-One run shares one signature table.  Each distinct node seed or round
-signature gets an int colour and is hashed once, to the sha colour that
-the printed certificate of a kept state is made of.  A kept state's record
-is its colours and, per node, its arcs (other node, tag): a tag is a label
-name plus ``>`` at the edge's source or ``<`` at its target, so a loop
-gives its node both.  Refinement and the exact check read the same arcs.
-The exact check is iterative, so graph size is not bounded by the
-recursion limit, and neighbour-local: extending the mapping by one node
-costs time in that node's degree.
+One run shares one signature table, so equal seeds mean equal node data.
+Each distinct node seed or round signature gets an int colour and is
+hashed once, to the sha colour that the printed certificate of a kept
+state is made of.  A kept state's record is its seeds, its colours and,
+per node, its arcs (other node, tag): a tag is a label name plus ``>`` at
+the edge's source or ``<`` at its target, so a loop gives its node both.
+Refinement and the exact check read the same arcs.  The exact check is
+iterative, so graph size is not bounded by the recursion limit, and
+neighbour-local: extending the mapping by one node costs time in that
+node's degree.
 
 Exploration is breadth-first and deterministic: rules fire in name order,
 matches in canonical match order, and states are numbered in discovery
@@ -27,13 +30,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import HostGraph, HostNode
+from .graph import HostEdge, HostGraph, HostNode
 # Not called here: perfbench's self-test pins this import as a binding site.
 from .matcher import find_root_matches  # noqa: F401
-from .rewriter import apply_effect, applications
+from .rewriter import apply_effect, applications, effect_delta
 from .rules import Rule
 from .typegraph import TypeGraph
 
@@ -68,6 +72,9 @@ class _Table:
                                         for a, v in key[2])))
         return self.ints[key]
 
+    def seeds(self, g: HostGraph) -> dict[int, int]:
+        return {nid: self.seed(node) for nid, node in g.nodes.items()}
+
     def refine(self, colors: dict[int, int],
                arcs: dict[int, tuple[tuple[int, str], ...]]) -> dict[int, int]:
         """Colour refinement from ``colors`` until no class splits."""
@@ -92,26 +99,29 @@ class _Table:
                 break
         return colors
 
-    def certificate(self, shape: "_Shape", edges: int) -> str:
+    def certificate(self, shape: "_Shape") -> str:
         colors = sorted(self.sha[c] for c in shape.colors.values())
-        return _h("graph", ",".join(colors), str(edges))
+        return _h("graph", ",".join(colors), str(shape.edges))
 
 
 class _Shape(NamedTuple):
-    """What the isomorphism check needs of one graph, computed once."""
+    """What the isomorphism check needs of one graph, computed once.
+    Records are comparable only when one signature table made them."""
 
+    #: node -> int seed; equal seeds mean equal types, flags and attributes
+    seeds: dict[int, int]
+    #: the number of edges
+    edges: int
     #: node -> int colour from the run's signature table
     colors: dict[int, int]
     #: node -> its arcs (other node, tag)
     arcs: dict[int, tuple[tuple[int, str], ...]]
 
 
-def _shape(g: HostGraph, table: _Table | None = None,
-           seeds: dict[int, int] | None = None) -> _Shape:
-    table = table or _Table()
-    seeds = seeds or {nid: table.seed(node) for nid, node in g.nodes.items()}
-    arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in g.nodes}
-    for src, label, tgt in g.edges:
+def _shape(seeds: dict[int, int], edges: Collection[HostEdge],
+           table: _Table) -> _Shape:
+    arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in seeds}
+    for src, label, tgt in edges:
         name = label.name
         out, into = table.tags.get(name) or table.tags.setdefault(
             name, (f"{name}>", f"{name}<"))
@@ -119,36 +129,33 @@ def _shape(g: HostGraph, table: _Table | None = None,
         arcs[tgt].append((src, into))
     # Every stored state keeps its record: tuples are smaller than lists.
     record = {nid: tuple(node_arcs) for nid, node_arcs in arcs.items()}
-    return _Shape(table.refine(seeds, record), record)
+    return _Shape(seeds, len(edges), table.refine(seeds, record), record)
 
 
 def certificate(g: HostGraph) -> str:
     """Isomorphism-invariant fingerprint (equal for isomorphic graphs;
     unequal graphs collide only with hash probability)."""
     table = _Table()
-    return table.certificate(_shape(g, table), len(g.edges))
+    return table.certificate(_shape(table.seeds(g), g.edges, table))
 
 
-def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
-    if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
-        return False
+def _isomorphic(gs: _Shape, hs: _Shape) -> bool:
     gc, hc = gs.colors, hs.colors
-    if sorted(gc.values()) != sorted(hc.values()):
+    if gs.edges != hs.edges or sorted(gc.values()) != sorted(hc.values()):
         return False
 
     by_color: dict[int, list[int]] = {}
     for nid, c in hc.items():
         by_color.setdefault(c, []).append(nid)
     # Most-constrained first: smallest candidate classes early.
-    g_order = sorted(g.nodes, key=lambda nid: (len(by_color[gc[nid]]), nid))
+    g_order = sorted(gc, key=lambda nid: (len(by_color[gc[nid]]), nid))
     if not g_order:
         return True
     mapping: dict[int, int] = {}
     inverse: dict[int, int] = {}
 
     def compatible(a: int, b: int) -> bool:
-        na, nb = g.nodes[a], h.nodes[b]
-        if na.types != nb.types or na.flags != nb.flags or na.attrs != nb.attrs:
+        if gs.seeds[a] != hs.seeds[b]:
             return False
         # The arcs between a and the mapped nodes, loops included, must map
         # onto the arcs between b and their images, and onto no more.
@@ -179,7 +186,8 @@ def _isomorphic(g: HostGraph, gs: _Shape, h: HostGraph, hs: _Shape) -> bool:
 def isomorphic(g: HostGraph, h: HostGraph) -> bool:
     """Exact isomorphism on node structure, labels, flags and attributes."""
     table = _Table()
-    return _isomorphic(g, _shape(g, table), h, _shape(h, table))
+    return _isomorphic(_shape(table.seeds(g), g.edges, table),
+                       _shape(table.seeds(h), h.edges, table))
 
 
 @dataclass
@@ -230,36 +238,38 @@ def explore(rules: list[Rule], start: HostGraph,
     table = _Table()
     #: exact key of every graph met so far -> its state
     by_graph: dict[tuple[frozenset, frozenset], int] = {}
-    #: sorted colours and edge count -> (index, record) of its states
-    by_bucket: dict[tuple[tuple[int, ...], int],
-                    list[tuple[int, _Shape]]] = {}
+    #: sorted colours and edge count -> its states
+    by_bucket: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    #: per state: its record and edges, which its successors' keys start from
+    kept: list[tuple[_Shape, frozenset[HostEdge]]] = []
     queue: deque[int] = deque()
     #: each transition once, in the order it was first met
     transitions: dict[tuple[int, str, int], None] = {}
 
-    def intern(g: HostGraph, depth: int) -> int | None:
-        seeds = {nid: table.seed(node) for nid, node in g.nodes.items()}
+    def intern(seeds: dict[int, int], edges: frozenset[HostEdge], depth: int,
+               build: Callable[[], HostGraph]) -> int | None:
         # The identity map is an isomorphism to an identical graph.
-        exact = (frozenset(seeds.items()), frozenset(g.edges))
+        exact = (frozenset(seeds.items()), edges)
         if exact in by_graph:
             return by_graph[exact]
-        shape = _shape(g, table, seeds)
-        bucket = (tuple(sorted(shape.colors.values())), len(g.edges))
-        for idx, record in by_bucket.get(bucket, []):
-            if _isomorphic(lts.states[idx].graph, record, g, shape):
+        shape = _shape(seeds, edges, table)
+        bucket = (tuple(sorted(shape.colors.values())), shape.edges)
+        for idx in by_bucket.get(bucket, []):
+            if _isomorphic(kept[idx][0], shape):
                 break
         else:
             if max_states is not None and len(lts.states) >= max_states:
                 return None
             idx = len(lts.states)
-            lts.states.append(LtsState(idx, g, table.certificate(
-                shape, len(g.edges)), depth))
-            by_bucket.setdefault(bucket, []).append((idx, shape))
+            lts.states.append(LtsState(idx, build(), table.certificate(shape),
+                                       depth))
+            kept.append((shape, edges))
+            by_bucket.setdefault(bucket, []).append(idx)
             queue.append(idx)
         by_graph[exact] = idx
         return idx
 
-    intern(start.copy(), 0)
+    intern(table.seeds(start), frozenset(start.edges), 0, start.copy)
     while queue:
         idx = queue.popleft()
         state = lts.states[idx]
@@ -268,10 +278,18 @@ def explore(rules: list[Rule], start: HostGraph,
                    for _ in applications(rule, state.graph, tgs)):
                 lts.truncated = True
             continue
+        shape, edges = kept[idx]
         for rule in ordered_rules:
             for _, effect in applications(rule, state.graph, tgs):
-                successor = apply_effect(state.graph, effect)
-                tgt = intern(successor, state.depth + 1)
+                dead, removed, added, nodes = effect_delta(state.graph, effect)
+                seeds = shape.seeds | {k: table.seed(n) for k, n in nodes.items()}
+                for nid in dead:
+                    del seeds[nid]
+                after = edges if not (dead or removed or added) else (
+                    edges.difference(removed, [e for e in edges if e.src in dead
+                                               or e.tgt in dead]).union(added))
+                tgt = intern(seeds, after, state.depth + 1,
+                             lambda: apply_effect(state.graph, effect))
                 if tgt is None:
                     lts.truncated = True
                     continue

@@ -371,11 +371,18 @@ class HostGraph:
             return node.name
         return f"#{nid}"
 
-    def copy(self) -> "HostGraph":
+    def copy(self, nodes: dict[int, HostNode] | None = None) -> "HostGraph":
+        """A deep copy, but for ``nodes``: held uncloned in place of the
+        nodes with their ids, and as new nodes from ``next_id`` on."""
+        nodes = nodes or {}
         g = HostGraph(name=self.name)
-        g.nodes = {nid: n.clone() for nid, n in self.nodes.items()}
+        g.nodes = {nid: nodes.get(nid) or n.clone()
+                   for nid, n in self.nodes.items()}
         g.edges = set(self.edges)
         g._next_id = self._next_id
+        while g._next_id in nodes:
+            g.nodes[g._next_id] = nodes[g._next_id]
+            g._next_id += 1
         return g
 
     def integrity_errors(self) -> list[str]:

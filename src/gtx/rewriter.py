@@ -22,8 +22,8 @@ Every caller applies rules through one pipeline: :func:`applications`
 yields each effective ``(match, effect)`` pair, :func:`apply_rule` applies
 the first and renders its output, and :func:`apply_repeatedly` re-applies
 a rule until it is inapplicable or a limit is reached.  The explorer takes
-all pairs from :func:`applications` and applies each with
-:func:`apply_effect`.
+all pairs from :func:`applications` and reads each change from
+:func:`effect_delta`, on which :func:`apply_effect` is built too.
 """
 
 from __future__ import annotations
@@ -178,38 +178,52 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     )
 
 
-def apply_effect(g: HostGraph, effect: Effect) -> HostGraph:
-    """Apply a planned effect to a copy of ``g`` and return the copy.
-
-    Raises ValueError when a node creation's id is not the id ``g`` hands
-    out next: the effect was planned for another graph."""
-    out = g.copy()
-    for src, lbl, tgt in effect.edge_deletions:
-        out.remove_edge(src, lbl, tgt)
-    if effect.node_deletions:
-        out.delete_node_spo(*(set(effect.node_deletions) & out.nodes.keys()))
+def effect_delta(g: HostGraph, effect: Effect) -> tuple[
+        set[int], list[HostEdge], list[HostEdge], dict[int, HostNode]]:
+    """What applying ``effect`` changes in ``g``, left as it is: deleted
+    nodes, removed and added edges, and a fresh post-state node per created
+    or changed node.  Raises ValueError when a creation's id is not the id
+    ``g`` hands out next: the effect was planned for another graph."""
+    deleted = set(effect.node_deletions) & g.nodes.keys()
+    nodes: dict[int, HostNode] = {}
     for nid, types in effect.node_creations:
-        if nid != out.next_id:
+        if nid != (want := g.next_id + len(nodes)):
             raise ValueError(f"effect creates node {nid} but the graph's next "
-                             f"id is {out.next_id}: it was planned for "
-                             f"another graph")
-        out.add_node(types)
-    for src, lbl, tgt in effect.edge_creations:
-        if src in out.nodes and tgt in out.nodes:
-            out.add_edge(src, lbl, tgt)
+                             f"id is {want}: it was planned for another graph")
+        nodes[nid] = HostNode(nid, set(types))
+
+    def alive(nid: int) -> bool:
+        return nid in nodes or (nid in g.nodes and nid not in deleted)
+
+    def node(nid: int) -> HostNode | None:  # cloned on first use
+        if nid not in nodes and alive(nid):
+            nodes[nid] = g.nodes[nid].clone()
+        return nodes.get(nid)
+
     for nid, attr in effect.attr_deletions:
-        if nid in out.nodes:
-            out.nodes[nid].attrs.pop(attr, None)
+        if (n := node(nid)) is not None:
+            n.attrs.pop(attr, None)
     for nid, attr, value in effect.attr_writes:
-        if nid in out.nodes:
-            out.set_attr(nid, attr, value)
+        if (n := node(nid)) is not None:
+            n.attrs[attr] = value
     for nid, fl, add in effect.flag_changes:
-        if nid not in out.nodes:
-            continue
-        if add:
-            out.nodes[nid].flags.add(fl)
-        else:
-            out.nodes[nid].flags.discard(fl)
+        if (n := node(nid)) is not None:
+            (n.flags.add if add else n.flags.discard)(fl)
+    return deleted, effect.edge_deletions, [
+        e for e in effect.edge_creations if alive(e[0]) and alive(e[2])], nodes
+
+
+def apply_effect(g: HostGraph, effect: Effect) -> HostGraph:
+    """Apply a planned effect to a copy of ``g``, cloning each node once at
+    most, and return the copy; raises what :func:`effect_delta` raises."""
+    deleted, removed, added, nodes = effect_delta(g, effect)
+    out = g.copy(nodes)
+    for edge in removed:
+        out.remove_edge(*edge)
+    if deleted:
+        out.delete_node_spo(*deleted)
+    for edge in added:
+        out.add_edge(*edge)
     return out
 
 
@@ -261,11 +275,12 @@ def apply_rule(rule: Rule, g: HostGraph,
                tgs: list[TypeGraph] | None = None) -> ApplicationResult | None:
     """Apply the rule at the first effective match, or None if there is
     none (unmatched, or every match would leave the graph untouched with
-    nothing to print)."""
+    nothing to print).  An empty effect leaves ``g`` itself as the graph."""
     for match, effect in applications(rule, g, tgs):
         output = (render_output(rule.print_format, effect.param_values)
                   if rule.print_format is not None else None)
-        return ApplicationResult(apply_effect(g, effect), effect, output, match)
+        post = g if effect.is_empty() else apply_effect(g, effect)
+        return ApplicationResult(post, effect, output, match)
     return None
 
 

@@ -15,6 +15,7 @@ from gtx.dsl import load_grammar_dir, parse_graph, parse_rule
 from gtx.explorer import (
     _isomorphic,
     _shape,
+    _Table,
     certificate,
     explore,
     export_lts,
@@ -154,7 +155,7 @@ def test_a_label_ending_in_a_direction_character_keeps_its_direction(
     g, h = graph("a", "b"), graph("b", "a")
     assert certificate(h) == reversed_cert != certificate(g)
     assert not isomorphic(g, h)
-    assert not _isomorphic(g, uniform(g), h, uniform(h))
+    assert not _isomorphic(*uniform(g, h))
 
 
 RING_GRAMMAR = (Path(__file__).resolve().parents[1]
@@ -354,10 +355,14 @@ def differential_pairs():
     yield cycle(6), two_three_cycles()
 
 
-def uniform(g: HostGraph):
-    """The record of ``g`` with every node given the same colour, as if
-    every certificate collided: the exact check must not need refinement."""
-    return _shape(g)._replace(colors=dict.fromkeys(g.nodes, ""))
+def uniform(*graphs: HostGraph) -> list:
+    """The records of ``graphs`` with every node given the same colour, as
+    if every certificate collided: the exact check must not need
+    refinement.  One signature table makes them all, since seeds from two
+    tables are not comparable."""
+    table = _Table()
+    return [_shape(table.seeds(g), g.edges, table)._replace(
+        colors=dict.fromkeys(g.nodes, "")) for g in graphs]
 
 
 def test_isomorphic_agrees_with_brute_force():
@@ -366,7 +371,7 @@ def test_isomorphic_agrees_with_brute_force():
         expected = brute_isomorphic(g, h)
         assert isomorphic(g, h) == expected
         assert isomorphic(h, g) == expected
-        assert _isomorphic(g, uniform(g), h, uniform(h)) == expected
+        assert _isomorphic(*uniform(g, h)) == expected
         if expected:
             assert certificate(g) == certificate(h)
         verdicts.append(expected)
@@ -531,6 +536,31 @@ def test_isomorphic_successor_is_merged_by_the_exact_check(monkeypatch):
     assert len(calls) == 1
 
 
+def test_explore_builds_one_graph_per_kept_state(monkeypatch):
+    # a successor's key comes from its parent's key and the effect, so a
+    # duplicate is dropped before any graph is built for it
+    copies: list[int] = []
+    real = HostGraph.copy
+
+    def counted(self, *args):
+        copies.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(HostGraph, "copy", counted)
+    ring = load_grammar_dir(str(RING_GRAMMAR))
+    swap = parse_rule("rule swap\nnode t role=eraser : T\n"
+                      "node u role=creator : U\nedge u -e-> u role=creator\n")
+    for rules, start, tgs in [
+            (list(ring.rules.values()), parse_graph(marked_ring(7, {0, 3})),
+             ring.type_graphs),
+            ([swap, MARK], parse_graph("graph g\nnode a : T\nnode b : T\n"
+                                       "node c : T\nedge a -e-> b\n"), None)]:
+        copies.clear()
+        lts = explore(rules, start, tgs=tgs)
+        met = len(lts.transitions) + 1
+        assert len(copies) == len(lts.states) < met
+
+
 def test_marking_explorations_count_brute_force_classes():
     rng = random.Random(7)
     for _ in range(25):
@@ -555,5 +585,5 @@ def test_signed_zeros_are_not_isomorphic():
     zero = parse_graph("graph g\nnode a\nattr a.r = 0.0\n")
     negzero = parse_graph("graph g\nnode a\nattr a.r = -0.0\n")
     assert not isomorphic(zero, negzero)
-    assert not _isomorphic(zero, uniform(zero), negzero, uniform(negzero))
+    assert not _isomorphic(*uniform(zero, negzero))
     assert not brute_isomorphic(zero, negzero)

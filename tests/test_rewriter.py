@@ -472,6 +472,23 @@ def test_apply_repeatedly_stops_at_the_limit():
     assert serialize_graph(out) == serialize_graph(g)
 
 
+def test_an_empty_effect_returns_the_input_graph_without_a_copy():
+    g = parse_graph("graph g\nnode a\n")
+    rule = parse_rule('rule r\nnode n role=reader\nformat "x"\n')
+    result = apply_rule(rule, g)
+    assert result is not None and result.effect.is_empty()
+    assert result.graph is g
+    # the same graph every time, and the loop still ends at its limit
+    out, outputs, applied = apply_repeatedly(rule, g, None, 4)
+    assert (out, outputs, applied) == (g, ["x"] * 4, 4)
+    assert out is g
+    # a changing effect still leaves the input graph as it was
+    marked = apply_rule(parse_rule("rule m\nnode n role=reader\n"
+                                   "flag n creator done\n"), g)
+    assert marked is not None and marked.graph is not g
+    assert g.nodes[0].flags == set()
+
+
 # -- printed output ----------------------------------------------------
 
 

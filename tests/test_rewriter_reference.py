@@ -32,6 +32,13 @@ Ref = tuple[str, int]
 
 
 def reference_apply(rule, g: HostGraph, root_match) -> HostGraph:
+    return reference_post_state(rule, g, root_match)[0]
+
+
+def reference_post_state(rule, g: HostGraph, root_match
+                         ) -> tuple[HostGraph, dict[Ref, int]]:
+    """The post-state, and the node of it that each surviving or created
+    node became."""
     made = []  # the creator rule node behind each created node
     contexts: dict[int, dict[str, Ref]] = {}
     erased: set[Ref] = set()
@@ -102,7 +109,7 @@ def reference_apply(rule, g: HostGraph, root_match) -> HostGraph:
     for s, label, t in (before - edges_gone) | edges_made:
         if s in ids and t in ids:
             out.add_edge(ids[s], edge_label(label), ids[t])
-    return out
+    return out, ids
 
 
 # -- random instances --------------------------------------------------
