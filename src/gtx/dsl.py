@@ -57,6 +57,7 @@ import os
 import re
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -83,7 +84,6 @@ from .rules import (
     RuleEdge,
     RuleNode,
     expand_neq,
-    group_embargo_elements,
     validate_rule,
 )
 from .source import ParseError, SourceSpan, Violation
@@ -732,25 +732,22 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
         if tok and tok.text not in quantifiers:
             raise ParseError(f"unknown quantifier {tok.text!r}", tok.span)
 
-    nac_groups = group_embargo_elements(nodes, edges, quantifiers)
-    disjunction_sets = []
-    for gids, span in disjoins:
-        for gid in gids:
-            if gid not in nac_groups:
-                raise ParseError(f"unknown NAC group {gid!r}", span)
-        disjunction_sets.append(tuple(gids))
-
-    return Rule(
+    rule = Rule(
         name=name,
         nodes=nodes,
         edges=edges,
         quantifiers=quantifiers,
-        nac_groups=nac_groups,
-        disjunction_sets=disjunction_sets,
+        disjunction_sets=[tuple(gids) for gids, _ in disjoins],
         injectivity_pairs=injectivity,
         params=params,
         print_format=print_format,
     )
+    groups = rule.nac_groups
+    for gids, span in disjoins:
+        for gid in gids:
+            if gid not in groups:
+                raise ParseError(f"unknown NAC group {gid!r}", span)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -783,13 +780,21 @@ CONFIG_FILE = "grammar.cfg"
 
 @dataclass
 class Grammar:
-    """A rule system: named rules, enabled type graphs and a start graph."""
+    """A rule system: named rules, enabled type graphs and a start graph,
+    kept as the text of ``start_file`` until ``start`` is first read."""
 
     name: str
     rules: dict[str, Rule] = field(default_factory=dict)
     type_graphs: list[TypeGraph] = field(default_factory=list)
-    start: HostGraph | None = None
     start_file: str | None = None
+    start_text: str = field(default="", repr=False)
+
+    @cached_property
+    def start(self) -> HostGraph | None:
+        """The start graph, parsed on first read; None without a start file."""
+        if self.start_file is None:
+            return None
+        return parse_graph(self.start_text, self.start_file)
 
     def violations(self, start: HostGraph | None
                    ) -> Iterator[tuple[str, Violation]]:
@@ -814,11 +819,12 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
     ``.gst`` graphs, plus an optional ``grammar.cfg``.  The config selects
     the ``start`` graph (mandatory when several ``.gst`` files exist) and,
     via repeatable ``typegraph`` keys, which type graphs are enabled (all
-    of them when the key is absent).  Other file types are ignored.
+    of them when the key is absent).  Other file types are ignored, and
+    no graph is parsed here: the start graph is parsed on first use.
     """
     rules: dict[str, Rule] = {}
     type_graphs: dict[str, TypeGraph] = {}
-    graphs: dict[str, HostGraph] = {}
+    graphs = [fname for fname in files if fname.endswith(".gst")]
     for fname in sorted(files):
         text = files[fname]
         if fname.endswith(".gpr"):
@@ -830,8 +836,6 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
             rules[rule.name] = rule
         elif fname.endswith(".gty"):
             type_graphs[fname] = parse_type_graph(text, fname)
-        elif fname.endswith(".gst"):
-            graphs[fname] = parse_graph(text, fname)
 
     start_file: str | None = None
     enabled_tg_files: list[str] = []
@@ -854,7 +858,7 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
                 raise ParseError(f"unknown config key {key!r}", span)
 
     if start_file is None and len(graphs) == 1:
-        start_file = next(iter(graphs))
+        start_file = graphs[0]
     elif start_file is None and len(graphs) > 1:
         raise ParseError(
             "several .gst files; pick one with 'start = FILE' in grammar.cfg",
@@ -866,8 +870,8 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
         name=name,
         rules=rules,
         type_graphs=[type_graphs[f] for f in enabled_tg_files],
-        start=graphs[start_file] if start_file is not None else None,
         start_file=start_file,
+        start_text=files[start_file] if start_file is not None else "",
     )
 
 

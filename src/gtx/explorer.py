@@ -29,7 +29,6 @@ flagged as truncated whenever either limit actually cut something off.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -242,7 +241,6 @@ def explore(rules: list[Rule], start: HostGraph,
     by_bucket: dict[tuple[tuple[int, ...], int], list[int]] = {}
     #: per state: its record and edges, which its successors' keys start from
     kept: list[tuple[_Shape, frozenset[HostEdge]]] = []
-    queue: deque[int] = deque()
     #: each transition once, in the order it was first met
     transitions: dict[tuple[int, str, int], None] = {}
 
@@ -265,14 +263,12 @@ def explore(rules: list[Rule], start: HostGraph,
                                        depth))
             kept.append((shape, edges))
             by_bucket.setdefault(bucket, []).append(idx)
-            queue.append(idx)
         by_graph[exact] = idx
         return idx
 
     intern(table.seeds(start), frozenset(start.edges), 0, start.copy)
-    while queue:
-        idx = queue.popleft()
-        state = lts.states[idx]
+    for state in lts.states:  # grows while it is walked: breadth first
+        idx = state.index
         if max_depth is not None and state.depth >= max_depth:
             if any(True for rule in ordered_rules
                    for _ in applications(rule, state.graph, tgs)):

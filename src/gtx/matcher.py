@@ -231,15 +231,17 @@ def _compile(rule: Rule) -> dict[str, _Search]:
     if violations:
         raise InvalidRuleError(rule.name, violations)
 
+    groups = rule.nac_groups
+
     def nac(gid: str, bound: set[str]) -> _Search:
         # an edge may end at an embargo node of another group: bind it too
-        grp = rule.nac_groups[gid]
+        grp = groups[gid]
         edges = [rule.edges[i] for i in grp.edge_indexes]
         ends = {n for e in edges for n in (e.src, e.tgt)}
         return _plan(rule, bound, sorted({*grp.node_ids, *ends} - bound), edges)
 
     grouped = {gid for ds in rule.disjunction_sets for gid in ds}
-    conditions = [(gid,) for gid in sorted(rule.nac_groups)
+    conditions = [(gid,) for gid in sorted(groups)
                   if gid not in grouped]
     conditions += rule.disjunction_sets
     levels: dict[str, _Search] = {}
@@ -250,7 +252,7 @@ def _compile(rule: Rule) -> dict[str, _Search]:
         inner = bound | set(nodes)
         levels[qid] = search = _plan(rule, bound, nodes, edges)
         search.nacs = [[nac(gid, inner) for gid in c] for c in conditions
-                       if rule.nac_groups[c[0]].level == qid]
+                       if groups[c[0]].level == qid]
         frontier += [(q.id, inner) for q in rule.children_of(qid)]
     rule.compiled = levels
     return levels

@@ -132,10 +132,10 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                                             or r is Role.CREATOR)
                 pre = g.nodes.get(hid, blank).attrs
                 for attr, c in node.attr_constraints.items():
-                    if c.kind is ConstraintKind.ASSIGN and c.value is not None:
+                    if c.kind is ConstraintKind.ASSIGN:
                         key, value = (hid, attr), c.value
                     elif (c.kind is ConstraintKind.RENAME
-                          and c.new_name not in (None, attr) and attr in pre):
+                          and c.new_name != attr and attr in pre):
                         attr_deletions.add((hid, attr))
                         key, value = (hid, c.new_name), pre[attr]
                     else:

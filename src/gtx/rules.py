@@ -7,7 +7,8 @@ A rule is a graph whose nodes and edges carry roles:
 * ``creator`` -- is created,
 * ``embargo`` -- must be *absent* (negative application condition).
 
-Embargo elements are partitioned into NAC groups; by default a group is a
+Embargo elements are partitioned into NAC groups, which a rule derives
+from them on every read and never stores: by default a group is a
 connected component of the embargo-only subgraph (reader/eraser endpoints
 act as anchors and belong to no group).  A plain group forbids its pattern
 outright; groups linked into a disjunction set only fail the match when
@@ -97,6 +98,12 @@ class AttrConstraint:
     value: Value | None = None
     new_name: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind is ConstraintKind.RENAME and self.new_name is None:
+            raise ValueError("a rename constraint needs a new name")
+        if self.kind is not ConstraintKind.RENAME and self.value is None:
+            raise ValueError(f"a {self.kind.value} constraint needs a value")
+
 
 @dataclass
 class RuleNode:
@@ -145,15 +152,15 @@ class NacGroup:
 
 @dataclass
 class Rule:
-    """A rule graph.  Not changed after its first match, by the same
-    convention as :class:`TypeGraph`: the matcher compiles a rule once and
-    keeps the result in ``compiled``."""
+    """A rule graph; ``nac_groups`` is derived from it on every read.  Not
+    changed after its first match, by the same convention as
+    :class:`TypeGraph`: the matcher compiles a rule once and keeps the
+    result in ``compiled``."""
 
     name: str
     nodes: dict[str, RuleNode] = field(default_factory=dict)
     edges: list[RuleEdge] = field(default_factory=list)
     quantifiers: dict[str, Quantifier] = field(default_factory=dict)
-    nac_groups: dict[str, NacGroup] = field(default_factory=dict)
     disjunction_sets: list[tuple[str, ...]] = field(default_factory=list)
     injectivity_pairs: set[tuple[str, str]] = field(default_factory=set)
     #: parameter index -> (rule-node id, attribute name); count parameters
@@ -168,6 +175,12 @@ class Rule:
         if ROOT_QUANT not in self.quantifiers:
             self.quantifiers = {ROOT_QUANT: Quantifier(ROOT_QUANT),
                                 **self.quantifiers}
+
+    @property
+    def nac_groups(self) -> dict[str, NacGroup]:
+        """The embargo elements grouped by :func:`group_embargo_elements`,
+        derived afresh on every read."""
+        return group_embargo_elements(self.nodes, self.edges, self.quantifiers)
 
     # -- quantifier tree helpers --------------------------------------
 
@@ -408,16 +421,12 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                         f"edge {e.describe()} sits above its endpoint "
                         f"{n.id!r}", e.span))  # type: ignore[union-attr]
 
-    # NAC groups: membership is total over embargo elements and level-uniform.
-    grouped_nodes = [nid for g in r.nac_groups.values() for nid in g.node_ids]
-    for nid in sorted(n.id for n in r.nodes.values() if n.role is Role.EMBARGO):
-        if grouped_nodes.count(nid) != 1:
-            v.append(Violation(
-                f"embargo node {nid!r} must belong to exactly one NAC group"))
-    for gid in sorted(r.nac_groups):
-        g = r.nac_groups[gid]
-        levels = {r.nodes[n].level for n in g.node_ids if n in r.nodes}
-        levels |= {r.edges[i].level for i in g.edge_indexes if i < len(r.edges)}
+    # NAC groups: each is level-uniform, and its anchors are bound.
+    groups = r.nac_groups
+    for gid in sorted(groups):
+        g = groups[gid]
+        levels = {r.nodes[n].level for n in g.node_ids}
+        levels |= {r.edges[i].level for i in g.edge_indexes}
         if len(levels) > 1:
             v.append(Violation(
                 f"NAC group {gid!r} mixes quantifier levels "
@@ -426,8 +435,6 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
         if len(levels) == 1 and g.level in r.quantifiers:
             anc = set(parent_chain(r.quantifiers, g.level)[0])
             for i in g.edge_indexes:
-                if i >= len(r.edges):
-                    continue
                 e = r.edges[i]
                 for endpoint in (e.src, e.tgt):
                     n = r.nodes.get(endpoint)
@@ -442,11 +449,11 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
             v.append(Violation("a disjunction set needs at least two NAC groups"))
         levels = set()
         for gid in ds:
-            if gid not in r.nac_groups:
+            if gid not in groups:
                 v.append(Violation(f"disjunction references unknown NAC group {gid!r}"))
                 continue
             seen_in_set[gid] = seen_in_set.get(gid, 0) + 1
-            levels.add(r.nac_groups[gid].level)
+            levels.add(groups[gid].level)
         if len(levels) > 1:
             v.append(Violation(
                 f"disjunction set mixes NAC group levels ({', '.join(sorted(levels))})"))
@@ -533,10 +540,9 @@ def _validate_against_typegraphs(r: Rule, tgs: list[TypeGraph]) -> list[Violatio
             c = n.attr_constraints[attr]
             if c.kind is ConstraintKind.RENAME:
                 ok = (attr_licensed(tgs, types, attr, None)
-                      and attr_licensed(tgs, types, c.new_name or "", None))
+                      and attr_licensed(tgs, types, c.new_name, None))
             else:
-                kind = c.value.kind if c.value is not None else None
-                ok = attr_licensed(tgs, types, attr, kind)
+                ok = attr_licensed(tgs, types, attr, c.value.kind)
             if not ok:
                 v.append(Violation(
                     f"node {nid!r}: attribute constraint on {attr!r} is not "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,22 @@ def test_validate_graph_override(tmp_path, capsys):
     good.write_text("graph ok\nnode n : A\n", encoding="utf-8")
     assert main(["validate", d, "--graph", str(good)]) == 0
     capsys.readouterr()
+
+
+def test_with_graph_the_start_graph_is_not_read(tmp_path, capsys):
+    d = tmp_path / "migration_gc"
+    shutil.copytree(FIXTURES / "migration_gc", d)
+    host = tmp_path / "host.gst"
+    shutil.copy(d / "counting.gst", host)
+    rule = "migrateToGraphComponent"
+    assert main(["apply", str(d), rule]) == 0
+    clean = capsys.readouterr().out
+    with (d / "counting.gst").open("a", encoding="utf-8") as f:
+        f.write("node x : .\n")
+    assert main(["apply", str(d), rule, "--graph", str(host)]) == 0
+    assert capsys.readouterr().out == clean
+    assert main(["validate", str(d)]) == 2
+    assert capsys.readouterr().err.startswith("counting.gst:54:8: error: ")
 
 
 def test_parse_errors_carry_file_line_column(tmp_path, capsys):

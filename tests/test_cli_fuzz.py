@@ -1,10 +1,13 @@
 """Seeded mutation fuzzing of the command line.
 
-Each example copies a fixture grammar, edits one of its ``.gpr``, ``.gst``
-or ``.gty`` files by replacing, inserting or duplicating tokens and lines,
-and runs ``gtx validate``, ``apply`` and ``explore`` on the copy.  Whatever
-the edit, every command must end with one of the documented exit codes
-and no exception may escape ``cli.main``.
+Each example copies a fixture grammar and makes one kind of edit: it
+replaces, inserts or duplicates tokens and lines of one of its ``.gpr``,
+``.gst`` or ``.gty`` files; deletes, inserts or replaces single
+characters, non-ASCII ones among them; inserts a byte sequence that is
+not UTF-8; or drops a file of the grammar or adds a stray ``.gst`` or
+``.gpr`` file.  Then it runs ``gtx validate``, ``apply`` and ``explore``
+on the copy.  Whatever the edit, every command must end with one of the
+documented exit codes and no exception may escape ``cli.main``.
 """
 
 from __future__ import annotations
@@ -43,12 +46,16 @@ TOKENS = [
 ]
 
 
-@st.composite
-def mutated_grammars(draw):
-    name = draw(st.sampled_from(sorted(GRAMMARS)))
-    files = dict(GRAMMARS[name])
-    target = draw(st.sampled_from(sorted(f for f in files
-                                         if f.endswith(MUTABLE))))
+#: single characters: syntax, whitespace, a control character and non-ASCII
+CHARS = ["a", "0", " ", "\t", "\r", "\x00", "#", '"', "\\", ".", ",", ":",
+         "-", ">", "~", "=", "é", "²", "٣", "\u2028", "\U0001F600"]
+
+#: byte sequences that are not UTF-8: a stray continuation byte, a cut
+#: two-byte sequence, an encoded surrogate and a byte no sequence uses
+NOT_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff"]
+
+
+def edit_tokens(draw, files: dict[str, str], target: str) -> str:
     own_lines = [line for text in files.values() for line in text.splitlines()]
     tokens = st.sampled_from(
         TOKENS + sorted({w for line in own_lines for w in line.split()}))
@@ -72,7 +79,41 @@ def mutated_grammars(draw):
             lines.insert(i, lines[i])
             continue
         lines[i] = " ".join(words)
-    files[target] = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def edit_characters(draw, text: str) -> str:
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["delete", "insert", "replace"]))
+        new = "" if op == "delete" else draw(st.sampled_from(CHARS))
+        text = text[:i] + new + text[i + (op != "insert"):]
+    return text
+
+
+@st.composite
+def mutated_grammars(draw):
+    name = draw(st.sampled_from(sorted(GRAMMARS)))
+    files: dict[str, str | bytes] = dict(GRAMMARS[name])
+    target = draw(st.sampled_from(sorted(f for f in files
+                                         if f.endswith(MUTABLE))))
+    kind = draw(st.sampled_from(["tokens", "characters", "not UTF-8",
+                                 "drop", "stray"]))
+    if kind == "tokens":
+        files[target] = edit_tokens(draw, GRAMMARS[name], target)
+    elif kind == "characters":
+        files[target] = edit_characters(draw, GRAMMARS[name][target])
+    elif kind == "not UTF-8":
+        data = GRAMMARS[name][target].encode("utf-8")
+        i = draw(st.integers(0, len(data)))
+        files[target] = data[:i] + draw(st.sampled_from(NOT_UTF8)) + data[i:]
+    elif kind == "drop":
+        del files[draw(st.sampled_from(sorted(files)))]
+    else:
+        suffix = draw(st.sampled_from([".gst", ".gpr"]))
+        files["stray" + suffix] = draw(st.sampled_from(sorted(
+            {text for grammar in GRAMMARS.values()
+             for f, text in grammar.items() if f.endswith(suffix)})))
     rules = sorted(f[:-len(".gpr")] for f in GRAMMARS[name]
                    if f.endswith(".gpr"))
     return name, files, draw(st.sampled_from(rules))
@@ -93,7 +134,8 @@ def test_mutated_grammars_end_with_a_documented_exit_code(case):
         d = Path(tmp) / name
         d.mkdir()
         for fname, text in files.items():
-            (d / fname).write_text(text, encoding="utf-8")
+            (d / fname).write_bytes(text if isinstance(text, bytes)
+                                    else text.encode("utf-8"))
         for argv in (["validate", str(d)], ["apply", str(d), rule],
                      ["explore", str(d), "--max-states", "20"]):
             code, err = run(argv)

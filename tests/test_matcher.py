@@ -30,7 +30,6 @@ from gtx.rules import (
     RuleEdge,
     RuleNode,
     expand_neq,
-    group_embargo_elements,
     validate_rule,
 )
 
@@ -238,7 +237,6 @@ def random_rule(rng: random.Random) -> Rule:
             r.injectivity_pairs |= expand_neq([names[0], inner[0]])
         if rng.random() < 0.5:
             add_nacs(rng, r, names + inner, "each")
-    r.nac_groups = group_embargo_elements(r.nodes, r.edges, r.quantifiers)
     return r
 
 
@@ -290,7 +288,6 @@ def random_grouped_rule(rng: random.Random) -> Rule:
         e = random_edge(rng, names + embargo, Role.EMBARGO)
         e.group = rng.choice(["g", "h", None])
         r.edges.append(e)
-    r.nac_groups = group_embargo_elements(r.nodes, r.edges, r.quantifiers)
     if {"g", "h"} <= set(r.nac_groups) and rng.random() < 0.4:
         r.disjunction_sets.append(("g", "h"))
     return r

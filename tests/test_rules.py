@@ -8,6 +8,7 @@ from gtx.graph import Value, edge_label, flag, node_type
 from gtx.rules import (
     AttrConstraint,
     ConstraintKind,
+    NacGroup,
     Quantifier,
     Role,
     Rule,
@@ -17,8 +18,8 @@ from gtx.rules import (
     group_embargo_elements,
     validate_rule,
 )
-from gtx.dsl import parse_rule, parse_type_graph
-from gtx.rewriter import FormatError, render_output
+from gtx.dsl import parse_graph, parse_rule, parse_type_graph
+from gtx.rewriter import FormatError, apply_rule, render_output
 
 E = edge_label
 
@@ -114,6 +115,12 @@ def test_any_write_makes_rule_not_readonly(mutize):
     assert not r.is_readonly()
 
 
+@pytest.mark.parametrize("kind", list(ConstraintKind))
+def test_a_constraint_without_its_value_is_refused(kind):
+    with pytest.raises(ValueError, match="constraint needs a"):
+        AttrConstraint(kind)
+
+
 # -- NAC grouping ------------------------------------------------------
 
 
@@ -191,6 +198,30 @@ def test_group_level_is_deepest_member_level():
     groups = grouped(nodes, edges, quants=[forall("q")])
     (g,) = groups.values()
     assert g.level == "q"
+
+
+def test_a_rule_built_in_code_is_grouped_as_the_parser_groups_it():
+    n = reader("n", flag_ops=[(flag("seen"), Role.CREATOR)])
+    r = Rule("r", nodes={"n": n, "x": embargo("x")},
+             edges=[RuleEdge("n", E("e"), "x", Role.EMBARGO)])
+    twin = parse_rule("rule r\nnode n role=reader\nnode x role=embargo\n"
+                      "edge n -e-> x role=embargo\nflag n creator seen\n")
+    assert r.nac_groups == twin.nac_groups == {
+        "nac0": NacGroup(("x",), (0,), "root")}
+    assert validate_rule(r) == []
+    host = "graph g\nnode a\nnode b\nedge a -e-> b\n"
+    for rule in (r, twin):
+        g = apply_rule(rule, parse_graph(host)).graph
+        assert [i for i, node in sorted(g.nodes.items())
+                if flag("seen") in node.flags] == [1]
+
+
+def test_nac_groups_are_derived_not_stored():
+    r = Rule("r", nodes={"x": embargo("x")})
+    with pytest.raises(AttributeError):
+        r.nac_groups = {}  # type: ignore[misc]
+    with pytest.raises(TypeError):
+        Rule("r", nac_groups={})  # type: ignore[call-arg]
 
 
 # -- validation --------------------------------------------------------
@@ -330,15 +361,9 @@ def test_embargo_creator_contact_is_rejected_both_ways():
     assert_flags(r2, "cannot touch embargo nodes")
 
 
-def test_embargo_node_outside_any_group():
-    r = Rule("r", nodes={"x": embargo("x")})  # nac_groups left empty
-    assert_flags(r, "exactly one NAC group")
-
-
 def test_disjunction_set_validation():
     nodes = {"x": embargo("x"), "y": embargo("y")}
-    groups = grouped(nodes, [])
-    r = Rule("r", nodes=dict(nodes), nac_groups=groups,
+    r = Rule("r", nodes=dict(nodes),
              disjunction_sets=[("nac0",), ("nac0", "ghost")])
     assert_flags(r, "needs at least two", "unknown NAC group 'ghost'",
                  "more than one disjunction set")

@@ -337,7 +337,7 @@ def test_a_broken_fixture_grammar_names_each_faulty_element(monkeypatch):
 
 
 def test_a_fixture_grammar_without_a_start_graph_is_reported(monkeypatch):
-    hello = replace(load_fixture_grammar("hello"), start=None)
+    hello = replace(load_fixture_grammar("hello"), start_file=None)
     monkeypatch.setattr(gtx.suite, "load_fixture_grammar", lambda _: hello)
     result = run_fixture(
         Fixture(id="x", grammar="hello", rule="helloMessage"))
