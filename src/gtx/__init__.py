@@ -32,7 +32,7 @@ from .graph import (
 from .matcher import Match, find_root_matches
 from .rewriter import ApplicationResult, Effect, apply_effect, apply_rule, plan_application
 from .rules import InvalidRuleError, Role, Rule, validate_rule
-from .source import ParseError, SourceSpan, Violation
+from .source import ParseError, SourceSpan, UsageError, Violation
 from .suite import SuiteReport, run_suite
 from .typegraph import TypeGraph, conforms, is_subtype, validate_type_graph
 
@@ -55,6 +55,7 @@ __all__ = [
     "SourceSpan",
     "SuiteReport",
     "TypeGraph",
+    "UsageError",
     "Value",
     "ValueKind",
     "Violation",

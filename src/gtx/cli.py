@@ -19,12 +19,12 @@ from pathlib import Path
 
 from .dsl import (Grammar, load_grammar_dir, parse_graph, read_utf8,
                   serialize_graph)
-from .explorer import check_bounds, explore, export_lts
+from .explorer import explore, export_lts
 from .graph import HostGraph
 from .matcher import find_root_matches
 from .rewriter import apply_repeatedly, apply_rule
-from .rules import InvalidRuleError
-from .source import ParseError, SourceSpan
+from .rules import InvalidRuleError, Rule
+from .source import ParseError, SourceSpan, UsageError
 from .suite import run_suite
 
 EXIT_OK = 0
@@ -51,9 +51,18 @@ def _diag(message: str, span: SourceSpan | None = None) -> None:
     print(f"{where}{label} {message}", file=sys.stderr)
 
 
-def _load_start(args: argparse.Namespace, grammar: Grammar) -> HostGraph | None:
-    if getattr(args, "graph", None):
+def _rule(args: argparse.Namespace, grammar: Grammar) -> Rule:
+    if args.rule not in grammar.rules:
+        raise UsageError(f"no rule named {args.rule!r} in {args.grammar_dir}")
+    return grammar.rules[args.rule]
+
+
+def _host(args: argparse.Namespace, grammar: Grammar,
+          required: bool) -> HostGraph | None:
+    if args.graph:
         return parse_graph(read_utf8(Path(args.graph)), args.graph)
+    if required and grammar.start is None:
+        raise UsageError("no start graph; add one or pass --graph")
     return grammar.start
 
 
@@ -65,7 +74,8 @@ def _emit(text: str) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     grammar = load_grammar_dir(args.grammar_dir)
-    violations = [v for _, v in grammar.violations(_load_start(args, grammar))]
+    host = _host(args, grammar, required=False)
+    violations = [v for _, v in grammar.violations(host)]
     for v in violations:
         _diag(v.message, v.span)
     if violations:
@@ -77,15 +87,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     grammar = load_grammar_dir(args.grammar_dir)
-    rule = grammar.rules.get(args.rule)
-    if rule is None:
-        _diag(f"no rule named {args.rule!r} in {args.grammar_dir}")
-        return EXIT_IO
-    g = _load_start(args, grammar)
-    if g is None:
-        _diag("no start graph; add one or pass --graph")
-        return EXIT_IO
-
+    rule = _rule(args, grammar)
+    g = _host(args, grammar, required=True)
     rounds = 1
     if args.all_matches:
         rounds = len(find_root_matches(rule, g, grammar.type_graphs))
@@ -107,18 +110,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     grammar = load_grammar_dir(args.grammar_dir)
-    rule = grammar.rules.get(args.rule)
-    if rule is None:
-        _diag(f"no rule named {args.rule!r} in {args.grammar_dir}")
-        return EXIT_IO
+    rule = _rule(args, grammar)
     if not rule.is_readonly() or rule.print_format is None:
-        _diag(f"rule {rule.name!r} is not a read-only counting rule")
-        return EXIT_IO
-    g = _load_start(args, grammar)
-    if g is None:
-        _diag("no start graph; add one or pass --graph")
-        return EXIT_IO
-    result = apply_rule(rule, g, grammar.type_graphs)
+        raise UsageError(f"rule {rule.name!r} is not a read-only counting rule")
+    result = apply_rule(rule, _host(args, grammar, required=True),
+                        grammar.type_graphs)
     if result is None:
         _diag(f"rule {rule.name!r} is not applicable")
         return EXIT_INAPPLICABLE
@@ -128,16 +124,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     grammar = load_grammar_dir(args.grammar_dir)
-    g = _load_start(args, grammar)
-    if g is None:
-        _diag("no start graph; add one or pass --graph")
-        return EXIT_IO
-    try:
-        check_bounds(args.max_states, args.max_depth)
-    except ValueError as exc:
-        _diag(str(exc))
-        return EXIT_IO
-    lts = explore(list(grammar.rules.values()), g,
+    lts = explore(list(grammar.rules.values()),
+                  _host(args, grammar, required=True),
                   max_states=args.max_states, max_depth=args.max_depth,
                   tgs=grammar.type_graphs)
     sys.stdout.write(export_lts(lts))
@@ -206,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             _diag(v.message, v.span)
         return EXIT_VIOLATIONS
-    except OSError as exc:
+    except (OSError, UsageError) as exc:
         _diag(str(exc))
         return EXIT_IO
 

@@ -781,20 +781,21 @@ CONFIG_FILE = "grammar.cfg"
 @dataclass
 class Grammar:
     """A rule system: named rules, enabled type graphs and a start graph,
-    kept as the text of ``start_file`` until ``start`` is first read."""
+    kept as ``start_file`` in ``files`` until ``start`` is first read."""
 
     name: str
     rules: dict[str, Rule] = field(default_factory=dict)
     type_graphs: list[TypeGraph] = field(default_factory=list)
     start_file: str | None = None
-    start_text: str = field(default="", repr=False)
+    files: Mapping[str, str] = field(default_factory=dict, compare=False,
+                                     repr=False)
 
     @cached_property
     def start(self) -> HostGraph | None:
-        """The start graph, parsed on first read; None without a start file."""
+        """The start graph, read and parsed on first use; None without one."""
         if self.start_file is None:
             return None
-        return parse_graph(self.start_text, self.start_file)
+        return parse_graph(self.files[self.start_file], self.start_file)
 
     def violations(self, start: HostGraph | None
                    ) -> Iterator[tuple[str, Violation]]:
@@ -819,23 +820,22 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
     ``.gst`` graphs, plus an optional ``grammar.cfg``.  The config selects
     the ``start`` graph (mandatory when several ``.gst`` files exist) and,
     via repeatable ``typegraph`` keys, which type graphs are enabled (all
-    of them when the key is absent).  Other file types are ignored, and
-    no graph is parsed here: the start graph is parsed on first use.
+    of them when the key is absent).  A file's text is looked up only when
+    it is parsed, and the start graph is parsed on first use.
     """
     rules: dict[str, Rule] = {}
     type_graphs: dict[str, TypeGraph] = {}
     graphs = [fname for fname in files if fname.endswith(".gst")]
     for fname in sorted(files):
-        text = files[fname]
         if fname.endswith(".gpr"):
-            rule = parse_rule(text, fname)
+            rule = parse_rule(files[fname], fname)
             if rule.name in rules:
                 raise ParseError(
                     f"rule {rule.name!r} is defined more than once",
                     SourceSpan(fname, 1, 1, 2))
             rules[rule.name] = rule
         elif fname.endswith(".gty"):
-            type_graphs[fname] = parse_type_graph(text, fname)
+            type_graphs[fname] = parse_type_graph(files[fname], fname)
 
     start_file: str | None = None
     enabled_tg_files: list[str] = []
@@ -871,7 +871,7 @@ def build_grammar(files: Mapping[str, str], name: str = "grammar") -> Grammar:
         rules=rules,
         type_graphs=[type_graphs[f] for f in enabled_tg_files],
         start_file=start_file,
-        start_text=files[start_file] if start_file is not None else "",
+        files=files,
     )
 
 
@@ -883,6 +883,22 @@ def read_utf8(path: Path | Traversable) -> str:
         raise OSError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
+class _DirectoryFiles(Mapping[str, str]):
+    """The files of a directory by name; a lookup reads the file then."""
+
+    def __init__(self, directory: Path | Traversable):
+        self._entries = {e.name: e for e in directory.iterdir() if e.is_file()}
+
+    def __getitem__(self, name: str) -> str:
+        return read_utf8(self._entries[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 def load_grammar_dir(path: str | os.PathLike[str] | Traversable) -> Grammar:
     """The grammar in a directory, named after it: a file-system path,
     named after the directory it resolves to so that ``.`` has a name, or
@@ -891,10 +907,4 @@ def load_grammar_dir(path: str | os.PathLike[str] | Traversable) -> Grammar:
                  else path)
     if not directory.is_dir():
         raise OSError(f"{path}: not a directory")
-    files = {}
-    for entry in directory.iterdir():
-        name = entry.name
-        if entry.is_file() and (name == CONFIG_FILE
-                                or name.endswith((".gpr", ".gty", ".gst"))):
-            files[name] = read_utf8(entry)
-    return build_grammar(files, name=directory.name)
+    return build_grammar(_DirectoryFiles(directory), name=directory.name)

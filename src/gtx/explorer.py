@@ -38,6 +38,7 @@ from .graph import HostEdge, HostGraph, HostNode
 from .matcher import find_root_matches  # noqa: F401
 from .rewriter import apply_effect, applications, effect_delta
 from .rules import Rule
+from .source import UsageError
 from .typegraph import TypeGraph
 
 
@@ -214,24 +215,19 @@ class Lts:
         return [s.index for s in self.states if s.index not in with_out]
 
 
-def check_bounds(max_states: int | None, max_depth: int | None) -> None:
-    """Raise ``ValueError`` unless ``explore`` accepts these bounds.
-
-    ``max_states`` must be at least 1: the start state is always kept.
-    ``max_depth`` must be at least 0; depth 0 keeps the start state alone.
-    """
-    if max_states is not None and max_states < 1:
-        raise ValueError(f"max_states must be at least 1, not {max_states}")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, not {max_depth}")
-
-
 def explore(rules: list[Rule], start: HostGraph,
             max_states: int | None = None, max_depth: int | None = None,
             tgs: list[TypeGraph] | None = None) -> Lts:
-    """Breadth-first state space of ``rules`` from ``start``, within the
-    bounds ``check_bounds`` accepts."""
-    check_bounds(max_states, max_depth)
+    """Breadth-first state space of ``rules`` from ``start``.
+
+    ``max_states`` must be at least 1: the start state is always kept.
+    ``max_depth`` must be at least 0; depth 0 keeps the start state alone.
+    Any other bound raises ``UsageError``.
+    """
+    if max_states is not None and max_states < 1:
+        raise UsageError(f"max_states must be at least 1, not {max_states}")
+    if max_depth is not None and max_depth < 0:
+        raise UsageError(f"max_depth must be at least 0, not {max_depth}")
     ordered_rules = sorted(rules, key=lambda r: r.name)
     lts = Lts()
     table = _Table()

@@ -30,8 +30,8 @@ target -- intersected over all bound neighbours.  Only a node with no bound
 neighbour is tried against every host node.  The images of bound ``neq``
 partners are taken out of the candidates, and only edges from the node to
 itself remain to be checked per candidate; every other edge holds by
-construction.  Candidates are tried in ascending id order and the final
-match list is sorted, so results are deterministic for a given host graph.
+construction.  Candidates come in no set order: the match lists are
+sorted, so results are deterministic for a given host graph.
 """
 
 from __future__ import annotations
@@ -269,19 +269,18 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
         yield dict(base)
         return
     assignment = dict(base)
-    host_ids = g.node_ids() if any(not s.sources for s in steps) else []
 
     def candidates(step: _Step) -> Iterator[int]:
         taken = {assignment[m] for m in step.distinct}
         if not step.sources:
-            return iter([h for h in host_ids if h not in taken])
+            return iter([h for h in g.nodes if h not in taken])
         (other, label, inverse), *rest = step.sources
         found = _far_ends(g, assignment[other], label, inverse)
         for other, label, inverse in rest:
             if not found:
                 break
             found &= _far_ends(g, assignment[other], label, inverse)
-        return iter(sorted(found - taken))
+        return iter(found - taken)
 
     # stack[k] iterates the candidates of steps[k].  A popped step's binding
     # stays in ``assignment``, but is overwritten before anything reads it.

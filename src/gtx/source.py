@@ -27,6 +27,11 @@ class ParseError(Exception):
         self.span = span
 
 
+class UsageError(ValueError):
+    """A command or call asked for something its inputs cannot give: an
+    unknown rule, a missing start graph, or a bound out of range."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """A semantic problem found by a validator.

@@ -200,6 +200,33 @@ def test_graph_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 at byte 13\n"
 
 
+def test_a_stray_graph_file_that_is_not_utf8_is_not_read(tmp_path, capsys):
+    d = tmp_path / "hello"
+    shutil.copytree(FIXTURES / "hello", d)
+    (d / "stray.gst").write_bytes(b"graph h\nnode \xff\n")
+    assert main(["validate", str(d)]) == 0
+    host = str(d / "hello.gst")
+    assert main(["apply", str(d), "helloMessage", "--graph", host]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_start_file_that_is_not_utf8_is_read_only_when_used(tmp_path,
+                                                               capsys):
+    d = tmp_path / "counting"
+    shutil.copytree(FIXTURES / "counting", d)
+    host = tmp_path / "host.gst"
+    shutil.copy(d / "counting.gst", host)
+    (d / "counting.gst").write_bytes(b"graph h\nnode \xff\n")
+    for command in (["apply", "countNodes"], ["count", "countNodes"],
+                    ["explore"]):
+        assert main([command[0], str(d), *command[1:],
+                     "--graph", str(host)]) == 0, command
+        assert capsys.readouterr().err == ""
+    assert main(["validate", str(d)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {d / 'counting.gst'}: not UTF-8 at byte 13\n")
+
+
 # -- apply -------------------------------------------------------------
 
 

@@ -622,6 +622,9 @@ DIAGNOSTICS = [
      "expected 'graph'", 1, 1, 5),
     ('graph', 'graph g\nnode a : A,,B',
      'empty type name in list', 2, 10, 14),
+    # the empty name lies between two tokens
+    ('graph', 'graph g\nnode x : A, ,B',
+     'empty type name in list', 2, 13, 15),
     ('graph', 'graph g\nnode a :',
      'expected a type name', 2, 9, 10),
     ('graph', 'graph g\nnode a\nedge a =e=> a',

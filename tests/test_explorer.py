@@ -22,6 +22,7 @@ from gtx.explorer import (
     isomorphic,
 )
 from gtx.graph import HostGraph, Value, edge_label, flag, node_type
+from gtx.source import UsageError
 from gtx.suite import load_fixture_grammar
 
 E = edge_label
@@ -435,6 +436,15 @@ def test_max_states_below_one_is_rejected():
         with pytest.raises(ValueError, match="max_states"):
             explore([parse_rule(GROW)], start, max_states=bad)
     assert len(explore([parse_rule(GROW)], start, max_states=1).states) == 1
+
+
+def test_a_bound_out_of_range_is_a_usage_error():
+    start = parse_graph("graph g\nnode seed\n")
+    with pytest.raises(UsageError, match="max_states must be at least 1"):
+        explore([parse_rule(GROW)], start, max_states=0)
+    with pytest.raises(UsageError, match="max_depth must be at least 0"):
+        explore([parse_rule(GROW)], start, max_depth=-1)
+    assert issubclass(UsageError, ValueError)
 
 
 def test_negative_max_depth_is_rejected():

@@ -306,6 +306,15 @@ def test_edge_with_unknown_endpoint():
     assert_flags(r, "unknown node 'ghost'")
 
 
+def test_an_unknown_endpoint_is_reported_once_with_type_graphs():
+    # the type-graph pass skips the edge the structural pass reports
+    tg = parse_type_graph("typegraph t\ntype A\nedge A -e-> A\n")
+    r = Rule("r", nodes={"a": reader("a", type_constraint=node_type("A"))},
+             edges=[RuleEdge("a", E("e"), "zz", Role.READER)])
+    assert [v.message for v in validate_rule(r, [tg])] == [
+        "edge a -e-> zz references unknown node 'zz'"]
+
+
 def test_path_edge_roles_are_restricted():
     from gtx.dsl import parse_regex
     path = parse_regex("-src.trg")
