@@ -10,15 +10,16 @@ merge, so a colour collision never merges different states.  Only a kept
 state's graph is built, by :func:`apply_effect`.
 
 One run shares one signature table, so equal seeds mean equal node data.
-Each distinct node seed or round signature gets an int colour and is
-hashed once, to the sha colour that the printed certificate of a kept
-state is made of.  A kept state's record is its seeds, its colours and,
-per node, its arcs (other node, tag): a tag is a label name plus ``>`` at
-the edge's source or ``<`` at its target, so a loop gives its node both.
-Refinement and the exact check read the same arcs.  The exact check is
-iterative, so graph size is not bounded by the recursion limit, and
-neighbour-local: extending the mapping by one node costs time in that
-node's degree.
+Each distinct node seed or signature gets an int colour and is hashed
+once, to a sha colour.  Refinement re-signs only the cells that can still
+split, and a kept state's printed certificate is made of each node's
+signature over the stable colours.  A kept state's record is its seeds,
+its colours and, per node, its arcs (other node, tag): a tag is a label
+name plus ``>`` at the edge's source or ``<`` at its target, so a loop
+gives its node both.  Refinement and the exact check read the same arcs.
+The exact check is iterative, so graph size is not bounded by the
+recursion limit, and neighbour-local: extending the mapping by one node
+costs time in that node's degree.
 
 Exploration is breadth-first and deterministic: rules fire in name order,
 matches in canonical match order, and states are numbered in discovery
@@ -48,11 +49,11 @@ def _h(*parts: str) -> str:
 
 
 class _Table:
-    """The signature table of one run.  A node's seed key, and each round's
-    signature (own colour, then its sorted (neighbour colour, tag) pairs),
-    map to an int colour.  When an int is made its sha colour is hashed
-    once, from the sha colours the signature is built of, so equal ints
-    mean equal sha colours in every graph of the run."""
+    """The signature table of one run.  A node's seed key, and each
+    signature (a colour, then the sorted (neighbour colour, tag) pairs of a
+    node of that colour), map to an int colour.  When an int is made its
+    sha colour is hashed once, from the sha colours the key is built of, so
+    equal ints mean equal sha colours in every graph of the run."""
 
     def __init__(self) -> None:
         self.ints: dict[tuple, int] = {}
@@ -75,33 +76,51 @@ class _Table:
     def seeds(self, g: HostGraph) -> dict[int, int]:
         return {nid: self.seed(node) for nid, node in g.nodes.items()}
 
+    def sign(self, color: int, sig: tuple[tuple[int, str], ...]) -> int:
+        key = (color, sig)  # a pair: never a three-part seed key
+        if key not in self.ints:
+            self.ints[key] = len(self.sha)
+            # tag[-1], not a search for > or <: a name may end in either
+            self.sha.append(_h(self.sha[color], *(",".join(sorted(
+                tag + self.sha[x] for x, tag in sig if tag[-1] == end))
+                for end in "><")))
+        return self.ints[key]
+
     def refine(self, colors: dict[int, int],
                arcs: dict[int, tuple[tuple[int, str], ...]]) -> dict[int, int]:
-        """Colour refinement from ``colors`` until no class splits."""
-        ints, sha = self.ints, self.sha
-        distinct = len(set(colors.values()))
-        for _ in range(max(1, len(colors))):
-            new = {}
-            for nid, node_arcs in arcs.items():
-                sig = (colors[nid],
-                       *sorted([(colors[m], tag) for m, tag in node_arcs]))
-                c = ints.get(sig)
-                if c is None:
-                    signed: dict[str, list[str]] = {">": [], "<": []}
-                    for x, tag in sig[1:]:  # tag[-1]: a name may end in > or <
-                        signed[tag[-1]].append(f"{tag}{sha[x]}")
-                    ints[sig] = c = len(sha)
-                    sha.append(_h(sha[sig[0]], ",".join(sorted(signed[">"])),
-                                  ",".join(sorted(signed["<"]))))
-                new[nid] = c
-            colors, before, distinct = new, distinct, len(set(new.values()))
-            if distinct == before:
-                break
+        """Colour refinement from ``colors`` until no cell splits.  A round
+        signs, from the last round's colours, only the cells of two or more
+        nodes next to a node that the last round recoloured; an unsplit
+        cell keeps its colour, each part of a split one gets :meth:`sign`'s."""
+        colors, cells = dict(colors), {}
+        for nid, c in colors.items():
+            cells.setdefault(c, []).append(nid)
+        work = [cell for cell in cells.values() if len(cell) > 1]
+        while work:
+            splits, moved = [], []
+            for cell in work:
+                parts: dict[tuple, list[int]] = {}
+                for nid in cell:
+                    sig = tuple(sorted([(colors[m], tag) for m, tag in arcs[nid]]))
+                    parts.setdefault(sig, []).append(nid)
+                if len(parts) > 1:
+                    splits.append((colors[cell[0]], parts))
+            for c, parts in splits:
+                for sig, part in parts.items():
+                    cells[new := self.sign(c, sig)] = part
+                    colors.update(dict.fromkeys(part, new))
+                    moved += part
+            touched = {colors[m] for nid in moved for m, _ in arcs[nid]}
+            work = [cells[c] for c in touched if len(cells[c]) > 1]
         return colors
 
     def certificate(self, shape: "_Shape") -> str:
-        colors = sorted(self.sha[c] for c in shape.colors.values())
-        return _h("graph", ",".join(colors), str(shape.edges))
+        # Signatures too: an unsplit cell keeps its colour whatever its arcs.
+        colors = shape.colors
+        shas = sorted(self.sha[self.sign(c, tuple(sorted(
+            [(colors[m], tag) for m, tag in shape.arcs[nid]])))]
+            for nid, c in colors.items())
+        return _h("graph", ",".join(shas), str(shape.edges))
 
 
 class _Shape(NamedTuple):
@@ -133,8 +152,9 @@ def _shape(seeds: dict[int, int], edges: Collection[HostEdge],
 
 
 def certificate(g: HostGraph) -> str:
-    """Isomorphism-invariant fingerprint (equal for isomorphic graphs;
-    unequal graphs collide only with hash probability)."""
+    """Colour-refinement invariant fingerprint: equal for isomorphic graphs
+    and for any that colour refinement cannot tell apart (a 6-cycle and two
+    3-cycles), so ``explore`` never merges states on it alone."""
     table = _Table()
     return table.certificate(_shape(table.seeds(g), g.edges, table))
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gtx import explorer
 from gtx.dsl import load_grammar_dir, parse_graph, parse_rule
 from gtx.explorer import (
+    _h,
     _isomorphic,
     _shape,
     _Table,
@@ -109,14 +110,14 @@ def test_certificate_separates_easy_cases():
 
 
 GOLDEN_FIXTURE_CERTS = {
-    "counting": "3c6e87b6da81c0e1",
-    "deletion": "3c6e87b6da81c0e1",
+    "counting": "d38c54dc4f536dea",
+    "deletion": "d38c54dc4f536dea",
     "greeting": "8bfff351dd23d8f5",
     "hello": "df474855673ef51b",
-    "migration_gc": "3c6e87b6da81c0e1",
-    "migration_topo": "eaa112588ff4eb77",
+    "migration_gc": "d38c54dc4f536dea",
+    "migration_topo": "da1fc4d02fa76d8f",
     "reverse": "1f9fa0163753456a",
-    "transitive": "e6d2bb678f4db404",
+    "transitive": "5dc385ed1bd7c0c3",
 }
 
 GOLDEN_GRAPH_CERTS = [
@@ -176,18 +177,18 @@ def marked_ring(size: int, marks: set[int]) -> str:
 
 
 GOLDEN_RING_LTS = """\
-state S0 b3f18fc21663ded4
-state S1 5dcd20952428abcf
-state S2 5d17bc15e6497ed6
-state S3 44a5985e19bc04bf
-state S4 04f3ca56380e0f93
-state S5 e2ee3f86d28d8c59
-state S6 b7712122b7bdb6f8
-state S7 074126b9592c7c08
-state S8 f4ba79aab6920795
-state S9 ad2dcbcfa03fde65
-state S10 9fe737e2897b5dbc
-state S11 8216243fcb86b602
+state S0 baf7bd6564075005
+state S1 8a84f20ffc27f119
+state S2 c8d21ed9a9a80e59
+state S3 4a452a72621a9455
+state S4 39c36f045dd28292
+state S5 6d6826d9a63ea3c7
+state S6 d7a54bfae767856c
+state S7 dffbf7e017c2b52f
+state S8 f56f87ec3a2bef0d
+state S9 6a0d84644b7ce8f4
+state S10 146239e24defdcc1
+state S11 697b4ec37e892b7b
 state S12 12e8579c399a3746
 trans S0 -markOne-> S1
 trans S0 -markOne-> S2
@@ -235,6 +236,15 @@ def test_regular_graphs_defeat_refinement_but_not_the_checker():
     assert len(c6.nodes) == len(c33.nodes)
     assert len(c6.edges) == len(c33.edges)
     assert not isomorphic(c6, c33)
+
+
+def test_certificate_is_a_colour_refinement_invariant():
+    # colour refinement cannot tell these two apart, so neither can the
+    # certificate; explore never merges on the certificate alone
+    c6, c33 = cycle(6), two_three_cycles()
+    assert certificate(c6) == certificate(c33)
+    assert not isomorphic(c6, c33)
+    assert not _isomorphic(*uniform(c6, c33))
 
 
 def test_isomorphism_is_exact_on_structure_and_data():
@@ -379,6 +389,70 @@ def test_isomorphic_agrees_with_brute_force():
     # both answers are exercised, and not only by the relabelled copies
     assert verdicts.count(True) > 200
     assert verdicts.count(False) > 300
+
+
+# -- differential test of the worklist refinement ------------------------
+
+
+def reference_refine(g: HostGraph) -> tuple[dict[int, str], str]:
+    """Round-by-round colour refinement with sha colours and no table:
+    every node is re-signed each round from its own colour and its
+    neighbours', until the number of colours stops growing.  Returns the
+    last round's colours and the certificate made of them, which is the
+    certificate gtx printed before it refined by worklist."""
+    table = _Table()
+    colors = {nid: table.sha[c] for nid, c in table.seeds(g).items()}
+    arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in g.nodes}
+    for src, label, tgt in g.edges:
+        arcs[src].append((tgt, label.name + ">"))
+        arcs[tgt].append((src, label.name + "<"))
+    distinct = len(set(colors.values()))
+    while True:
+        colors = {nid: _h(colors[nid], *(
+            ",".join(sorted(tag + colors[m] for m, tag in node_arcs
+                            if tag[-1] == end)) for end in "><"))
+            for nid, node_arcs in arcs.items()}
+        before, distinct = distinct, len(set(colors.values()))
+        if distinct == before:
+            return colors, _h("graph", ",".join(sorted(colors.values())),
+                              str(len(g.edges)))
+
+
+def partition(colors: dict) -> set[frozenset[int]]:
+    cells: dict = {}
+    for nid, c in colors.items():
+        cells.setdefault(c, set()).add(nid)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def test_reference_refine_gives_the_certificates_printed_before():
+    assert reference_refine(load_fixture_grammar("counting").start)[1] \
+        == "3c6e87b6da81c0e1"
+    assert reference_refine(load_fixture_grammar("transitive").start)[1] \
+        == "e6d2bb678f4db404"
+
+
+def test_worklist_refinement_agrees_with_round_by_round_refinement():
+    rng = random.Random(2014)
+    pool = [cycle(6), two_three_cycles(), cycle(4, "x<"), cycle(4, "x>")]
+    while len(pool) < 1200:
+        labels = [[], ["x<"], ["x>"], ["x<", "x>"]][rng.randint(0, 3)]
+        g = random_graph(rng, rng.randint(1, 6), labels, rng.random() < 0.5)
+        pool += [g, relabelled(g, rng)]
+    new_to_old: dict[str, str] = {}
+    old_to_new: dict[str, str] = {}
+    for g in pool:
+        table = _Table()
+        shape = _shape(table.seeds(g), g.edges, table)
+        colors, cert = reference_refine(g)
+        assert partition(shape.colors) == partition(colors)
+        new = table.certificate(shape)
+        assert new_to_old.setdefault(new, cert) == cert
+        assert old_to_new.setdefault(cert, new) == new
+    # the pool holds classes of several graphs, and certificates that the
+    # worklist changed
+    assert len(new_to_old) < len(pool) / 2
+    assert any(new != old for new, old in new_to_old.items())
 
 
 # -- exploration -------------------------------------------------------
