@@ -36,11 +36,11 @@ Rule (``.gpr``)::
     disjoin GID GID [GID]*
 
 Values: double-quoted strings (``\\"``, ``\\\\``, ``\\n``, ``\\r``, ``\\t``
-and ``\\uXXXX`` escapes, four hex digits that do not name a surrogate,
-D800 to DFFF), decimal integers, ``true``/``false``, and reals with a
-mandatory decimal point; a real that overflows to infinity, or has a
-nonzero mantissa and underflows to zero, is an error.  Elements without
-``in QID`` belong to the root quantifier.
+and ``\\uXXXX`` escapes, four hex digits that do not name a surrogate, D800 to
+DFFF), decimal integers, ``true``/``false``, and reals with a mandatory
+decimal point; a real that overflows to infinity, or has a nonzero mantissa
+and underflows to zero, is an error.  Suffixes (``in``, ``count``, ``group``)
+come in any order; without ``in QID`` an element is in the root quantifier.
 
 Serialization is deterministic (nodes sorted by name, then each node's
 attributes, then edges lexicographically) and stable: serializing a

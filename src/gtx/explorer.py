@@ -4,22 +4,20 @@ States are host graphs up to isomorphism.  A successor's exact key, node
 seeds and edge set, comes from its parent's key and the change that
 :func:`effect_delta` reads from the effect.  A key met before, node ids
 included, names its state: the identity map is an isomorphism.  Otherwise
-integer colour refinement buckets the key with the states of equal
-colours and edge count, and an exact backtracking check confirms any
-merge, so a colour collision never merges different states.  Only a kept
-state's graph is built, by :func:`apply_effect`.
+colour refinement relabels the graph by its stable int colours, and equal
+relabelled graphs merge: at once where each colour holds one node, since
+the colour map is then an isomorphism, else after an exact backtracking
+check.  Only a kept state's graph is built, by :func:`apply_effect`.
 
 One run shares one signature table, so equal seeds mean equal node data.
 Each distinct node seed or signature gets an int colour and is hashed
-once, to a sha colour.  Refinement re-signs only the cells that can still
-split, and a kept state's printed certificate is made of each node's
-signature over the stable colours.  A kept state's record is its seeds,
-its colours and, per node, its arcs (other node, tag): a tag is a label
-name plus ``>`` at the edge's source or ``<`` at its target, so a loop
-gives its node both.  Refinement and the exact check read the same arcs.
-The exact check is iterative, so graph size is not bounded by the
-recursion limit, and neighbour-local: extending the mapping by one node
-costs time in that node's degree.
+once, to a sha colour; a kept state's printed certificate is its
+relabelled graph in sha colours.  Per node, a record holds the arcs
+(other node, tag): a tag is a label name plus ``>`` at the edge's source
+or ``<`` at its target, so a loop gives its node both.  Refinement and
+the exact check read the same arcs.  The exact check is iterative, so
+graph size is not bounded by the recursion limit, and neighbour-local:
+extending the mapping by one node costs time in that node's degree.
 
 Exploration is breadth-first and deterministic: rules fire in name order,
 matches in canonical match order, and states are numbered in discovery
@@ -44,16 +42,15 @@ from .typegraph import TypeGraph
 
 
 def _h(*parts: str) -> str:
-    digest = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
-    return digest[:16]
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:16]
 
 
 class _Table:
     """The signature table of one run.  A node's seed key, and each
     signature (a colour, then the sorted (neighbour colour, tag) pairs of a
-    node of that colour), map to an int colour.  When an int is made its
-    sha colour is hashed once, from the sha colours the key is built of, so
-    equal ints mean equal sha colours in every graph of the run."""
+    node of that colour), map to an int colour, whose chain of keys ends at
+    a seed: equal ints mean equal node data.  Each int's sha colour is
+    hashed once, from its key's sha colours, for the certificates."""
 
     def __init__(self) -> None:
         self.ints: dict[tuple, int] = {}
@@ -80,10 +77,9 @@ class _Table:
         key = (color, sig)  # a pair: never a three-part seed key
         if key not in self.ints:
             self.ints[key] = len(self.sha)
-            # tag[-1], not a search for > or <: a name may end in either
-            self.sha.append(_h(self.sha[color], *(",".join(sorted(
-                tag + self.sha[x] for x, tag in sig if tag[-1] == end))
-                for end in "><")))
+            # a sha has a fixed length, so each tag stays readable
+            self.sha.append(_h(self.sha[color], ",".join(sorted(
+                tag + self.sha[x] for x, tag in sig))))
         return self.ints[key]
 
     def refine(self, colors: dict[int, int],
@@ -114,24 +110,23 @@ class _Table:
             work = [cells[c] for c in touched if len(cells[c]) > 1]
         return colors
 
-    def certificate(self, shape: "_Shape") -> str:
-        # Signatures too: an unsplit cell keeps its colour whatever its arcs.
-        colors = shape.colors
-        shas = sorted(self.sha[self.sign(c, tuple(sorted(
-            [(colors[m], tag) for m, tag in shape.arcs[nid]])))]
-            for nid, c in colors.items())
-        return _h("graph", ",".join(shas), str(shape.edges))
+    def certificate(self, key: tuple) -> str:
+        # in sha colours, sorted: any table gives isomorphic graphs one string
+        sha = self.sha
+        return _h("graph", ",".join(sorted(sha[c] for c in key[0])),
+                  ",".join(sorted(sha[a] + tag + sha[b] for a, tag, b in key[1])))
 
 
 class _Shape(NamedTuple):
-    """What the isomorphism check needs of one graph, computed once.
+    """One graph's key and what the exact check needs, computed once.
     Records are comparable only when one signature table made them."""
 
     #: node -> int seed; equal seeds mean equal types, flags and attributes
     seeds: dict[int, int]
-    #: the number of edges
-    edges: int
-    #: node -> int colour from the run's signature table
+    #: the graph relabelled by its colours, an isomorphism invariant: the
+    #: sorted colours and (source colour, out-tag, target colour) triples
+    key: tuple[tuple[int, ...], tuple[tuple[int, str, int], ...]]
+    #: node -> stable int colour from the run's signature table
     colors: dict[int, int]
     #: node -> its arcs (other node, tag)
     arcs: dict[int, tuple[tuple[int, str], ...]]
@@ -148,20 +143,25 @@ def _shape(seeds: dict[int, int], edges: Collection[HostEdge],
         arcs[tgt].append((src, into))
     # Every stored state keeps its record: tuples are smaller than lists.
     record = {nid: tuple(node_arcs) for nid, node_arcs in arcs.items()}
-    return _Shape(seeds, len(edges), table.refine(seeds, record), record)
+    colors = table.refine(seeds, record)
+    key = (tuple(sorted(colors.values())), tuple(sorted([
+        (colors[src], tag, colors[tgt]) for src, node_arcs in record.items()
+        for tgt, tag in node_arcs if tag[-1] == ">"])))
+    return _Shape(seeds, key, colors, record)
 
 
 def certificate(g: HostGraph) -> str:
-    """Colour-refinement invariant fingerprint: equal for isomorphic graphs
-    and for any that colour refinement cannot tell apart (a 6-cycle and two
-    3-cycles), so ``explore`` never merges states on it alone."""
+    """The hash of ``g`` relabelled by its stable colours, shared by
+    isomorphic graphs and by graphs that refinement cannot tell apart (a
+    6-cycle and two 3-cycles).  If each colour holds one node, only graphs
+    isomorphic to ``g`` share it, up to hash collisions."""
     table = _Table()
-    return table.certificate(_shape(table.seeds(g), g.edges, table))
+    return table.certificate(_shape(table.seeds(g), g.edges, table).key)
 
 
 def _isomorphic(gs: _Shape, hs: _Shape) -> bool:
     gc, hc = gs.colors, hs.colors
-    if gs.edges != hs.edges or sorted(gc.values()) != sorted(hc.values()):
+    if gs.key != hs.key:
         return False
 
     by_color: dict[int, list[int]] = {}
@@ -253,8 +253,8 @@ def explore(rules: list[Rule], start: HostGraph,
     table = _Table()
     #: exact key of every graph met so far -> its state
     by_graph: dict[tuple[frozenset, frozenset], int] = {}
-    #: sorted colours and edge count -> its states
-    by_bucket: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    #: key -> its states; one state where each colour holds one node
+    by_key: dict[tuple, list[int]] = {}
     #: per state: its record and edges, which its successors' keys start from
     kept: list[tuple[_Shape, frozenset[HostEdge]]] = []
     #: each transition once, in the order it was first met
@@ -267,45 +267,44 @@ def explore(rules: list[Rule], start: HostGraph,
         if exact in by_graph:
             return by_graph[exact]
         shape = _shape(seeds, edges, table)
-        bucket = (tuple(sorted(shape.colors.values())), shape.edges)
-        for idx in by_bucket.get(bucket, []):
-            if _isomorphic(kept[idx][0], shape):
+        for idx in by_key.get(shape.key, []):
+            # Distinct colours: the colour map is the isomorphism.
+            if len(set(shape.colors.values())) == len(shape.colors) \
+                    or _isomorphic(kept[idx][0], shape):
                 break
         else:
             if max_states is not None and len(lts.states) >= max_states:
                 return None
             idx = len(lts.states)
-            lts.states.append(LtsState(idx, build(), table.certificate(shape),
+            lts.states.append(LtsState(idx, build(), table.certificate(shape.key),
                                        depth))
             kept.append((shape, edges))
-            by_bucket.setdefault(bucket, []).append(idx)
+            by_key.setdefault(shape.key, []).append(idx)
         by_graph[exact] = idx
         return idx
 
     intern(table.seeds(start), frozenset(start.edges), 0, start.copy)
     for state in lts.states:  # grows while it is walked: breadth first
         idx = state.index
-        if max_depth is not None and state.depth >= max_depth:
-            if any(True for rule in ordered_rules
-                   for _ in applications(rule, state.graph, tgs)):
-                lts.truncated = True
-            continue
         shape, edges = kept[idx]
-        for rule in ordered_rules:
-            for _, effect in applications(rule, state.graph, tgs):
-                dead, removed, added, nodes = effect_delta(state.graph, effect)
-                seeds = shape.seeds | {k: table.seed(n) for k, n in nodes.items()}
-                for nid in dead:
-                    del seeds[nid]
-                after = edges if not (dead or removed or added) else (
-                    edges.difference(removed, [e for e in edges if e.src in dead
-                                               or e.tgt in dead]).union(added))
-                tgt = intern(seeds, after, state.depth + 1,
-                             lambda: apply_effect(state.graph, effect))
-                if tgt is None:
-                    lts.truncated = True
-                    continue
-                transitions[(idx, rule.name, tgt)] = None
+        for rule, effect in ((rule, effect) for rule in ordered_rules
+                             for _, effect in applications(rule, state.graph, tgs)):
+            if max_depth is not None and state.depth >= max_depth:
+                lts.truncated = True  # the depth bound cut this successor off
+                break
+            dead, removed, added, nodes = effect_delta(state.graph, effect)
+            seeds = shape.seeds | {k: table.seed(n) for k, n in nodes.items()}
+            for nid in dead:
+                del seeds[nid]
+            after = edges if not (dead or removed or added) else (
+                edges.difference(removed, [e for e in edges if e.src in dead
+                                           or e.tgt in dead]).union(added))
+            tgt = intern(seeds, after, state.depth + 1,
+                         lambda: apply_effect(state.graph, effect))
+            if tgt is None:
+                lts.truncated = True
+                continue
+            transitions[(idx, rule.name, tgt)] = None
     lts.transitions = list(transitions)
     return lts
 

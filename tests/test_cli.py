@@ -434,8 +434,8 @@ def test_explore_prints_the_transition_system(capsys):
     assert code == 0
     # the README example: certificates are part of the printed output
     assert out.splitlines() == [
-        "state S0 1f9fa0163753456a",
-        "state S1 24ef732926ede5c8",
+        "state S0 1aa73c0dd1ac8d69",
+        "state S1 22229a74ac4fc044",
         "trans S0 -reverseEdges-> S1",
         "trans S1 -reverseEdges-> S0",
     ]

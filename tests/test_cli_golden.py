@@ -11,15 +11,20 @@ line, then the stdout pieces between newlines as ``1|`` lines and the
 stderr pieces as ``2|`` lines.  To record it again, run::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints how many lines changed, and how many of those are not the
+16-hex certificate of a ``state`` line.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
 import os
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 from gtx.cli import main
@@ -71,7 +76,22 @@ def test_cli_transcript_is_unchanged(monkeypatch):
         assert render(argv, *run(argv)) == record, shlex.join(argv)
 
 
+def count_changes(old: list[str], new: list[str]) -> tuple[int, int]:
+    """The lines that differ between two transcripts, and how many of
+    those differ in more than the certificate of a ``state`` line."""
+    state = re.compile(r"1\|state S\d+ [0-9a-f]{16}")
+    changed = [pair for op, i1, i2, j1, j2 in difflib.SequenceMatcher(
+        None, old, new, autojunk=False).get_opcodes()
+        if op != "equal" for pair in zip_longest(old[i1:i2], new[j1:j2])]
+    outside = sum(not (a and b and state.fullmatch(a) and state.fullmatch(b)
+                       and a[:-16] == b[:-16]) for a, b in changed)
+    return len(changed), outside
+
+
 if __name__ == "__main__":
     os.environ["GTX_COLOR"] = "never"
-    TRANSCRIPT.write_bytes("".join(
-        render(argv, *run(argv)) for argv in commands()).encode("utf-8"))
+    old = TRANSCRIPT.read_bytes().decode("utf-8")
+    new = "".join(render(argv, *run(argv)) for argv in commands())
+    TRANSCRIPT.write_bytes(new.encode("utf-8"))
+    changed, outside = count_changes(old.splitlines(), new.splitlines())
+    print(f"{TRANSCRIPT.name}: {changed} changed, {outside} outside certs")

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gtx
 from gtx import explorer
 from gtx.dsl import load_grammar_dir, parse_graph, parse_rule
 from gtx.explorer import (
@@ -110,27 +114,27 @@ def test_certificate_separates_easy_cases():
 
 
 GOLDEN_FIXTURE_CERTS = {
-    "counting": "d38c54dc4f536dea",
-    "deletion": "d38c54dc4f536dea",
-    "greeting": "8bfff351dd23d8f5",
-    "hello": "df474855673ef51b",
-    "migration_gc": "d38c54dc4f536dea",
-    "migration_topo": "da1fc4d02fa76d8f",
-    "reverse": "1f9fa0163753456a",
-    "transitive": "5dc385ed1bd7c0c3",
+    "counting": "3ee0afce03476ff2",
+    "deletion": "3ee0afce03476ff2",
+    "greeting": "d0856170f6f1cc8c",
+    "hello": "727ecf674a7231e6",
+    "migration_gc": "3ee0afce03476ff2",
+    "migration_topo": "1422980443a998a6",
+    "reverse": "1aa73c0dd1ac8d69",
+    "transitive": "ad55a5224edb74f1",
 }
 
 GOLDEN_GRAPH_CERTS = [
     ("graph g\nnode a : T flag f\nnode b flag f flag g\nedge a -e-> b\n"
-     "edge b -e-> b\n", "88f639de92926e2d"),
+     "edge b -e-> b\n", "24eb5bd5cd9a2031"),
     ('graph g\nnode a : T\nattr a.s = "hi there"\nattr a.i = -3\n'
      "attr a.b = true\nattr a.r = 2.5e-07\nnode b\nattr b.r = -0.0\n"
-     "edge a -x-> b\nedge b -y-> a\n", "8eda0381f27c27e8"),
-    ("graph g\nnode a\nattr a.r = 0.0\n", "c8f76403e22f7640"),
-    ("graph g\nnode a\nattr a.r = -0.0\n", "ce5c2f6c2919a686"),
+     "edge a -x-> b\nedge b -y-> a\n", "fab44c1a9a4af258"),
+    ("graph g\nnode a\nattr a.r = 0.0\n", "0873f025182eaff4"),
+    ("graph g\nnode a\nattr a.r = -0.0\n", "40879d987502f654"),
     # a label name may end in an arrow's direction character
     ("graph g\nnode a : A\nnode b : B\nedge a -x<-> b\nedge a -x-> b\n",
-     "36b94e2eed99fab0"),
+     "828f87be9d5b175f"),
 ]
 
 
@@ -145,7 +149,7 @@ def test_flagged_and_attributed_certificates_are_pinned(text, cert):
 
 
 @pytest.mark.parametrize("label, reversed_cert", [
-    ("x<", "7a1928af063977c1"), ("x>", "10a535b52189a28a")])
+    ("x<", "ec0a23f1e4223dd2"), ("x>", "59c7de7f07beba6a")], ids=["x<", "x>"])
 def test_a_label_ending_in_a_direction_character_keeps_its_direction(
         label, reversed_cert):
     # a tag's direction is its last character, whatever the label name ends
@@ -177,19 +181,19 @@ def marked_ring(size: int, marks: set[int]) -> str:
 
 
 GOLDEN_RING_LTS = """\
-state S0 baf7bd6564075005
-state S1 8a84f20ffc27f119
-state S2 c8d21ed9a9a80e59
-state S3 4a452a72621a9455
-state S4 39c36f045dd28292
-state S5 6d6826d9a63ea3c7
-state S6 d7a54bfae767856c
-state S7 dffbf7e017c2b52f
-state S8 f56f87ec3a2bef0d
-state S9 6a0d84644b7ce8f4
-state S10 146239e24defdcc1
-state S11 697b4ec37e892b7b
-state S12 12e8579c399a3746
+state S0 dd8513ab37035aba
+state S1 51be50c496aed866
+state S2 7f414ee40b0e8458
+state S3 3ac9682c93a6fbf7
+state S4 d76f4d15c4dc6118
+state S5 d739eafdf036c9be
+state S6 2e4929b0bbe4c50e
+state S7 6a14e44b76a0461a
+state S8 304fb8aa56f93040
+state S9 c524b84200cc6abf
+state S10 b989e195bead5abb
+state S11 a7913d75d2e867ba
+state S12 73820cea6547139e
 trans S0 -markOne-> S1
 trans S0 -markOne-> S2
 trans S0 -markOne-> S3
@@ -223,6 +227,27 @@ def test_marked_ring_exploration_is_pinned():
     lts = explore(list(grammar.rules.values()),
                   parse_graph(marked_ring(6, {0})), tgs=grammar.type_graphs)
     assert export_lts(lts) == GOLDEN_RING_LTS
+
+
+def test_explore_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # the buckets hold run-local ints, the printed certs sorted shas
+    ring = tmp_path / "ring7.gst"
+    ring.write_text(marked_ring(7, {0, 3}), encoding="utf-8")
+    src = str(Path(gtx.__file__).resolve().parents[1])
+    fixture = Path(gtx.__file__).resolve().parent / "fixtures/helloworld/transitive"
+    for args in (["explore", str(RING_GRAMMAR), "--graph", str(ring)],
+                 ["explore", str(fixture)]):
+        outs = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), GTX_COLOR="never",
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-m", "gtx", *args],
+                                 env=env, capture_output=True)
+            assert run.returncode == 0, run.stderr
+            outs.add(run.stdout)
+        (out,) = outs
+        assert out.startswith(b"state S0 ")
 
 
 # -- exact isomorphism -------------------------------------------------
@@ -369,15 +394,26 @@ def differential_pairs():
 def uniform(*graphs: HostGraph) -> list:
     """The records of ``graphs`` with every node given the same colour, as
     if every certificate collided: the exact check must not need
-    refinement.  One signature table makes them all, since seeds from two
-    tables are not comparable."""
+    refinement.  Each key is that colouring's, so it holds only the node
+    count and the edge labels.  One signature table makes them all, since
+    seeds from two tables are not comparable."""
     table = _Table()
     return [_shape(table.seeds(g), g.edges, table)._replace(
-        colors=dict.fromkeys(g.nodes, "")) for g in graphs]
+        colors=dict.fromkeys(g.nodes, ""),
+        key=(("",) * len(g.nodes),
+             tuple(sorted(("", e.label.name + ">", "") for e in g.edges))))
+        for g in graphs]
+
+
+def discrete(g: HostGraph) -> bool:
+    """Whether colour refinement gives every node of ``g`` its own colour."""
+    table = _Table()
+    colors = _shape(table.seeds(g), g.edges, table).colors
+    return len(set(colors.values())) == len(colors)
 
 
 def test_isomorphic_agrees_with_brute_force():
-    verdicts = []
+    verdicts, named = [], 0
     for g, h in differential_pairs():
         expected = brute_isomorphic(g, h)
         assert isomorphic(g, h) == expected
@@ -385,10 +421,15 @@ def test_isomorphic_agrees_with_brute_force():
         assert _isomorphic(*uniform(g, h)) == expected
         if expected:
             assert certificate(g) == certificate(h)
+        # one node per colour: the certificate names the graph
+        if discrete(g) and discrete(h) and certificate(g) == certificate(h):
+            assert expected
+            named += 1
         verdicts.append(expected)
     # both answers are exercised, and not only by the relabelled copies
     assert verdicts.count(True) > 200
     assert verdicts.count(False) > 300
+    assert named > 100
 
 
 # -- differential test of the worklist refinement ------------------------
@@ -446,7 +487,7 @@ def test_worklist_refinement_agrees_with_round_by_round_refinement():
         shape = _shape(table.seeds(g), g.edges, table)
         colors, cert = reference_refine(g)
         assert partition(shape.colors) == partition(colors)
-        new = table.certificate(shape)
+        new = table.certificate(shape.key)
         assert new_to_old.setdefault(new, cert) == cert
         assert old_to_new.setdefault(cert, new) == new
     # the pool holds classes of several graphs, and certificates that the
@@ -610,14 +651,33 @@ def test_confluent_diamond_merges_without_the_exact_check(monkeypatch):
 
 def test_isomorphic_successor_is_merged_by_the_exact_check(monkeypatch):
     # marking either of two twin nodes gives isomorphic, not identical,
-    # graphs: the merge is the exact check's to make
-    start = parse_graph("graph g\nnode a\nnode b\n")
+    # graphs; refinement gives each node its own colour, so the equal keys
+    # are the merge and the exact check has nothing to confirm
+    twins = parse_graph("graph g\nnode a\nnode b\n")
     calls = counting_exact_check(monkeypatch)
-    assert len(explore([MARK], start).states) == 3
-    assert len(calls) == 1
+    assert len(explore([MARK], twins).states) == 3
+    assert calls == []
+    # three disjoint untyped edges: marking keeps ties between the edges
+    # that refinement cannot break, so the merge is the exact check's
+    start = parse_graph("graph g\nnode a\nnode b\nnode c\nnode d\n"
+                        "node e\nnode f\nedge a -e-> b\nedge c -e-> d\n"
+                        "edge e -e-> f\n")
+    calls = counting_exact_check(monkeypatch)
+    assert len(explore([MARK], start).states) == 20
+    assert len(calls) == 14
     calls = counting_exact_check(monkeypatch, verdict=False)
-    assert len(explore([MARK], start).states) == 4
-    assert len(calls) == 1
+    assert len(explore([MARK], start).states) == 42
+
+
+def test_states_that_differ_in_edge_labels_need_no_exact_check(monkeypatch):
+    # one node whose a-loop becomes a b-loop: the colours are equal, the
+    # keys are not, so the two states never meet in one bucket
+    flip = parse_rule("rule flip\nnode n role=reader\n"
+                      "edge n -a-> n role=eraser\nedge n -b-> n role=creator\n")
+    calls = counting_exact_check(monkeypatch)
+    lts = explore([flip], parse_graph("graph g\nnode n\nedge n -a-> n\n"))
+    assert len(lts.states) == 2
+    assert calls == []
 
 
 def test_explore_builds_one_graph_per_kept_state(monkeypatch):
