@@ -75,6 +75,7 @@ from .graph import (
 from .rules import (
     AttrConstraint,
     ConstraintKind,
+    PATH_ROLES,
     Quantifier,
     RegexAtom,
     RegexPath,
@@ -262,27 +263,19 @@ def _type_list(tokens: list[Token], i: int, what: str) -> tuple[list[Label], int
     continues the list into the next token.  A name with no comma before
     it ends the list instead.
     """
-    keyword = tokens[i]
-    i += 1
+    keyword, i = tokens[i], i + 1
     names: list[str] = []
     owing = True  # the list still expects a name
     while i < len(tokens) and not tokens[i].quoted:
-        text = tokens[i].text
-        if not owing and not text.startswith(","):
+        first, *rest = tokens[i].text.split(",")
+        if first and not owing:
             break
-        pieces = text.split(",")
-        if not pieces[0] and not names:
+        if not first and not names:
             raise ParseError(f"expected a {what} before ','", tokens[i].span)
-        if not pieces[0] and owing:
+        if not first and owing or "" in rest[:-1]:
             raise ParseError(f"empty {what} in list", tokens[i].span)
-        for j, piece in enumerate(pieces):
-            if j > 0:
-                if owing:
-                    raise ParseError(f"empty {what} in list", tokens[i].span)
-                owing = True
-            if piece:
-                names.append(piece)
-                owing = False
+        names += [name for name in (first, *rest) if name]
+        owing = bool(rest) and not rest[-1]
         i += 1
     if owing:
         raise ParseError(
@@ -646,7 +639,7 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
                 _path_token if keyword == "path" else _edge_label_token)(tokens[2])
             tgt = _ident(tokens[3], "edge target")
             role = _parse_role(tokens[4])
-            if keyword == "path" and role not in (Role.READER, Role.EMBARGO):
+            if keyword == "path" and role not in PATH_ROLES:
                 raise ParseError(
                     "path edges must be role=reader or role=embargo",
                     tokens[4].span)

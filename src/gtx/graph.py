@@ -110,14 +110,12 @@ def format_real(x: float) -> str:
     contains a decimal point (the textual form requires one)."""
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite reals have no textual form")
-    s = repr(float(x))
+    s = repr(float(x))  # a finite float's repr has a "." or an "e"
     if "e" in s or "E" in s:
         mantissa, _, exp = s.partition("e")
         if "." not in mantissa:
             mantissa += ".0"
         return f"{mantissa}e{exp}"
-    if "." not in s:
-        s += ".0"
     return s
 
 

@@ -61,6 +61,8 @@ class Role(Enum):
 
 
 POSITIVE_ROLES = frozenset({Role.READER, Role.ERASER})
+#: the roles a path edge may take: a path is only ever tested, never changed
+PATH_ROLES = frozenset({Role.READER, Role.EMBARGO})
 
 
 @dataclass(frozen=True)
@@ -322,6 +324,25 @@ def group_embargo_elements(
     return groups
 
 
+#: node role -> the one attribute-constraint kind it may carry, what its
+#: violation says it cannot do, the one flag role it may carry, and what
+#: its violation says it can
+_ROLE_LIMITS = {
+    Role.CREATOR: (ConstraintKind.ASSIGN, "match or rename", Role.CREATOR,
+                   "carry creator flags"),
+    Role.EMBARGO: (ConstraintKind.MATCH, "assign or rename", Role.READER,
+                   "require flags"),
+}
+
+#: edge role -> the endpoint roles it may not touch, and its fault if it does
+_EDGE_ENDS = {
+    Role.READER: ({Role.EMBARGO, Role.CREATOR}, "needs present endpoints"),
+    Role.ERASER: ({Role.EMBARGO, Role.CREATOR}, "needs present endpoints"),
+    Role.CREATOR: ({Role.EMBARGO}, "cannot touch embargo nodes"),
+    Role.EMBARGO: ({Role.CREATOR}, "cannot touch creator nodes"),
+}
+
+
 def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation]:
     """Full structural validation; with type graphs, also checks that every
     typed element is licensable by at least one of them."""
@@ -351,29 +372,16 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
         if n.level not in r.quantifiers:
             v.append(Violation(
                 f"node {nid!r} references unknown quantifier {n.level!r}", n.span))
-        if n.role is Role.CREATOR:
-            bad = [a for a, c in n.attr_constraints.items()
-                   if c.kind is not ConstraintKind.ASSIGN]
-            for a in sorted(bad):
-                v.append(Violation(
-                    f"creator node {nid!r} cannot match or rename attribute {a!r}",
-                    n.span))
+        if n.role in _ROLE_LIMITS:
+            kind, cannot, flag_role, can = _ROLE_LIMITS[n.role]
+            for a in sorted(a for a, c in n.attr_constraints.items()
+                            if c.kind is not kind):
+                v.append(Violation(f"{n.role.value} node {nid!r} cannot "
+                                   f"{cannot} attribute {a!r}", n.span))
             for f, role in n.flag_ops:
-                if role is not Role.CREATOR:
+                if role is not flag_role:
                     v.append(Violation(
-                        f"creator node {nid!r} can only carry creator flags "
-                        f"(found {role.value} {f.name!r})", n.span))
-        if n.role is Role.EMBARGO:
-            bad = [a for a, c in n.attr_constraints.items()
-                   if c.kind is not ConstraintKind.MATCH]
-            for a in sorted(bad):
-                v.append(Violation(
-                    f"embargo node {nid!r} cannot assign or rename attribute {a!r}",
-                    n.span))
-            for f, role in n.flag_ops:
-                if role is not Role.READER:
-                    v.append(Violation(
-                        f"embargo node {nid!r} can only require flags "
+                        f"{n.role.value} node {nid!r} can only {can} "
                         f"(found {role.value} {f.name!r})", n.span))
 
     # Edges.
@@ -387,7 +395,7 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
             v.append(Violation(
                 f"edge {e.describe()} references unknown quantifier {e.level!r}",
                 e.span))
-        if e.is_path() and e.role not in (Role.READER, Role.EMBARGO):
+        if e.is_path() and e.role not in PATH_ROLES:
             v.append(Violation(
                 f"path edge {e.describe()} must be reader or embargo, "
                 f"not {e.role.value}", e.span))
@@ -398,22 +406,11 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
         endpoints = [r.nodes.get(e.src), r.nodes.get(e.tgt)]
         if any(n is None for n in endpoints):
             continue
-        roles = {n.role for n in endpoints}  # type: ignore[union-attr]
-        if e.role in POSITIVE_ROLES and (Role.EMBARGO in roles
-                                         or Role.CREATOR in roles):
-            v.append(Violation(
-                f"{e.role.value} edge {e.describe()} needs present "
-                f"endpoints", e.span))
-        elif e.role is Role.CREATOR and Role.EMBARGO in roles:
-            v.append(Violation(
-                f"creator edge {e.describe()} cannot touch embargo nodes",
-                e.span))
-        elif e.role is Role.EMBARGO:
-            if Role.CREATOR in roles:
-                v.append(Violation(
-                    f"embargo edge {e.describe()} cannot touch creator nodes",
-                    e.span))
-        elif e.level in r.quantifiers:
+        banned, fault = _EDGE_ENDS[e.role]
+        if banned & {n.role for n in endpoints}:  # type: ignore[union-attr]
+            v.append(Violation(f"{e.role.value} edge {e.describe()} {fault}",
+                               e.span))
+        elif e.role is not Role.EMBARGO and e.level in r.quantifiers:
             anc = set(parent_chain(r.quantifiers, e.level)[0])
             for n in endpoints:
                 if n.level not in anc:  # type: ignore[union-attr]

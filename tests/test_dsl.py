@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import re
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -385,6 +389,39 @@ edge Shape -next-> Shape
 def test_parse_type_graph_diagnostics(body, needle):
     e = err(parse_type_graph, f"typegraph t\n{body}\n")
     assert needle in e.message
+
+
+def test_comma_lists_agree_with_splitting_the_joined_tokens():
+    """A type list and a supertype list parse exactly when joining their
+    tokens and splitting on commas leaves no empty name, and then they
+    hold those names; otherwise the error is one of the list errors."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        parts = [rng.choice("ABC")]
+        for _ in range(rng.randint(0, 3)):
+            parts += [rng.choice([",", ", ", " ,", " , "]), rng.choice("ABC")]
+        for _ in range(rng.randint(0, 2)):
+            fault = rng.randrange(4)
+            if fault < 2 and len(parts) > 1:
+                parts[rng.randrange(1, len(parts), 2)] = (",,", ", ,")[fault]
+            elif fault == 2:
+                parts.insert(0, rng.choice([",", ", "]))
+            elif fault == 3:
+                parts.append(rng.choice([",", " ,"]))
+        text = "".join(parts)
+        names = "".join(text.split()).split(",")
+        # no flag word after the list: a trailing comma reads it as a name
+        for parse, source, what, read in [
+                (parse_graph, f"graph g\nnode x : {text}\n", "type name",
+                 lambda g: next(iter(g.nodes.values())).types),
+                (parse_type_graph, f"typegraph t\ntype X extends {text}\n",
+                 "supertype name", lambda tg: tg.types["X"].supertypes)]:
+            if all(names):
+                assert {t.name for t in read(parse(source))} == set(names), text
+            else:
+                assert err(parse, source).message in (
+                    f"expected a {what} before ','", f"empty {what} in list",
+                    f"expected a {what}"), text
 
 
 # -- regex paths -------------------------------------------------------
@@ -851,7 +888,7 @@ DIAGNOSTICS = [
     ('grammar', {'a.gst': 'graph h\n', 'b.gst': 'graph k\n'},
      "several .gst files; pick one with 'start = FILE' in grammar.cfg",
      1, 1, 2),
-
+    ('rule', 'rule r\nformat', 'expected: format "FMT"', 2, 7, 8),
 ]
 
 PARSERS = {"graph": parse_graph, "typegraph": parse_type_graph,
@@ -892,3 +929,127 @@ def test_overlong_rule_line_points_at_the_first_extra_token(line):
     e = err(parse_rule, f"rule r\nnode a role=reader\n{line} extra more\n")
     assert e.message.startswith(f"expected: {line.split()[0]} ")
     assert (e.span.col, e.span.end_col) == (len(line) + 2, len(line) + 7)
+
+
+# -- documented syntax -------------------------------------------------
+
+
+def syntax_blocks() -> dict[str, list[str]]:
+    """The lines of each ``::`` block of the ``gtx.dsl`` docstring, keyed
+    by the file kind's header keyword, without their comments."""
+    blocks = {}
+    for block in gtx.dsl.__doc__.split("::\n\n")[1:]:
+        lines = []
+        for raw in block.splitlines():
+            if not raw.startswith("    "):
+                break
+            lines.append(raw.partition("#")[0].strip())
+        blocks[lines[0].split()[0]] = lines
+    return blocks
+
+
+def variants(pattern: str) -> list[str]:
+    """Every way to write ``pattern`` that the tests try: each ``[...]``
+    absent and present, each ``[...]*`` absent, once and twice, and each
+    ``(a|b)`` as each alternative."""
+    out = [""]
+    i = 0
+    while i < len(pattern):
+        j = i
+        if pattern[i] in "[(":
+            depth = 0
+            while True:
+                depth += (pattern[j] in "[(") - (pattern[j] in "])")
+                if not depth:
+                    break
+                j += 1
+            inner = pattern[i + 1:j]
+            if pattern[i] == "(":
+                options = inner.split("|")
+            else:
+                once = variants(inner)
+                options = [""] + once
+                if pattern[j + 1:j + 2] == "*":
+                    sep = "" if inner.startswith(",") else " "
+                    options += [a + sep + b for a in once for b in once]
+                    j += 1
+            j += 1
+        else:
+            while j < len(pattern) and pattern[j] not in "[(":
+                j += 1
+            options = [pattern[i:j]]
+        out = [a + b for a in out for b in options]
+        i = j
+    return out
+
+
+#: lines that declare what their first placeholder names
+DECLARING = {"graph", "typegraph", "rule", "node", "type", "quant"}
+
+#: per file kind: its parser, the lines that declare what a tested line
+#: may refer to, and the names each placeholder takes, one per occurrence
+SYNTAX_CONTEXT = {
+    "graph": (parse_graph, "graph g\nnode a\nnode b\n", {
+        "ID": ["a"], "NAME": ["k"], "VALUE": ["1"], "SRC": ["a"],
+        "TGT": ["b"], "LABEL": ["l"], "TYPE": ["A", "B", "C"],
+        "F": ["f", "g"]}),
+    "typegraph": (parse_type_graph, "typegraph t\ntype A\ntype B\ntype C\n", {
+        "NAME": ["A", "B", "C"], "TYPE": ["A", "B"], "LABEL": ["l"]}),
+    "rule": (parse_rule, "rule r\nquant q forall\n" + "".join(
+        f"node {n} role=reader\n" for n in "abcd") + "".join(
+        f"edge a -{g}-> b role=embargo group {g}\n"
+        for g in ("g1", "g2", "g3", "g4")), {
+        "ID": ["a", "b", "c", "d"], "SRC": ["a"], "TGT": ["b"],
+        "LABEL": ["l"], "REGEX": ["l.-m"], "ROLE": ["embargo"],
+        "QID": ["q"], "PIDX": ["0"], "TYPE": ["A"],
+        "GID": ["g1", "g2", "g3", "g4"], "NAME": ["x"], "OLD": ["x"],
+        "NEW": ["y"], "VALUE": ["1"], "FMT": ["%s"], "FLAGNAME": ["f"]}),
+}
+
+
+def fill(line: str, names: dict[str, list[str]]) -> str:
+    """``line`` with each placeholder replaced by its next name; on a
+    declaring line the first placeholder takes the fresh name ``new``."""
+    taken: Counter[str] = Counter()
+    declaring = line.split()[0] in DECLARING
+
+    def name(m: re.Match) -> str:
+        nonlocal declaring
+        if declaring:
+            declaring = False
+            return "new"
+        taken[m.group()] += 1
+        return names[m.group()][taken[m.group()] - 1]
+
+    return re.sub(r"[A-Z]+", name, line)
+
+
+def documented_lines():
+    for kind, lines in syntax_blocks().items():
+        parse, header, names = SYNTAX_CONTEXT[kind]
+        for pattern in lines:
+            for variant in variants(pattern):
+                line = " ".join(fill(variant, names).split())
+                text = line if pattern == lines[0] else header + line
+                yield pytest.param(parse, text + "\n", id=f"{kind}: {line}")
+
+
+@pytest.mark.parametrize("parse, text", documented_lines())
+def test_every_documented_line_parses(parse, text):
+    """Each line of the docstring's syntax blocks parses, with each
+    optional part absent and present.  This checks that what is
+    documented is accepted; it cannot notice a keyword or suffix that
+    the parsers accept and the docstring leaves out."""
+    parse(text)
+
+
+def test_a_keyword_of_another_file_kind_is_an_unknown_declaration():
+    blocks = syntax_blocks()
+    keywords = {kind: {line.split()[0] for line in lines}
+                for kind, lines in blocks.items()}
+    for kind, (parse, header, _) in SYNTAX_CONTEXT.items():
+        others = set().union(*keywords.values()) - keywords[kind]
+        assert others
+        for keyword in sorted(others):
+            e = err(parse, f"{header}{keyword} x\n")
+            assert e.message == f"unknown declaration {keyword!r}"

@@ -64,6 +64,9 @@ class TestLabel:
         assert run("2", f"print(pickle.loads(bytes.fromhex('{data}'))"
                         " in {flag('A')})") == "True\n"
 
+    def test_repr_is_kind_and_name(self):
+        assert repr(node_type("A")) == "node-type:A"
+
     def test_reserved_characters_all_rejected(self):
         for ch in ".-!+=:|":
             with pytest.raises(ValueError):
@@ -97,6 +100,16 @@ class TestValue:
             Value.real(float("nan"))
         with pytest.raises(ValueError):
             Value.real(float("inf"))
+
+    def test_format_real_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_real(float("inf"))
+
+    @pytest.mark.parametrize("make, raw", [
+        (Value.string, 1), (Value.bool_, 1), (Value.real, "x")])
+    def test_constructors_reject_another_python_type(self, make, raw):
+        with pytest.raises(TypeError):
+            make(raw)
 
     def test_string_rejects_a_lone_surrogate(self):
         with pytest.raises(ValueError, match="UTF-8"):
@@ -151,6 +164,13 @@ def test_add_edge_checks_endpoints_and_kind():
         g.add_edge(a, node_type("T"), a)
     with pytest.raises(KindMismatchError):
         g.add_node([edge_label("e")])
+
+
+def test_add_edge_checks_its_source():
+    g = HostGraph()
+    a = g.add_node()
+    with pytest.raises(MissingNodeError, match="edge source 99"):
+        g.add_edge(99, edge_label("e"), a)
 
 
 def test_set_attr_returns_displaced_value():

@@ -10,6 +10,7 @@ from gtx.rules import (
     ConstraintKind,
     NacGroup,
     Quantifier,
+    RegexPath,
     Role,
     Rule,
     RuleEdge,
@@ -321,6 +322,11 @@ def test_path_edge_roles_are_restricted():
     r = Rule("r", nodes={"a": reader("a"), "b": reader("b")},
              edges=[RuleEdge("a", path, "b", Role.CREATOR)])
     assert_flags(r, "must be reader or embargo")
+
+
+def test_a_path_needs_an_atom():
+    with pytest.raises(ValueError, match="at least one atom"):
+        RegexPath(())
 
 
 def test_group_label_needs_embargo_edge():
