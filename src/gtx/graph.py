@@ -235,7 +235,9 @@ class HostGraph:
     ``edges`` is the source of truth, but it must change only through
     ``add_edge``, ``remove_edge`` and ``delete_node_spo``: the first
     ``successors``/``predecessors`` query builds a label-keyed adjacency
-    index from it, and only those methods drop the index again."""
+    index from it, and only those methods drop the index again.  Likewise
+    ``nodes``, and a node's types, change only through ``add_node`` and
+    ``delete_node_spo``, which drop the type index of ``by_type``."""
 
     name: str = "g"
     nodes: dict[int, HostNode] = field(default_factory=dict, init=False)
@@ -247,6 +249,10 @@ class HostGraph:
     _out: dict[tuple[int, str], list[int]] | None = field(
         default=None, init=False, repr=False, compare=False)
     _in: dict[tuple[int, str], list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    #: node type -> ids of the nodes that have it; None until a query
+    #: needs it, and again after every node change
+    _by_type: dict[Label, list[int]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     # -- construction -------------------------------------------------
@@ -265,6 +271,7 @@ class HostGraph:
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = HostNode(id=nid, types=types, flags=flags, name=name)
+        self._by_type = None
         return nid
 
     def add_edge(self, src: int, label: Label, tgt: int) -> bool:
@@ -277,7 +284,8 @@ class HostGraph:
             raise KindMismatchError(
                 f"edge requires an edge-label, got {label.kind.value} {label.name!r}"
             )
-        edge = HostEdge(src, label, tgt)
+        # tuple.__new__ skips HostEdge's generated, Python-level __new__
+        edge = tuple.__new__(HostEdge, (src, label, tgt))
         if edge in self.edges:
             return False
         self.edges.add(edge)
@@ -313,6 +321,7 @@ class HostGraph:
             self._out = self._in = None
         for nid in dead:
             del self.nodes[nid]
+        self._by_type = None
         return len(incident)
 
     # -- queries ------------------------------------------------------
@@ -361,6 +370,18 @@ class HostGraph:
         if self._in is None:
             self._build_index()
         return set(self._in.get((nid, label.name), ()))  # type: ignore[union-attr]
+
+    def by_type(self) -> dict[Label, list[int]]:
+        """Node type -> ids of the nodes that have it.  Built on the first
+        call and shared until a node changes, so the caller must not change
+        it."""
+        if self._by_type is None:
+            typed: dict[Label, list[int]] = {}
+            for nid, node in self.nodes.items():
+                for t in node.types:
+                    typed.setdefault(t, []).append(nid)
+            self._by_type = typed
+        return self._by_type
 
     def display(self, nid: int) -> str:
         """Human-readable node reference for diagnostics."""

@@ -26,17 +26,19 @@ attribute-constrained and better-connected nodes among those.  Such a
 node's candidates are the host nodes reached from the bound neighbours'
 images -- by ``successors``/``predecessors`` for a plain edge, or by
 evaluating the path forward, or reversed when the bound end is the path's
-target -- intersected over all bound neighbours.  Only a node with no bound
-neighbour is tried against every host node.  The images of bound ``neq``
-partners are taken out of the candidates, and only edges from the node to
-itself remain to be checked per candidate; every other edge holds by
-construction.  Candidates come in no set order: the match lists are
+target -- intersected over all bound neighbours.  A typed node with no
+bound neighbour takes its candidates from the host graph's type index:
+the nodes of its type or, by the enabled type graphs, of a subtype.  Only
+an untyped one is tried against every host node.  The images of bound
+``neq`` partners are taken out of the candidates, and only edges from the
+node to itself remain to be checked per candidate; every other edge holds
+by construction.  Candidates come in no set order: the match lists are
 sorted, so results are deterministic for a given host graph.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 
 from .graph import HostGraph, HostNode, Label, Value
@@ -95,13 +97,13 @@ def evaluate_regex_path(g: HostGraph, path: RegexPath,
     return frontier
 
 
-def _type_matches(constraint: Label, host: HostNode,
+def _type_matches(constraint: Label, types: Collection[Label],
                   tgs: list[TypeGraph] | None) -> bool:
-    if constraint in host.types:
+    if constraint in types:
         return True
     if not tgs:
         return False
-    for t in host.types:
+    for t in types:
         for tg in tgs:
             if (t.name in tg.types and constraint.name in tg.types
                     and is_subtype(tg, t, constraint)):
@@ -112,7 +114,7 @@ def _type_matches(constraint: Label, host: HostNode,
 def _node_compatible(node: RuleNode, host: HostNode,
                      tgs: list[TypeGraph] | None) -> bool:
     if node.type_constraint is not None:
-        if not _type_matches(node.type_constraint, host, tgs):
+        if not _type_matches(node.type_constraint, host.types, tgs):
             return False
     for fl, role in node.flag_ops:
         if role in (Role.READER, Role.ERASER):
@@ -162,7 +164,8 @@ class _Step:
     """How the search binds one rule node."""
 
     node: RuleNode
-    #: candidates are the host nodes every source reaches; none: all nodes
+    #: candidates are the host nodes every source reaches; with none, the
+    #: nodes of the node's type, or all nodes for an untyped node
     sources: list[_Source]
     #: edges from the node to itself, checked per candidate
     loops: list[RuleEdge]
@@ -273,7 +276,11 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
     def candidates(step: _Step) -> Iterator[int]:
         taken = {assignment[m] for m in step.distinct}
         if not step.sources:
-            return iter([h for h in g.nodes if h not in taken])
+            t = step.node.type_constraint
+            if t is None:
+                return iter([h for h in g.nodes if h not in taken])
+            return iter({h for u, ids in g.by_type().items()
+                         if _type_matches(t, (u,), tgs) for h in ids} - taken)
         (other, label, inverse), *rest = step.sources
         found = _far_ends(g, assignment[other], label, inverse)
         for other, label, inverse in rest:

@@ -143,9 +143,10 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                     if (key not in writes
                             or value.sort_key() > writes[key].sort_key()):
                         writes[key] = value
-            for edge in edges:
+            for edge in edges:  # tuple.__new__, as in HostGraph.add_edge
                 (edge_deletions if edge.role is Role.ERASER else edge_creations
-                 ).add(HostEdge(ctx[edge.src], edge.label, ctx[edge.tgt]))
+                 ).add(tuple.__new__(HostEdge, (
+                     ctx[edge.src], edge.label, ctx[edge.tgt])))
 
     # Normalize to the exact delta against the pre-state.  Deletion wins
     # over every change to a deleted node; deleting and recreating the

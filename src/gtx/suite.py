@@ -47,7 +47,7 @@ class OracleError(Exception):
 
 
 def _typed(g: HostGraph, t) -> list[int]:
-    return [nid for nid in g.node_ids() if t in g.nodes[nid].types]
+    return sorted(g.by_type().get(t, ()))
 
 
 def _endpoint(g: HostGraph, edge_node: int, label) -> int | None:

@@ -82,6 +82,65 @@ def test_scanner_rejects_unterminated_string():
     assert e.span.line == 2
 
 
+_REF_ESCAPE = r'[\\"nrt]|u(?![dD][89a-fA-F])[0-9a-fA-F]{4}'
+_REF_TOKEN_RE = re.compile(
+    rf'"((?:[^"\\]|\\(?:{_REF_ESCAPE}))*)("?)|#|[^ \t\r#]+')
+_REF_ESCAPE_RE = re.compile(rf'\\({_REF_ESCAPE})')
+_REF_NAMED = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def reference_scan(text: str, file: str, lineno: int) -> list[Token]:
+    """The scanner as one regex loop over every line: each match is a
+    string (its well-formed body and its closing quote, if any), a comment
+    or a bare word."""
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        body, closed = m.group(1, 2)
+        start, end = m.span()
+        if body is None and m.group() == "#":
+            break
+        if body is None or closed:
+            word = m.group() if body is None else _REF_ESCAPE_RE.sub(
+                lambda e: (_REF_NAMED.get(e.group(1))
+                           or chr(int(e.group(1)[1:], 16))), body)
+            tokens.append(Token(word, file, lineno, start + 1, end + 1,
+                                body is not None))
+        elif end == len(text):
+            raise ParseError("unterminated string literal",
+                             SourceSpan(file, lineno, start + 1, end + 1))
+        else:
+            raise ParseError("invalid string escape",
+                             SourceSpan(file, lineno, end + 1, end + 3))
+    return tokens
+
+
+def scan_outcome(scan, text: str):
+    try:
+        return scan(text, "f", 7)
+    except ParseError as e:
+        return e.message, e.span
+
+
+#: separators, comments, quotes, good and bad escapes, Unicode spaces and
+#: control characters that are word characters, and empty words
+SCAN_PIECES = [" ", "  ", "\t", "\r", "#", '"', '"', "\\", "\\u00e9",
+               "\\ud800", "\\u12", "\\q", "\\n", '\\"', "\xa0", "\u3000",
+               "\x1f", "\x0b", "a", "bc", "-x->", "é", ""]
+
+
+def test_scanner_agrees_with_the_reference_regex_loop():
+    seen = Counter()
+    for seed in range(4000):
+        rng = random.Random(seed)
+        text = "".join(rng.choice(SCAN_PIECES)
+                       for _ in range(rng.randint(0, 12)))
+        expected = scan_outcome(reference_scan, text)
+        assert scan_outcome(_scan_line, text) == expected, repr(text)
+        seen["error" if isinstance(expected, tuple) else
+             "string" if '"' in text else "plain"] += 1
+    assert min(seen.values()) >= 300, seen
+
+
 def test_parsing_a_valid_graph_builds_no_source_span(monkeypatch):
     built = []
 

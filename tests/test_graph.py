@@ -27,6 +27,7 @@ from gtx.graph import (
     format_real,
     node_type,
 )
+from gtx.rewriter import Effect, apply_effect
 
 
 class TestLabel:
@@ -326,6 +327,53 @@ def test_adjacency_index_follows_every_mutation(seed):
             if rng.random() < 0.5:
                 g = h
         assert_index_matches_scan(g, labels)
+
+
+def by_type_scan(g: HostGraph) -> dict:
+    return {t: sorted(nid for nid, n in g.nodes.items() if t in n.types)
+            for n in g.nodes.values() for t in n.types}
+
+
+def assert_type_index_matches_scan(g: HostGraph) -> None:
+    assert {t: sorted(ids) for t, ids in g.by_type().items()} \
+        == by_type_scan(g)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_type_index_follows_every_node_change(seed):
+    rng = random.Random(seed)
+    types = [node_type(c) for c in "TUV"]
+    g = HostGraph()
+    for _ in range(rng.randint(5, 30)):
+        op = rng.random()
+        ids = g.node_ids()
+        if op < 0.3 or not ids:
+            g.add_node(rng.sample(types, rng.randint(0, 2)))
+        elif op < 0.45:
+            g.add_edge(rng.choice(ids), edge_label("a"), rng.choice(ids))
+        elif op < 0.6:
+            g.delete_node_spo(*rng.sample(ids, rng.randint(1, len(ids))))
+        elif op < 0.8:
+            before = snapshot(g)
+            h = g.copy()
+            h.add_node(rng.sample(types, 1))
+            h.delete_node_spo(rng.choice(ids))
+            assert_type_index_matches_scan(h)
+            assert snapshot(g) == before
+            if rng.random() < 0.5:
+                g = h
+        else:
+            before = snapshot(g)
+            effect = Effect(
+                node_deletions=rng.sample(ids, rng.randint(0, len(ids))),
+                node_creations=[(g.next_id + k, tuple(rng.sample(types, 1)))
+                                for k in range(rng.randint(0, 2))])
+            h = apply_effect(g, effect)
+            assert_type_index_matches_scan(g)
+            assert snapshot(g) == before
+            g = h
+        assert_type_index_matches_scan(g)
 
 
 def test_query_results_belong_to_the_caller():

@@ -1,14 +1,16 @@
 """Matching, cross-checked against a brute-force enumerator.
 
 The oracle here is deliberately naive: itertools.product over every host
-node combination, relation composition for paths, and its own constraint
-checks.  It shares no code with the real matcher.
+node combination, relation composition for paths, Warshall's closure for
+subtyping, and its own constraint checks.  It shares no code with the real
+matcher.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from gtx.dsl import parse_graph, parse_regex, parse_rule, parse_type_graph
 from gtx.graph import HostGraph, Value, edge_label, flag, node_type
@@ -19,6 +21,7 @@ from gtx.matcher import (
     evaluate_regex_path,
     find_root_matches,
 )
+from gtx.typegraph import TypeGraph
 from gtx.rules import (
     POSITIVE_ROLES,
     AttrConstraint,
@@ -32,6 +35,7 @@ from gtx.rules import (
     expand_neq,
     validate_rule,
 )
+from test_typegraph import strict_reach
 
 E = edge_label
 
@@ -39,9 +43,20 @@ E = edge_label
 # -- the oracle --------------------------------------------------------
 
 
-def _b_node_ok(node: RuleNode, g: HostGraph, hid: int) -> bool:
+def _b_below(tgs: list[TypeGraph] | None) -> set[tuple[str, str]]:
+    """``(a, b)`` when a type graph declares both types and ``a`` is ``b``
+    or reaches it by ``extends`` steps."""
+    return {(a, b) for tg in tgs or ()
+            for (a, b), reached in strict_reach(tg).items()
+            if reached or a == b}
+
+
+def _b_node_ok(node: RuleNode, g: HostGraph, hid: int,
+               below: set[tuple[str, str]]) -> bool:
     host = g.nodes[hid]
-    if node.type_constraint is not None and node.type_constraint not in host.types:
+    want = node.type_constraint
+    if want is not None and want not in host.types and not any(
+            (t.name, want.name) in below for t in host.types):
         return False
     for fl, role in node.flag_ops:
         present = fl in host.flags
@@ -80,22 +95,24 @@ def _b_edges_ok(g: HostGraph, asg: dict[str, int], edges) -> bool:
 
 
 def _b_group_matchable(rule: Rule, g: HostGraph, asg: dict[str, int],
-                       grp) -> bool:
+                       grp, below: set[tuple[str, str]]) -> bool:
     edges = [rule.edges[i] for i in grp.edge_indexes]
     # an edge may end at an embargo node of another group: it is free too
     free = sorted({*grp.node_ids, *(n for e in edges for n in (e.src, e.tgt))}
                   - set(asg))
     for combo in itertools.product(g.node_ids(), repeat=len(free)):
         trial = dict(asg) | dict(zip(free, combo))
-        if all(_b_node_ok(rule.nodes[n], g, trial[n]) for n in free) \
+        if all(_b_node_ok(rule.nodes[n], g, trial[n], below) for n in free) \
                 and _b_edges_ok(g, trial, edges):
             return True
     return False
 
 
 def brute_level_matches(rule: Rule, g: HostGraph, base: dict[str, int],
-                        level: str) -> list[dict[str, int]]:
+                        level: str, tgs: list[TypeGraph] | None = None
+                        ) -> list[dict[str, int]]:
     """Every extension of ``base`` by the positive nodes of ``level``."""
+    below = _b_below(tgs)
     free = sorted(nid for nid, n in rule.nodes.items()
                   if n.role in POSITIVE_ROLES and n.level == level)
     pos_edges = [e for e in rule.edges
@@ -105,7 +122,8 @@ def brute_level_matches(rule: Rule, g: HostGraph, base: dict[str, int],
     out = []
     for combo in itertools.product(g.node_ids(), repeat=len(free)):
         asg = dict(base) | dict(zip(free, combo))
-        if not all(_b_node_ok(rule.nodes[n], g, asg[n]) for n in free):
+        if not all(_b_node_ok(rule.nodes[n], g, asg[n], below)
+                   for n in free):
             continue
         if not _b_edges_ok(g, asg, pos_edges):
             continue
@@ -113,30 +131,35 @@ def brute_level_matches(rule: Rule, g: HostGraph, base: dict[str, int],
                if a in asg and b in asg):
             continue
         blocked = any(
-            _b_group_matchable(rule, g, asg, grp)
+            _b_group_matchable(rule, g, asg, grp, below)
             for gid, grp in rule.nac_groups.items()
             if gid not in in_disjunction and grp.level == level)
         for ds in rule.disjunction_sets:
             members = [rule.nac_groups[gid] for gid in ds]
             if members[0].level == level and all(
-                    _b_group_matchable(rule, g, asg, grp) for grp in members):
+                    _b_group_matchable(rule, g, asg, grp, below)
+                    for grp in members):
                 blocked = True
         if not blocked:
             out.append(asg)
     return sorted(out, key=lambda a: sorted(a.items()))
 
 
-def brute_root_matches(rule: Rule, g: HostGraph) -> list[dict[str, int]]:
-    return brute_level_matches(rule, g, {}, "root")
+def brute_root_matches(rule: Rule, g: HostGraph,
+                       tgs: list[TypeGraph] | None = None
+                       ) -> list[dict[str, int]]:
+    return brute_level_matches(rule, g, {}, "root", tgs)
 
 
 # -- random instances --------------------------------------------------
 
 
-def random_host(rng: random.Random) -> HostGraph:
+def random_host(rng: random.Random, alphabet: str = "TU") -> HostGraph:
+    """Up to 6 nodes with up to two types of ``alphabet`` each."""
     g = HostGraph("h")
     for _ in range(rng.randint(1, 6)):
-        types = [node_type(t) for t in rng.sample(["T", "U"], rng.randint(0, 2))]
+        types = [node_type(t)
+                 for t in rng.sample(list(alphabet), rng.randint(0, 2))]
         flags = [flag(f) for f in rng.sample(["m", "k"], rng.randint(0, 2))]
         nid = g.add_node(types=types, flags=flags)
         if rng.random() < 0.6:
@@ -160,10 +183,11 @@ def random_edge(rng: random.Random, ends: list[str], role: Role,
     return RuleEdge(rng.choice(ends), label, rng.choice(ends), role, level)
 
 
-def random_reader(rng: random.Random, nid: str, level: str) -> RuleNode:
+def random_reader(rng: random.Random, nid: str, level: str,
+                  alphabet: str = "TU") -> RuleNode:
     node = RuleNode(nid, Role.READER, level=level)
     if rng.random() < 0.4:
-        node.type_constraint = node_type(rng.choice("TU"))
+        node.type_constraint = node_type(rng.choice(alphabet))
     if rng.random() < 0.3:
         node.flag_ops.append(
             (flag("m"), rng.choice([Role.READER, Role.EMBARGO])))
@@ -174,7 +198,7 @@ def random_reader(rng: random.Random, nid: str, level: str) -> RuleNode:
 
 
 def add_nac(rng: random.Random, r: Rule, anchors: list[str],
-            level: str, group: str | None = None) -> None:
+            level: str, group: str | None = None, alphabet: str = "TU") -> None:
     """One embargo node hanging off an anchor, sometimes with a second
     embargo node behind it in the same group, or a forbidden path between
     two anchors.  ``group`` names the group instead of the grouping."""
@@ -187,7 +211,7 @@ def add_nac(rng: random.Random, r: Rule, anchors: list[str],
     x, y = f"x{group or level}", f"y{group or level}"
     r.nodes[x] = RuleNode(x, Role.EMBARGO, level=level)
     if rng.random() < 0.5:
-        r.nodes[x].type_constraint = node_type(rng.choice("TU"))
+        r.nodes[x].type_constraint = node_type(rng.choice(alphabet))
     r.edges.append(RuleEdge(rng.choice(anchors), E(rng.choice("ab")), x,
                             Role.EMBARGO, level, group))
     if pick < 0.6:
@@ -202,41 +226,43 @@ def add_nac(rng: random.Random, r: Rule, anchors: list[str],
 
 
 def add_nacs(rng: random.Random, r: Rule, anchors: list[str],
-             level: str) -> None:
+             level: str, alphabet: str = "TU") -> None:
     """One NAC group, or sometimes two joined by a disjunction set, which
     blocks a match only when both are matchable."""
     if rng.random() < 0.6:
-        add_nac(rng, r, anchors, level)
+        add_nac(rng, r, anchors, level, alphabet=alphabet)
         return
     gids = (f"{level}A", f"{level}B")
     for gid in gids:
-        add_nac(rng, r, anchors, level, gid)
+        add_nac(rng, r, anchors, level, gid, alphabet)
     r.disjunction_sets.append(gids)
 
 
-def random_rule(rng: random.Random) -> Rule:
+def random_rule(rng: random.Random, alphabet: str = "TU") -> Rule:
+    """Readers, typed from ``alphabet`` or not, at the root and sometimes in
+    a ``forall`` level, with edges, paths, ``neq`` pairs and NACs."""
     r = Rule("rand")
     names = ["p", "q", "s"][:rng.randint(1, 3)]
     for nm in names:
-        r.nodes[nm] = random_reader(rng, nm, "root")
+        r.nodes[nm] = random_reader(rng, nm, "root", alphabet)
     for _ in range(rng.randint(0, 3)):
         r.edges.append(random_edge(rng, names, Role.READER))
     if len(names) >= 2 and rng.random() < 0.4:
         r.injectivity_pairs |= expand_neq(names[:2])
     if rng.random() < 0.5:
-        add_nacs(rng, r, names, "root")
+        add_nacs(rng, r, names, "root", alphabet)
     if rng.random() < 0.5:
         r.quantifiers["each"] = Quantifier("each", parent="root")
         inner = ["u", "w"][:rng.randint(1, 2)]
         for nm in inner:
-            r.nodes[nm] = random_reader(rng, nm, "each")
+            r.nodes[nm] = random_reader(rng, nm, "each", alphabet)
         for _ in range(rng.randint(1, 2)):
             r.edges.append(random_edge(rng, names + inner, Role.READER,
                                        "each"))
         if rng.random() < 0.3:
             r.injectivity_pairs |= expand_neq([names[0], inner[0]])
         if rng.random() < 0.5:
-            add_nacs(rng, r, names + inner, "each")
+            add_nacs(rng, r, names + inner, "each", alphabet)
     return r
 
 
@@ -267,6 +293,53 @@ def test_forall_levels_agree_with_brute_force():
             assert all(m.parent is root for m in ext)
             levels_checked += 1
     assert levels_checked >= 100
+
+
+TYPES = "TUVW"
+
+
+def random_type_graph(rng: random.Random) -> TypeGraph:
+    """All or all but one of ``TYPES`` declared, each extending one or two
+    of them or an undeclared name, so cycles and self-extension occur."""
+    lines = ["typegraph t"]
+    for name in rng.sample(TYPES, rng.randint(len(TYPES) - 1, len(TYPES))):
+        sups = rng.sample(TYPES + "X", rng.randint(1, 2))
+        lines.append(f"type {name} extends {','.join(sups)}")
+    return parse_type_graph("\n".join(lines) + "\n")
+
+
+def test_typed_matches_agree_with_brute_force_subtyping():
+    """Type constraints on bound and unbound nodes, on NAC nodes and in
+    ``forall`` levels, with no, one or two type graphs enabled."""
+    seen = Counter()
+    for seed in range(1500):
+        rng = random.Random(40_000 + seed)
+        tgs = [random_type_graph(rng) for _ in range(rng.randint(1, 2))]
+        rule = random_rule(rng, TYPES)
+        g = random_host(rng, TYPES)
+        found = []
+        for enabled in (None, tgs):
+            roots = find_root_matches(rule, g, enabled)
+            got = [m.assignment for m in roots]
+            assert got == brute_root_matches(rule, g, enabled), seed
+            for root in roots if "each" in rule.quantifiers else ():
+                ext = collect_level_matches(rule, g, root, enabled)["each"]
+                level = [m.assignment for m in ext.extensions]
+                assert level == brute_level_matches(
+                    rule, g, root.assignment, "each", enabled), seed
+                got += level
+                seen["levels"] += 1
+            found.append(got)
+        seen["subtyping matters"] += found[0] != found[1]
+        seen["cycles"] += any(
+            strict_reach(tg)[a, a] for tg in tgs for a in tg.types)
+        linked = {n for e in rule.edges if e.src != e.tgt
+                  for n in (e.src, e.tgt)}
+        typed = {n for n, node in rule.nodes.items()
+                 if node.type_constraint is not None}
+        seen["typed unlinked"] += bool(typed - linked)
+        seen["typed linked"] += bool(typed & linked)
+    assert min(seen.values()) >= 40, seen
 
 
 def random_grouped_rule(rng: random.Random) -> Rule:
