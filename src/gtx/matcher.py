@@ -17,11 +17,13 @@ disjunction set, with one search per group, and blocks a match when every
 search in it succeeds.
 
 A search first checks the edges between the nodes bound before it, then
-runs depth first over one step per node to bind.  The search is a
-generator that keeps one candidate iterator per bound step on an explicit
-stack, so rule size is not bounded by the recursion limit, and a NAC
-search stops at its first result.  It binds next a node that an
-edge or path links to an already-bound node, preferring typed,
+runs depth first over one step per node to bind.  It runs in one plain
+function that keeps one candidate iterator per bound step on an explicit
+stack, so rule size is not bounded by the recursion limit, and returns
+its full assignments as a list.  A level's search tests each assignment
+against the level's NACs as it is found and keeps only those that pass;
+a NAC search returns at its first assignment.  Each search binds next a
+node that an edge or path links to an already-bound node, preferring typed,
 attribute-constrained and better-connected nodes among those.  Such a
 node's candidates are the host nodes reached from the bound neighbours'
 images -- by ``successors``/``predecessors`` for a plain edge, or by
@@ -38,7 +40,7 @@ sorted, so results are deterministic for a given host graph.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
 from .graph import HostGraph, HostNode, Label, Value
@@ -261,40 +263,49 @@ def _compile(rule: Rule) -> dict[str, _Search]:
     return levels
 
 
+def _candidates(step: _Step, g: HostGraph, assignment: dict[str, int],
+                tgs: list[TypeGraph] | None) -> Collection[int]:
+    """The host nodes ``step`` may bind, before the per-candidate tests."""
+    taken = {assignment[m] for m in step.distinct}
+    if not step.sources:
+        t = step.node.type_constraint
+        if t is None:
+            return [h for h in g.nodes if h not in taken]
+        return {h for u, ids in g.by_type().items()
+                if _type_matches(t, (u,), tgs) for h in ids} - taken
+    (other, label, inverse), *rest = step.sources
+    found = _far_ends(g, assignment[other], label, inverse)
+    for other, label, inverse in rest:
+        if not found:
+            break
+        found &= _far_ends(g, assignment[other], label, inverse)
+    return found - taken
+
+
 def _extend(search: _Search, g: HostGraph, base: dict[str, int],
-            tgs: list[TypeGraph] | None) -> Iterator[dict[str, int]]:
-    """Each way of running ``search`` on top of ``base``, depth first."""
+            tgs: list[TypeGraph] | None, first: bool = False,
+            keep: Callable[[dict[str, int]], bool] | None = None,
+            ) -> list[dict[str, int]]:
+    """The full assignments of ``search`` on top of ``base``, depth first.
+    Each is tested by ``keep`` as it is found, so only kept ones are held;
+    with ``first``, the search returns at the first one kept."""
+    for e in search.checks:
+        if not _edge_holds(g, e, base[e.src], base[e.tgt]):
+            return []
     steps = search.steps
-    if not all(_edge_holds(g, e, base[e.src], base[e.tgt])
-               for e in search.checks):
-        return
     if not steps:
-        yield dict(base)
-        return
+        full = dict(base)
+        return [full] if keep is None or keep(full) else []
+    kept: list[dict[str, int]] = []
     assignment = dict(base)
-
-    def candidates(step: _Step) -> Iterator[int]:
-        taken = {assignment[m] for m in step.distinct}
-        if not step.sources:
-            t = step.node.type_constraint
-            if t is None:
-                return iter([h for h in g.nodes if h not in taken])
-            return iter({h for u, ids in g.by_type().items()
-                         if _type_matches(t, (u,), tgs) for h in ids} - taken)
-        (other, label, inverse), *rest = step.sources
-        found = _far_ends(g, assignment[other], label, inverse)
-        for other, label, inverse in rest:
-            if not found:
-                break
-            found &= _far_ends(g, assignment[other], label, inverse)
-        return iter(found - taken)
-
+    last = len(steps) - 1
     # stack[k] iterates the candidates of steps[k].  A popped step's binding
     # stays in ``assignment``, but is overwritten before anything reads it.
-    stack = [candidates(steps[0])]
+    stack = [iter(_candidates(steps[0], g, assignment, tgs))]
     while stack:
-        step = steps[len(stack) - 1]
-        for hid in stack[-1]:
+        depth = len(stack) - 1
+        step = steps[depth]
+        for hid in stack[depth]:
             if _node_compatible(step.node, g.nodes[hid], tgs) and (
                     not step.loops
                     or all(_edge_holds(g, e, hid, hid) for e in step.loops)):
@@ -302,19 +313,32 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
         else:
             stack.pop()
             continue
-        if len(stack) == len(steps):
-            yield {**assignment, step.node.id: hid}
+        if depth == last:
+            full = {**assignment, step.node.id: hid}
+            if keep is None or keep(full):
+                kept.append(full)
+                if first:
+                    return kept
         else:
             assignment[step.node.id] = hid
-            stack.append(candidates(steps[len(stack)]))
+            stack.append(iter(_candidates(steps[depth + 1], g, assignment,
+                                          tgs)))
+    return kept
 
 
 def nacs_satisfied(rule: Rule, g: HostGraph, assignment: dict[str, int],
                    level: str, tgs: list[TypeGraph] | None = None) -> bool:
-    """True if no forbidden pattern at ``level`` blocks this assignment."""
-    return not any(all(next(_extend(s, g, assignment, tgs), None) is not None
-                       for s in c)
-                   for c in _compile(rule)[level].nacs)
+    """True if no forbidden pattern at ``level`` blocks this assignment.
+
+    A condition blocks it when each of its searches has an extension, so
+    each search stops at its first one."""
+    for condition in _compile(rule)[level].nacs:
+        for s in condition:
+            if not _extend(s, g, assignment, tgs, first=True):
+                break
+        else:
+            return False
+    return True
 
 
 def _bind_params(rule: Rule, g: HostGraph,
@@ -337,8 +361,8 @@ def _level_assignments(rule: Rule, g: HostGraph, qid: str,
                        base: dict[str, int],
                        tgs: list[TypeGraph] | None) -> list[dict[str, int]]:
     """The NAC-respecting assignments of level ``qid`` on top of ``base``."""
-    return [a for a in _extend(_compile(rule)[qid], g, base, tgs)
-            if nacs_satisfied(rule, g, a, qid, tgs)]
+    return _extend(_compile(rule)[qid], g, base, tgs,
+                   keep=lambda a: nacs_satisfied(rule, g, a, qid, tgs))
 
 
 def find_root_matches(rule: Rule, g: HostGraph,

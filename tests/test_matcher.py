@@ -24,6 +24,7 @@ from gtx.matcher import (
 from gtx.typegraph import TypeGraph
 from gtx.rules import (
     POSITIVE_ROLES,
+    ROOT_QUANT,
     AttrConstraint,
     ConstraintKind,
     Quantifier,
@@ -633,6 +634,54 @@ def test_level_nacs_filter_extensions_individually():
     names = {g.nodes[i].name: i for i in g.node_ids()}
     got = {m.assignment["n"] for m in levels["q"].extensions}
     assert got == {names["b"], names["s"]}  # a has an e-successor
+
+
+def _log_compatibility_tests(monkeypatch, log: list[str]) -> None:
+    """Append the rule node id of every candidate test to ``log``."""
+    real = matcher._node_compatible
+
+    def node_compatible(node, host, tgs):
+        log.append(node.id)
+        return real(node, host, tgs)
+
+    monkeypatch.setattr(matcher, "_node_compatible", node_compatible)
+
+
+def test_a_nac_probe_stops_at_its_first_extension(monkeypatch):
+    g = parse_graph("graph g\nnode hub\n" + "".join(
+        f"node s{i}\nedge hub -e-> s{i}\n" for i in range(300)))
+    rule = parse_rule("rule r\nnode n role=reader\nnode x role=embargo\n"
+                      "edge n -e-> x role=embargo\n")
+    (hub,) = (i for i in g.node_ids() if g.nodes[i].name == "hub")
+    log: list[str] = []
+    _log_compatibility_tests(monkeypatch, log)
+    assert not matcher.nacs_satisfied(rule, g, {"n": hub}, ROOT_QUANT)
+    # one of the 300 successors blocks the match; the others are not tried
+    assert log == ["x"]
+
+
+def test_a_level_tests_each_extension_against_its_nacs_when_found(
+        monkeypatch):
+    g = parse_graph("graph g\nnode a\nnode b\nnode c\nnode d\n"
+                    "edge a -e-> b\nedge c -e-> c\n")
+    rule = parse_rule("rule r\nquant q forall\nnode n role=reader in q\n"
+                      "node x role=embargo in q\n"
+                      "edge n -e-> x role=embargo in q\n")
+    (root,) = find_root_matches(rule, g)
+    log: list[str] = []
+    _log_compatibility_tests(monkeypatch, log)
+    real = matcher.nacs_satisfied
+
+    def nacs_satisfied(*args):
+        log.append("nacs")
+        return real(*args)
+
+    monkeypatch.setattr(matcher, "nacs_satisfied", nacs_satisfied)
+    levels = collect_level_matches(rule, g, root)
+    assert levels["q"].count == 2  # b and d have no e-successor
+    # each candidate of the level is tested, then its NACs, before the next
+    assert [e for e in log if e != "x"] == ["n", "nacs"] * 4
+    assert log.count("x") == 2
 
 
 def test_count_matches_number_of_extensions():
