@@ -13,6 +13,7 @@ GTX_COLOR to ``always`` or ``never`` to override color autodetection.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -144,6 +145,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
+@functools.cache  # built on first use, once: each parse gets a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtx", description="graph transformation workbench")

@@ -17,7 +17,10 @@ relabelled graph in sha colours.  Per node, a record holds the arcs
 or ``<`` at its target, so a loop gives its node both.  Refinement and
 the exact check read the same arcs.  The exact check is iterative, so
 graph size is not bounded by the recursion limit, and neighbour-local:
-extending the mapping by one node costs time in that node's degree.
+extending the mapping by one node costs time in that node's degree.  A
+successor that keeps its parent's nodes and edges, as a flag or attribute
+change does, shares its parent's record; one that creates or deletes a
+node, or adds or removes an edge, builds its own.
 
 Exploration is breadth-first and deterministic: rules fire in name order,
 matches in canonical match order, and states are numbered in discovery
@@ -128,21 +131,26 @@ class _Shape(NamedTuple):
     key: tuple[tuple[int, ...], tuple[tuple[int, str, int], ...]]
     #: node -> stable int colour from the run's signature table
     colors: dict[int, int]
-    #: node -> its arcs (other node, tag)
+    #: node -> its arcs (other node, tag); one object for a state and each
+    #: successor that keeps its nodes and edges (a flag or attribute change)
     arcs: dict[int, tuple[tuple[int, str], ...]]
 
 
 def _shape(seeds: dict[int, int], edges: Collection[HostEdge],
-           table: _Table) -> _Shape:
-    arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in seeds}
-    for src, label, tgt in edges:
-        name = label.name
-        out, into = table.tags.get(name) or table.tags.setdefault(
-            name, (f"{name}>", f"{name}<"))
-        arcs[src].append((tgt, out))
-        arcs[tgt].append((src, into))
-    # Every stored state keeps its record: tuples are smaller than lists.
-    record = {nid: tuple(node_arcs) for nid, node_arcs in arcs.items()}
+           table: _Table,
+           record: dict[int, tuple[tuple[int, str], ...]] | None = None
+           ) -> _Shape:
+    """``record``, when given, must be the record of these nodes and edges."""
+    if record is None:
+        arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in seeds}
+        for src, label, tgt in edges:
+            name = label.name
+            out, into = table.tags.get(name) or table.tags.setdefault(
+                name, (f"{name}>", f"{name}<"))
+            arcs[src].append((tgt, out))
+            arcs[tgt].append((src, into))
+        # Every stored state keeps its record: tuples are smaller than lists.
+        record = {nid: tuple(node_arcs) for nid, node_arcs in arcs.items()}
     colors = table.refine(seeds, record)
     key = (tuple(sorted(colors.values())), tuple(sorted([
         (colors[src], tag, colors[tgt]) for src, node_arcs in record.items()
@@ -261,12 +269,14 @@ def explore(rules: list[Rule], start: HostGraph,
     transitions: dict[tuple[int, str, int], None] = {}
 
     def intern(seeds: dict[int, int], edges: frozenset[HostEdge], depth: int,
-               build: Callable[[], HostGraph]) -> int | None:
+               build: Callable[[], HostGraph],
+               record: dict[int, tuple[tuple[int, str], ...]] | None = None
+               ) -> int | None:
         # The identity map is an isomorphism to an identical graph.
         exact = (frozenset(seeds.items()), edges)
         if exact in by_graph:
             return by_graph[exact]
-        shape = _shape(seeds, edges, table)
+        shape = _shape(seeds, edges, table, record)
         for idx in by_key.get(shape.key, []):
             # Distinct colours: the colour map is the isomorphism.
             if len(set(shape.colors.values())) == len(shape.colors) \
@@ -299,8 +309,11 @@ def explore(rules: list[Rule], start: HostGraph,
             after = edges if not (dead or removed or added) else (
                 edges.difference(removed, [e for e in edges if e.src in dead
                                            or e.tgt in dead]).union(added))
+            # The same nodes and edges: the parent's record is the successor's.
+            same = after is edges and len(seeds) == len(shape.seeds)
             tgt = intern(seeds, after, state.depth + 1,
-                         lambda: apply_effect(state.graph, effect))
+                         lambda: apply_effect(state.graph, effect),
+                         shape.arcs if same else None)
             if tgt is None:
                 lts.truncated = True
                 continue

@@ -486,6 +486,57 @@ def test_explore_does_not_report_an_engine_fault_as_a_usage_error(
     assert capsys.readouterr().err == ""
 
 
+# -- repeated calls in one process -----------------------------------------
+
+
+MARK_TWINS = {
+    "mark.gpr": ("rule mark\nnode n role=reader\nflag n creator done\n"
+                 "flag n embargo done\n"),
+    "start.gst": "graph g\nnode a\nnode b\n",
+}
+
+
+def test_the_parser_is_built_once():
+    assert gtx.cli._build_parser() is gtx.cli._build_parser()
+
+
+def test_a_bound_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    d = write_grammar(tmp_path, MARK_TWINS)
+    assert main(["explore", d, "--max-states", "2"]) == 4
+    assert capsys.readouterr().out.count("state ") == 2
+    assert main(["explore", d]) == 0
+    out = capsys.readouterr().out
+    assert out.count("state ") == 3 and "truncated" not in out
+
+
+def test_an_out_file_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    out_file = tmp_path / "msg.txt"
+    hello = str(FIXTURES / "hello")
+    assert main(["apply", hello, "helloMessage", "--out", str(out_file)]) == 0
+    assert not capsys.readouterr().out.startswith("The output is")
+    out_file.unlink()
+    assert main(["apply", hello, "helloMessage"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "The output is Hello TTC Participants \n---\ngraph hello\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore"],
+    ["explore", str(FIXTURES / "reverse"), "--max-states", "many"],
+    ["apply", str(FIXTURES / "hello"), "helloMessage", "--bogus"],
+])
+def test_a_call_after_a_usage_error_runs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: gtx")
+    assert main(["explore", str(FIXTURES / "reverse")]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[-1] == "trans S1 -reverseEdges-> S0"
+    assert out.err == ""
+
+
 # -- suite -------------------------------------------------------------
 
 

@@ -705,6 +705,37 @@ def test_explore_builds_one_graph_per_kept_state(monkeypatch):
         assert len(copies) == len(lts.states) < met
 
 
+@pytest.mark.parametrize("rule, shared", [
+    (MARK, True),
+    (parse_rule("rule make\nnode n role=creator\n"), False),
+    (parse_rule("rule drop\nnode n role=eraser\n"), False),
+    (parse_rule("rule link\nnode n role=reader\nnode m role=reader\n"
+                "edge n -f-> m role=creator\n"), False),
+    (parse_rule("rule cut\nnode n role=reader\nnode m role=reader\n"
+                "edge n -e-> m role=eraser\n"), False),
+], ids=["flag", "create", "delete", "add-edge", "remove-edge"])
+def test_a_successor_shares_its_parents_record_only_when_it_keeps_it(
+        monkeypatch, rule, shared):
+    # c is isolated: deleting it keeps the edge set, and a created node,
+    # isolated too, shares its colour, so refinement reads its arcs
+    calls: list[tuple] = []
+    real = explorer._shape
+
+    def logged(seeds, edges, table, record=None):
+        shape = real(seeds, edges, table, record)
+        calls.append((record, shape))
+        return shape
+
+    monkeypatch.setattr(explorer, "_shape", logged)
+    start = parse_graph("graph g\nnode a\nnode b\nnode c\nedge a -e-> b\n")
+    assert len(explore([rule], start, max_depth=1).states) > 1
+    (given, parent), *successors = calls
+    assert given is None and successors
+    for record, shape in successors:
+        assert (record is parent.arcs) is shared
+        assert (shape.arcs is parent.arcs) is shared
+
+
 def test_marking_explorations_count_brute_force_classes():
     rng = random.Random(7)
     for _ in range(25):

@@ -9,7 +9,9 @@ identity on surviving nodes, as README states for an effective
 application.  Seeded random grammars of one or two rules that erase,
 create, flag, write and wire nodes are explored by the engine and by the
 reference, and the two must agree on the number of states, the truncation
-flag and every transition between classes.
+flag and every transition between classes.  Each kept state's printed
+certificate must also be the one its graph gets on its own, whatever
+record and colours the state was found with.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from test_rewriter_reference import (
 )
 
 from gtx.dsl import parse_rule
-from gtx.explorer import explore
+from gtx.explorer import certificate, explore
 from gtx.graph import HostGraph
 from gtx.matcher import find_root_matches
 
@@ -137,3 +139,16 @@ def test_explorations_agree_with_the_reference_explorer():
         compared += 1
     # the grammars that outgrow the brute force are few
     assert compared >= 380
+
+
+def test_kept_states_carry_the_certificate_of_their_own_graph():
+    # a successor's colours come from a record it may share with its
+    # parent; a record that does not fit its graph miscolours the state
+    kept = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        lts = explore(random_grammar(rng), random_host(rng), max_depth=2)
+        for state in lts.states:
+            assert state.cert == certificate(state.graph), (seed, state.index)
+        kept += len(lts.states)
+    assert kept == 1657
