@@ -363,12 +363,11 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             i += 2
         node_specs[nid] = (types, flags)
 
-    g = HostGraph(name=name)
-    # Canonical ids: assigned in sorted-name order so that parsing the
-    # serialized form reproduces the same internal ids.
-    ids = {nid: g.add_node(*node_specs[nid], name=nid)
-           for nid in sorted(node_specs)}
-
+    # Each node is built once, with its attributes, after every line is
+    # read; edges go in after the nodes, in file order.
+    attrs: dict[str, dict[str, Value]] = {}
+    # (source, label name, target) -> label, in file order
+    edges: dict[tuple[str, str, str], Label] = {}
     for tokens in lines:
         keyword = _keyword(tokens)
         if keyword == "attr":
@@ -376,26 +375,37 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             owner, attr = _dotted(tokens[1], "attribute reference")
             _expect(tokens[2], "=")
             value = parse_value(tokens[3])
-            if owner not in ids:
+            if owner not in node_specs:
                 raise ParseError(f"attribute on unknown node {owner!r}",
                                  tokens[1].span)
-            if g.set_attr(ids[owner], attr, value) is not None:
+            owned = attrs.setdefault(owner, {})
+            if attr in owned:
                 raise ParseError(f"duplicate attribute {owner}.{attr}",
                                  tokens[1].span)
+            owned[attr] = value
         elif keyword == "edge":
             _shape(tokens, "edge SRC -LABEL-> TGT")
             src = _ident(tokens[1], "edge source")
             lbl = _edge_label_token(tokens[2])
             tgt = _ident(tokens[3], "edge target")
             for tok in (tokens[1], tokens[3]):
-                if tok.text not in ids:
+                if tok.text not in node_specs:
                     raise ParseError(
                         f"edge references unknown node {tok.text!r}", tok.span)
-            if not g.add_edge(ids[src], lbl, ids[tgt]):
+            if (src, lbl.name, tgt) in edges:
                 raise ParseError(
                     f"duplicate edge {src} -{lbl.name}-> {tgt}", tokens[2].span)
+            edges[(src, lbl.name, tgt)] = lbl
         elif keyword != "node":
             raise ParseError(f"unknown declaration {keyword!r}", tokens[0].span)
+
+    g = HostGraph(name=name)
+    # Canonical ids: assigned in sorted-name order so that parsing the
+    # serialized form reproduces the same internal ids.
+    ids = {nid: g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
+           for nid in sorted(node_specs)}
+    for (src, _, tgt), lbl in edges.items():
+        g.add_edge(ids[src], lbl, ids[tgt])
     return g
 
 

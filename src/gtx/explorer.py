@@ -260,7 +260,8 @@ def explore(rules: list[Rule], start: HostGraph,
     lts = Lts()
     table = _Table()
     #: exact key of every graph met so far -> its state
-    by_graph: dict[tuple[frozenset, frozenset], int] = {}
+    by_graph: dict[tuple[tuple[int, ...], tuple[int, ...], frozenset],
+                   int] = {}
     #: key -> its states; one state where each colour holds one node
     by_key: dict[tuple, list[int]] = {}
     #: per state: its record and edges, which its successors' keys start from
@@ -272,8 +273,10 @@ def explore(rules: list[Rule], start: HostGraph,
                build: Callable[[], HostGraph],
                record: dict[int, tuple[tuple[int, str], ...]] | None = None
                ) -> int | None:
-        # The identity map is an isomorphism to an identical graph.
-        exact = (frozenset(seeds.items()), edges)
+        # The identity map is an isomorphism to an identical graph.  Equal
+        # tuples mean an identical graph, and as seeds are in ascending id
+        # order, an identical graph gives equal tuples.
+        exact = (tuple(seeds), tuple(seeds.values()), edges)
         if exact in by_graph:
             return by_graph[exact]
         shape = _shape(seeds, edges, table, record)

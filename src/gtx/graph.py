@@ -1,11 +1,11 @@
 """Simple labelled host graphs.
 
-Nodes carry a set of node types, a set of boolean flags and a map of typed
-attribute values.  Edges are directed, labelled, and identified solely by
-their ``(source, label, target)`` triple: inserting the same triple twice
-is a no-op, there are no parallel edges and edges cannot carry attributes.
-Deleting a node drags every incident edge with it, so the graph can never
-contain a dangling edge.
+Nodes are immutable values that carry a set of node types, a set of
+boolean flags and a map of typed attribute values.  Edges are directed,
+labelled, and identified solely by their ``(source, label, target)``
+triple: inserting the same triple twice is a no-op, there are no parallel
+edges and edges cannot carry attributes.  Deleting a node drags every
+incident edge with it, so the graph can never contain a dangling edge.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import copysign
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 #: A character that may not appear in a label name: whitespace, or one
 #: with syntactic meaning in the textual formats.  For str patterns ``\s``
@@ -196,24 +197,23 @@ class HostEdge(NamedTuple):
         return (self.src, self.label.name, self.tgt)
 
 
-@dataclass
-class HostNode:
+#: The attributes of a node that has none, shared by every such node.
+NO_ATTRS: Mapping[str, Value] = MappingProxyType({})
+
+
+class HostNode(NamedTuple):
+    """A node value.  Fields cannot be assigned, ``types`` and ``flags``
+    are frozensets and ``attrs`` is never changed after construction, so
+    graphs and their copies share nodes; a change to a node puts a new one
+    in its graph.  Equal to the plain tuple of its fields."""
+
     id: int
-    types: set[Label] = field(default_factory=set)
-    flags: set[Label] = field(default_factory=set)
-    attrs: dict[str, Value] = field(default_factory=dict)
+    types: frozenset[Label] = frozenset()
+    flags: frozenset[Label] = frozenset()
+    attrs: Mapping[str, Value] = NO_ATTRS
     #: Serialized name; kept through parse/serialize round trips, never
     #: consulted by matching, rewriting or isomorphism.
     name: str | None = None
-
-    def clone(self) -> "HostNode":
-        return HostNode(
-            id=self.id,
-            types=set(self.types),
-            flags=set(self.flags),
-            attrs=dict(self.attrs),
-            name=self.name,
-        )
 
 
 def _check_kinds(labels: Iterable[Label], kind: LabelKind, what: str) -> None:
@@ -226,18 +226,21 @@ def _check_kinds(labels: Iterable[Label], kind: LabelKind, what: str) -> None:
 
 @dataclass
 class HostGraph:
-    """A mutable graph value.  ``copy()`` is a deep copy; the type is safe
-    to share between threads only as long as each thread works on its own
-    copy.  Raw ``==`` is id-sensitive -- use :func:`gtx.explorer.isomorphic`
-    for equality up to node renaming.  ``nodes`` and ``edges`` are not
-    constructor arguments, so ``add_node`` never hands out a taken id.
+    """A mutable graph of immutable nodes.  ``copy()`` shares the nodes
+    and the built indexes with its source, and each mutator changes only
+    the graph it is called on.  The type is safe to share between threads
+    only as long as each thread works on its own copy.  Raw ``==`` is
+    id-sensitive -- use :func:`gtx.explorer.isomorphic` for equality up to
+    node renaming.  ``nodes`` and ``edges`` are not constructor arguments,
+    so ``add_node`` never hands out a taken id.
 
     ``edges`` is the source of truth, but it must change only through
     ``add_edge``, ``remove_edge`` and ``delete_node_spo``: the first
     ``successors``/``predecessors`` query builds a label-keyed adjacency
     index from it, and only those methods drop the index again.  Likewise
-    ``nodes``, and a node's types, change only through ``add_node`` and
-    ``delete_node_spo``, which drop the type index of ``by_type``."""
+    the node ids, and a node's types, change only through ``add_node`` and
+    ``delete_node_spo``, which drop the type index of ``by_type``;
+    ``set_attr`` puts a node with the same types in place of the old one."""
 
     name: str = "g"
     nodes: dict[int, HostNode] = field(default_factory=dict, init=False)
@@ -262,15 +265,18 @@ class HostGraph:
         types: Iterable[Label] = (),
         flags: Iterable[Label] = (),
         name: str | None = None,
+        attrs: Mapping[str, Value] | None = None,
     ) -> int:
-        """Add a fresh node and return its id.  Ids are never reused."""
-        types = set(types)
-        flags = set(flags)
+        """Add a fresh node, holding a copy of ``attrs``, and return its
+        id.  Ids are never reused."""
+        types = frozenset(types)
+        flags = frozenset(flags)
         _check_kinds(types, LabelKind.NODE_TYPE, "node type")
         _check_kinds(flags, LabelKind.FLAG, "flag")
         nid = self._next_id
         self._next_id += 1
-        self.nodes[nid] = HostNode(id=nid, types=types, flags=flags, name=name)
+        self.nodes[nid] = tuple.__new__(HostNode, (
+            nid, types, flags, dict(attrs) if attrs else NO_ATTRS, name))
         self._by_type = None
         return nid
 
@@ -303,9 +309,8 @@ class HostGraph:
     def set_attr(self, nid: int, name: str, value: Value) -> Value | None:
         """Set an attribute, returning the value it displaced (if any)."""
         node = self._node(nid)
-        previous = node.attrs.get(name)
-        node.attrs[name] = value
-        return previous
+        self.nodes[nid] = node._replace(attrs={**node.attrs, name: value})
+        return node.attrs.get(name)
 
     def get_attr(self, nid: int, name: str) -> Value | None:
         return self._node(nid).attrs.get(name)
@@ -391,17 +396,20 @@ class HostGraph:
         return f"#{nid}"
 
     def copy(self, nodes: dict[int, HostNode] | None = None) -> "HostGraph":
-        """A deep copy, but for ``nodes``: held uncloned in place of the
-        nodes with their ids, and as new nodes from ``next_id`` on."""
+        """A copy that shares every node and the built indexes, but for
+        ``nodes``: held in place of the nodes with their ids, which must
+        keep their types, and as new nodes from ``next_id`` on."""
         nodes = nodes or {}
         g = HostGraph(name=self.name)
-        g.nodes = {nid: nodes.get(nid) or n.clone()
-                   for nid, n in self.nodes.items()}
+        g.nodes = {nid: nodes.get(nid, n) for nid, n in self.nodes.items()}
         g.edges = set(self.edges)
         g._next_id = self._next_id
+        # indexes are replaced, never edited, so sharing them is safe
+        g._out, g._in, g._by_type = self._out, self._in, self._by_type
         while g._next_id in nodes:
             g.nodes[g._next_id] = nodes[g._next_id]
             g._next_id += 1
+            g._by_type = None
         return g
 
     def integrity_errors(self) -> list[str]:

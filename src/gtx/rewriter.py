@@ -43,6 +43,9 @@ from .rules import (
 )
 from .typegraph import TypeGraph
 
+#: A created node has no flags or attributes before the application.
+_BLANK = HostNode(-1)
+
 
 class FormatError(Exception):
     """A print format that cannot be rendered with the bound parameters."""
@@ -93,8 +96,6 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     for node in sorted(rule.nodes.values(), key=lambda n: n.id):
         if node.role is not Role.EMBARGO:
             nodes.setdefault(node.level, []).append(node)
-    # a created node has no flags or attributes before the application
-    blank = HostNode(-1)
 
     node_deletions: set[int] = set()
     edge_deletions: set[HostEdge] = set()
@@ -130,7 +131,7 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                     if r is Role.CREATOR or r is Role.ERASER:
                         flags[(hid, fl)] = (flags.get((hid, fl), False)
                                             or r is Role.CREATOR)
-                pre = g.nodes.get(hid, blank).attrs
+                pre = g.nodes.get(hid, _BLANK).attrs
                 for attr, c in node.attr_constraints.items():
                     if c.kind is ConstraintKind.ASSIGN:
                         key, value = (hid, attr), c.value
@@ -168,13 +169,13 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                                if not g.has_edge(*e)), key=HostEdge.key),
         attr_writes=[(nid, attr, v) for (nid, attr), v in sorted(writes.items())
                      if nid not in node_deletions
-                     and g.nodes.get(nid, blank).attrs.get(attr) != v],
+                     and g.nodes.get(nid, _BLANK).attrs.get(attr) != v],
         attr_deletions=sorted(d for d in attr_deletions
                               if d[0] not in node_deletions and d not in writes),
         flag_changes=[(nid, fl, add) for (nid, fl), add in sorted(
                           flags.items(), key=lambda f: (f[0][0], f[0][1].name))
                       if nid not in node_deletions
-                      and add != (fl in g.nodes.get(nid, blank).flags)],
+                      and add != (fl in g.nodes.get(nid, _BLANK).flags)],
         param_values=param_values,
     )
 
@@ -191,32 +192,41 @@ def effect_delta(g: HostGraph, effect: Effect) -> tuple[
         if nid != (want := g.next_id + len(nodes)):
             raise ValueError(f"effect creates node {nid} but the graph's next "
                              f"id is {want}: it was planned for another graph")
-        nodes[nid] = HostNode(nid, set(types))
+        nodes[nid] = HostNode(nid, frozenset(types))
 
     def alive(nid: int) -> bool:
         return nid in nodes or (nid in g.nodes and nid not in deleted)
 
-    def node(nid: int) -> HostNode | None:  # cloned on first use
-        if nid not in nodes and alive(nid):
-            nodes[nid] = g.nodes[nid].clone()
-        return nodes.get(nid)
+    def pre(nid: int) -> HostNode:
+        return nodes[nid] if nid in nodes else g.nodes[nid]
 
+    # the post-state attributes and flags of each changed live node
+    attrs: dict[int, dict[str, Value]] = {}
+    flags: dict[int, set[Label]] = {}
     for nid, attr in effect.attr_deletions:
-        if (n := node(nid)) is not None:
-            n.attrs.pop(attr, None)
+        if alive(nid):
+            attrs.setdefault(nid, dict(pre(nid).attrs)).pop(attr, None)
     for nid, attr, value in effect.attr_writes:
-        if (n := node(nid)) is not None:
-            n.attrs[attr] = value
+        if alive(nid):
+            attrs.setdefault(nid, dict(pre(nid).attrs))[attr] = value
     for nid, fl, add in effect.flag_changes:
-        if (n := node(nid)) is not None:
-            (n.flags.add if add else n.flags.discard)(fl)
+        if alive(nid):
+            post = flags.setdefault(nid, set(pre(nid).flags))
+            (post.add if add else post.discard)(fl)
+    for nid in attrs.keys() | flags.keys():
+        old = pre(nid)  # tuple.__new__, as in HostGraph.add_node
+        nodes[nid] = tuple.__new__(HostNode, (
+            nid, old.types,
+            frozenset(flags[nid]) if nid in flags else old.flags,
+            attrs.get(nid, old.attrs), old.name))
     return deleted, effect.edge_deletions, [
         e for e in effect.edge_creations if alive(e[0]) and alive(e[2])], nodes
 
 
 def apply_effect(g: HostGraph, effect: Effect) -> HostGraph:
-    """Apply a planned effect to a copy of ``g``, cloning each node once at
-    most, and return the copy; raises what :func:`effect_delta` raises."""
+    """Apply a planned effect to a copy of ``g`` that shares every node the
+    effect leaves as it is, and return the copy; raises what
+    :func:`effect_delta` raises."""
     deleted, removed, added, nodes = effect_delta(g, effect)
     out = g.copy(nodes)
     for edge in removed:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import os
 import random
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gtx
-from gtx import explorer
-from gtx.dsl import load_grammar_dir, parse_graph, parse_rule
+from gtx import cli, explorer
+from gtx.dsl import load_grammar_dir, parse_graph, parse_rule, serialize_graph
 from gtx.explorer import (
     _h,
     _isomorphic,
@@ -304,7 +305,8 @@ def test_isomorphism_scales_past_the_recursion_limit():
     h = g.copy()
     started = time.monotonic()
     assert isomorphic(g, h)
-    h.nodes[h.node_ids()[1000]].flags.add(flag("f"))
+    nid = h.node_ids()[1000]
+    h.nodes[nid] = h.nodes[nid]._replace(flags=frozenset({flag("f")}))
     assert not isomorphic(g, h)
     assert time.monotonic() - started < 1.0
 
@@ -349,15 +351,23 @@ def random_graph(rng: random.Random, n: int, labels: list[str],
 
 def perturbed(g: HostGraph, rng: random.Random, kind: str) -> HostGraph | None:
     """A copy of ``g`` with one change of the given kind, or None when
-    ``g`` offers nothing to change."""
+    ``g`` offers nothing to change.  A node is a value: a flag change puts
+    a new node in its place, and a type change a new node under a new id,
+    through ``add_node``, so that the copy's type index is rebuilt."""
     out = g.copy()
     nid = rng.choice(out.node_ids())
     node = out.nodes[nid]
     edges = sorted(out.edges, key=lambda e: e.key())
     if kind == "flag":
-        node.flags ^= {flag("f")}
+        out.nodes[nid] = node._replace(flags=node.flags ^ {flag("f")})
     elif kind == "type":
-        node.types ^= {node_type("A")}
+        new = out.add_node(node.types ^ {node_type("A")}, node.flags,
+                           node.name, node.attrs)
+        for e in edges:
+            if nid in (e.src, e.tgt):
+                out.add_edge(new if e.src == nid else e.src, e.label,
+                             new if e.tgt == nid else e.tgt)
+        out.delete_node_spo(nid)
     elif kind == "attr":
         old = node.attrs.get("v")
         out.set_attr(nid, "v", Value.int_(2 if old is None else 1 - old.raw))
@@ -736,6 +746,72 @@ def test_a_successor_shares_its_parents_record_only_when_it_keeps_it(
         assert (shape.arcs is parent.arcs) is shared
 
 
+def test_changing_one_states_graph_changes_no_other():
+    ring = load_grammar_dir(str(RING_GRAMMAR))
+    start = parse_graph(marked_ring(5, {0}))
+    lts = explore(list(ring.rules.values()), start, tgs=ring.type_graphs)
+    graphs = [start] + [s.graph for s in lts.states]
+    # the states share nodes: the test would show nothing otherwise
+    assert any(a is b for a, b in zip(graphs[1].nodes.values(),
+                                      graphs[2].nodes.values()))
+    texts = [serialize_graph(g) for g in graphs]
+    for i, g in enumerate(graphs):
+        for nid in g.node_ids():
+            g.set_attr(nid, "seen", Value.int_(i))
+        texts[i] = serialize_graph(g)
+        assert [serialize_graph(h) for h in graphs] == texts
+
+
+def test_every_exact_key_lists_its_seeds_in_ascending_id_order(monkeypatch):
+    # so an identical graph always gives an equal key (see explore)
+    orders: list[list[int]] = []
+    real = explorer._shape
+
+    def logged(seeds, edges, table, record=None):
+        orders.append(list(seeds))
+        return real(seeds, edges, table, record)
+
+    monkeypatch.setattr(explorer, "_shape", logged)
+    start = parse_graph("graph g\nnode a\nnode b\nnode c\nedge a -e-> b\n")
+    make = parse_rule("rule make\nnode n role=creator\n")
+    drop = parse_rule("rule drop\nnode n role=eraser\n")
+    for rules in ([make], [drop], [make, drop]):
+        orders.clear()
+        explore(rules, start, max_depth=2)
+        start_order, *successors = orders
+        assert start_order == [0, 1, 2]
+        assert any(max(o) > 2 for o in successors) is (make in rules)
+        assert any(len(o) < 3 for o in successors) is (drop in rules)
+        assert all(o == sorted(o) for o in orders)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_the_compact_exact_key_misses_no_identical_graph(
+        monkeypatch, tmp_path, capsys):
+    # One pass of the benchmark's explore workload on seed 1.  With the
+    # exact key (frozenset(seeds.items()), edges), which names a graph
+    # whatever the order of its seeds, colour refinement ran 7 864 times.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.Explore(1, tmp_path)
+    calls = []
+    real = _Table.refine
+
+    def counted(self, colors, arcs):
+        calls.append(None)
+        return real(self, colors, arcs)
+
+    monkeypatch.setattr(_Table, "refine", counted)
+    for path, expected in zip(bench.files, bench.expected):
+        assert cli.main(["explore", str(RING_GRAMMAR), "--graph", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert (sum(line.startswith("state ") for line in out),
+                sum(line.startswith("trans ") for line in out)) == expected
+    assert len(calls) == 7864
+
+
 def test_marking_explorations_count_brute_force_classes():
     rng = random.Random(7)
     for _ in range(25):
@@ -747,7 +823,8 @@ def test_marking_explorations_count_brute_force_classes():
             for chosen in itertools.combinations(unmarked, k):
                 h = g.copy()
                 for nid in chosen:
-                    h.nodes[nid].flags.add(flag("done"))
+                    h.nodes[nid] = h.nodes[nid]._replace(
+                        flags=h.nodes[nid].flags | {flag("done")})
                 reachable.append(h)
         classes: list[HostGraph] = []
         for h in reachable:

@@ -286,8 +286,9 @@ def assert_index_matches_scan(g: HostGraph, labels) -> None:
 
 
 def snapshot(g: HostGraph):
-    return (dict((nid, n.clone()) for nid, n in g.nodes.items()),
-            set(g.edges))
+    # a copy of each node's attributes too: they must not change in place
+    return ({nid: n._replace(attrs=dict(n.attrs))
+             for nid, n in g.nodes.items()}, set(g.edges))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -383,6 +384,71 @@ def test_query_results_belong_to_the_caller():
     g.predecessors(b, e).clear()
     assert g.successors(a, e) == {b}
     assert g.predecessors(b, e) == {a}
+
+
+# -- nodes are values that copies share ----------------------------------
+
+
+def test_a_node_is_an_immutable_value():
+    g = HostGraph()
+    nid = g.add_node([node_type("T")], [flag("f")], "a",
+                     {"k": Value.int_(1)})
+    node = g.nodes[nid]
+    for name in HostNode._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, getattr(node, name))
+    assert type(node.types) is type(node.flags) is frozenset
+    # a node without attributes holds no mutable dict that others share
+    with pytest.raises(TypeError):
+        HostNode(0).attrs["k"] = Value.int_(1)
+
+
+def test_add_node_keeps_its_own_attributes():
+    attrs = {"k": Value.int_(1)}
+    g = HostGraph()
+    nid = g.add_node(attrs=attrs)
+    attrs["k"] = Value.int_(2)
+    assert g.get_attr(nid, "k") == Value.int_(1)
+
+
+def test_set_attr_replaces_the_node_only_in_its_own_graph():
+    g, (a, b, _) = build_triangle()
+    h = g.copy()
+    assert all(h.nodes[nid] is g.nodes[nid] for nid in g.nodes)
+    old = g.nodes[a]
+    assert h.set_attr(a, "k", Value.int_(1)) is None
+    assert g.nodes[a] is old and old.attrs == {}
+    assert h.nodes[a].types is old.types and h.nodes[b] is g.nodes[b]
+
+
+MUTATORS = {
+    "add_node": lambda g, ids: g.add_node([node_type("U")]),
+    "add_edge": lambda g, ids: g.add_edge(ids[0], edge_label("f"), ids[1]),
+    "remove_edge": lambda g, ids: g.remove_edge(ids[0], edge_label("e"),
+                                                ids[1]),
+    "delete_node_spo": lambda g, ids: g.delete_node_spo(ids[1]),
+    "set_attr": lambda g, ids: g.set_attr(ids[2], "k", Value.int_(2)),
+}
+
+
+@pytest.mark.parametrize("changed", ["copy", "source"])
+@pytest.mark.parametrize("mutator", sorted(MUTATORS))
+def test_a_copy_and_its_source_stay_independent(mutator, changed):
+    labels = [edge_label("e"), edge_label("f")]
+    g, ids = build_triangle()
+    g.set_attr(ids[2], "k", Value.int_(1))
+    # built before the copy, so the copy is handed every index
+    assert_index_matches_scan(g, labels)
+    assert_type_index_matches_scan(g)
+    h = g.copy()
+    target, other = (h, g) if changed == "copy" else (g, h)
+    before = snapshot(other)
+    MUTATORS[mutator](target, ids)
+    assert snapshot(target) != before
+    assert snapshot(other) == before
+    for graph in (g, h):
+        assert_index_matches_scan(graph, labels)
+        assert_type_index_matches_scan(graph)
 
 
 def test_a_graph_is_built_only_through_add_node_and_add_edge():

@@ -297,13 +297,20 @@ def test_a_counting_check_reports_each_sample_the_rule_gets_wrong(
         "sample 1: rule said '12 nodes', oracle says '7 nodes'"]
 
 
+def drop_attr(g: HostGraph, nid: int, attr: str) -> None:
+    """Put a node without ``attr`` in place of ``nid``: nodes are values."""
+    node = g.nodes[nid]
+    g.nodes[nid] = node._replace(
+        attrs={a: v for a, v in node.attrs.items() if a != attr})
+
+
 def test_the_migration_check_reports_a_node_that_kept_its_attribute():
     grammar = load_fixture_grammar("migration_gc")
     result = apply_rule(grammar.rules["migrateToGraphComponent"],
                         grammar.start, grammar.type_graphs).graph
     n1 = next(nid for nid in result.node_ids()
               if NODE in result.nodes[nid].types)
-    del result.nodes[n1].attrs["text"]
+    drop_attr(result, n1, "text")
     assert planted_problems("migrateToGraphComponent", result) == [
         "node n1 kept its old attribute"]
 
@@ -315,8 +322,8 @@ def test_the_migration_check_reports_every_faulty_node():
     types = {nid: result.nodes[nid].types for nid in result.node_ids()}
     node = [nid for nid in types if NODE in types[nid]][-1]
     edge = [nid for nid in types if EDGE in types[nid]][-1]
-    del result.nodes[node].attrs["text"]
-    del result.nodes[edge].attrs["text"]
+    drop_attr(result, node, "text")
+    drop_attr(result, edge, "text")
     assert planted_problems("migrateToGraphComponent", result) == [
         "edge node e8 lacks its empty text", "node n6 kept its old attribute"]
 
