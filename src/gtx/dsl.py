@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import (
+    HostEdge,
     HostGraph,
     Label,
     RESERVED_RE,
@@ -363,15 +364,21 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             i += 2
         node_specs[nid] = (types, flags)
 
+    # Canonical ids: assigned in sorted-name order, from 0 as in a fresh
+    # graph, so that parsing the serialized form reproduces the same ids.
+    # A key of ``ids`` has passed ``_ident`` as a node name.
+    ids = dict(zip(sorted(node_specs), range(len(node_specs))))
     # Each node is built once, with its attributes, after every line is
-    # read; edges go in after the nodes, in file order.
+    # read, and the edges go in together after the nodes.
     attrs: dict[str, dict[str, Value]] = {}
-    # (source, label name, target) -> label, in file order
-    edges: dict[tuple[str, str, str], Label] = {}
+    edges: set[HostEdge] = set()
+    #: the label of each unquoted arrow text read so far
+    arrows: dict[str, Label] = {}
     for tokens in lines:
         keyword = _keyword(tokens)
         if keyword == "attr":
-            _shape(tokens, "attr ID.NAME = VALUE")
+            if len(tokens) != 4:
+                _shape(tokens, "attr ID.NAME = VALUE")
             owner, attr = _dotted(tokens[1], "attribute reference")
             _expect(tokens[2], "=")
             value = parse_value(tokens[3])
@@ -384,28 +391,34 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
                                  tokens[1].span)
             owned[attr] = value
         elif keyword == "edge":
-            _shape(tokens, "edge SRC -LABEL-> TGT")
-            src = _ident(tokens[1], "edge source")
-            lbl = _edge_label_token(tokens[2])
-            tgt = _ident(tokens[3], "edge target")
-            for tok in (tokens[1], tokens[3]):
-                if tok.text not in node_specs:
-                    raise ParseError(
-                        f"edge references unknown node {tok.text!r}", tok.span)
-            if (src, lbl.name, tgt) in edges:
+            if len(tokens) != 4:
+                _shape(tokens, "edge SRC -LABEL-> TGT")
+            _, src_tok, arrow, tgt_tok = tokens
+            src = None if src_tok.quoted else ids.get(src_tok.text)
+            if src is None:
+                _ident(src_tok, "edge source")
+            lbl = None if arrow.quoted else arrows.get(arrow.text)
+            if lbl is None:
+                lbl = arrows[arrow.text] = _edge_label_token(arrow)
+            tgt = None if tgt_tok.quoted else ids.get(tgt_tok.text)
+            if tgt is None:
+                _ident(tgt_tok, "edge target")
+            if src is None or tgt is None:
+                tok = src_tok if src is None else tgt_tok
                 raise ParseError(
-                    f"duplicate edge {src} -{lbl.name}-> {tgt}", tokens[2].span)
-            edges[(src, lbl.name, tgt)] = lbl
+                    f"edge references unknown node {tok.text!r}", tok.span)
+            edge = tuple.__new__(HostEdge, (src, lbl, tgt))
+            if edge in edges:
+                raise ParseError(f"duplicate edge {src_tok.text} "
+                                 f"-{lbl.name}-> {tgt_tok.text}", arrow.span)
+            edges.add(edge)
         elif keyword != "node":
             raise ParseError(f"unknown declaration {keyword!r}", tokens[0].span)
 
     g = HostGraph(name=name)
-    # Canonical ids: assigned in sorted-name order so that parsing the
-    # serialized form reproduces the same internal ids.
-    ids = {nid: g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
-           for nid in sorted(node_specs)}
-    for (src, _, tgt), lbl in edges.items():
-        g.add_edge(ids[src], lbl, ids[tgt])
+    for nid in ids:
+        g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
+    g.update_edges(added=edges)
     return g
 
 
@@ -441,20 +454,22 @@ def serialize_graph(g: HostGraph) -> str:
     names = _serialized_names(g)
     # a name that would not read back becomes the HostGraph default
     out = [f"graph {g.name if _reads_back(g.name) else 'g'}"]
-    for nid in sorted(g.nodes, key=lambda n: names[n]):
-        node = g.nodes[nid]
-        line = f"node {names[nid]}"
-        if node.types:
-            line += " : " + ",".join(sorted(t.name for t in node.types))
-        for f in sorted(node.flags, key=lambda lb: lb.name):
-            line += f" flag {f.name}"
-        out.append(line)
-        for attr in sorted(node.attrs):
-            out.append(f"attr {names[nid]}.{attr} = "
-                       f"{serialize_value(node.attrs[attr])}")
-    for e in sorted(g.edges,
-                    key=lambda e: (names[e.src], e.label.name, names[e.tgt])):
-        out.append(f"edge {names[e.src]} -{e.label.name}-> {names[e.tgt]}")
+    #: the text after a node line's name, once per (types, flags) pair
+    heads: dict[tuple[frozenset[Label], frozenset[Label]], str] = {}
+    for nid in sorted(g.nodes, key=names.__getitem__):
+        _, types, flags, attrs, _ = g.nodes[nid]
+        head = heads.get((types, flags))
+        if head is None:
+            head = (" : " + ",".join(sorted(t.name for t in types))
+                    if types else "")
+            head += "".join(f" flag {f}" for f in sorted(f.name for f in flags))
+            heads[types, flags] = head
+        name = names[nid]
+        out.append(f"node {name}{head}")
+        for attr in sorted(attrs):
+            out.append(f"attr {name}.{attr} = {serialize_value(attrs[attr])}")
+    out += [f"edge {src} -{label}-> {tgt}" for src, label, tgt in sorted(
+        (names[src], label.name, names[tgt]) for src, label, tgt in g.edges)]
     return "\n".join(out) + "\n"
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from math import copysign
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 #: A character that may not appear in a label name: whitespace, or one
 #: with syntactic meaning in the textual formats.  For str patterns ``\s``
@@ -235,7 +235,8 @@ class HostGraph:
     so ``add_node`` never hands out a taken id.
 
     ``edges`` is the source of truth, but it must change only through
-    ``add_edge``, ``remove_edge`` and ``delete_node_spo``: the first
+    its mutators: ``add_edge`` and ``remove_edge`` one edge at a time,
+    ``update_edges`` in bulk, and ``delete_node_spo``.  The first
     ``successors``/``predecessors`` query builds a label-keyed adjacency
     index from it, and only those methods drop the index again.  Likewise
     the node ids, and a node's types, change only through ``add_node`` and
@@ -280,8 +281,7 @@ class HostGraph:
         self._by_type = None
         return nid
 
-    def add_edge(self, src: int, label: Label, tgt: int) -> bool:
-        """Insert an edge; returns False when the triple already exists."""
+    def _check_edge(self, src: int, label: Label, tgt: int) -> None:
         if src not in self.nodes:
             raise MissingNodeError(f"edge source {src} is not in the graph")
         if tgt not in self.nodes:
@@ -290,6 +290,10 @@ class HostGraph:
             raise KindMismatchError(
                 f"edge requires an edge-label, got {label.kind.value} {label.name!r}"
             )
+
+    def add_edge(self, src: int, label: Label, tgt: int) -> bool:
+        """Insert an edge; returns False when the triple already exists."""
+        self._check_edge(src, label, tgt)
         # tuple.__new__ skips HostEdge's generated, Python-level __new__
         edge = tuple.__new__(HostEdge, (src, label, tgt))
         if edge in self.edges:
@@ -297,6 +301,26 @@ class HostGraph:
         self.edges.add(edge)
         self._out = self._in = None
         return True
+
+    def update_edges(self, removed: Collection[HostEdge] = (),
+                     added: Collection[HostEdge] = ()) -> None:
+        """Remove the ``removed`` edges, then insert the ``added`` ones, as
+        two set updates, and drop the adjacency index once unless both are
+        empty.  Each added edge must be a :class:`HostEdge`.  When one has
+        an end outside the graph or a label of another kind, nothing
+        changes and the error :meth:`add_edge` would raise for it is
+        raised."""
+        if added:
+            # one check of all ends and labels; per edge only on failure
+            srcs, labels, tgts = zip(*added)
+            if (not self.nodes.keys() >= {*srcs, *tgts} or any(
+                    lb.kind is not LabelKind.EDGE_LABEL for lb in set(labels))):
+                for edge in added:
+                    self._check_edge(*edge)
+        if removed or added:
+            self.edges.difference_update(removed)
+            self.edges.update(added)
+            self._out = self._in = None
 
     def remove_edge(self, src: int, label: Label, tgt: int) -> bool:
         edge = (src, label, tgt)

@@ -115,10 +115,11 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     for qid, level_set in levels.items():
         edges = [e for e in rule.edges_at(qid)
                  if e.role is Role.ERASER or e.role is Role.CREATOR]
+        level_nodes = nodes.get(qid, ())
         for match in level_set.extensions:
             ctx = contexts.get(id(match.parent), {}) | match.assignment
             contexts[id(match)] = ctx
-            for node in nodes.get(qid, ()):
+            for node in level_nodes:
                 if node.role is Role.CREATOR:
                     ctx[node.id] = g.next_id + len(node_creations)
                     node_creations.append((ctx[node.id], (
@@ -131,14 +132,16 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                     if r is Role.CREATOR or r is Role.ERASER:
                         flags[(hid, fl)] = (flags.get((hid, fl), False)
                                             or r is Role.CREATOR)
-                pre = g.nodes.get(hid, _BLANK).attrs
                 for attr, c in node.attr_constraints.items():
                     if c.kind is ConstraintKind.ASSIGN:
                         key, value = (hid, attr), c.value
-                    elif (c.kind is ConstraintKind.RENAME
-                          and c.new_name != attr and attr in pre):
+                    elif c.kind is ConstraintKind.RENAME and c.new_name != attr:
+                        # the pre-state is read only where a rename needs it
+                        value = g.nodes.get(hid, _BLANK).attrs.get(attr)
+                        if value is None:
+                            continue
                         attr_deletions.add((hid, attr))
-                        key, value = (hid, c.new_name), pre[attr]
+                        key = (hid, c.new_name)
                     else:
                         continue
                     if (key not in writes
@@ -155,8 +158,10 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     # writes that change nothing vanish; a renamed-away attribute is
     # deleted only if nothing writes to it.  This is what makes is_empty()
     # mean "application would be the identity".
-    edge_creations = {e for e in edge_creations if e.src not in node_deletions
-                      and e.tgt not in node_deletions}
+    if node_deletions:
+        edge_creations = {e for e in edge_creations
+                          if e.src not in node_deletions
+                          and e.tgt not in node_deletions}
     param_values = dict(root_match.bound_params)
     for qid, idx in rule.count_params().items():
         param_values[idx] = Value.int_(levels[qid].count)
@@ -165,8 +170,7 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
         node_deletions=sorted(node_deletions),
         edge_deletions=sorted(edge_deletions - edge_creations, key=HostEdge.key),
         node_creations=node_creations,
-        edge_creations=sorted((e for e in edge_creations
-                               if not g.has_edge(*e)), key=HostEdge.key),
+        edge_creations=sorted(edge_creations - g.edges, key=HostEdge.key),
         attr_writes=[(nid, attr, v) for (nid, attr), v in sorted(writes.items())
                      if nid not in node_deletions
                      and g.nodes.get(nid, _BLANK).attrs.get(attr) != v],
@@ -214,11 +218,11 @@ def effect_delta(g: HostGraph, effect: Effect) -> tuple[
             post = flags.setdefault(nid, set(pre(nid).flags))
             (post.add if add else post.discard)(fl)
     for nid in attrs.keys() | flags.keys():
-        old = pre(nid)  # tuple.__new__, as in HostGraph.add_node
+        _, types, old_flags, old_attrs, name = pre(nid)
+        # tuple.__new__, as in HostGraph.add_node
         nodes[nid] = tuple.__new__(HostNode, (
-            nid, old.types,
-            frozenset(flags[nid]) if nid in flags else old.flags,
-            attrs.get(nid, old.attrs), old.name))
+            nid, types, frozenset(flags[nid]) if nid in flags else old_flags,
+            attrs.get(nid, old_attrs), name))
     return deleted, effect.edge_deletions, [
         e for e in effect.edge_creations if alive(e[0]) and alive(e[2])], nodes
 
@@ -229,12 +233,10 @@ def apply_effect(g: HostGraph, effect: Effect) -> HostGraph:
     :func:`effect_delta` raises."""
     deleted, removed, added, nodes = effect_delta(g, effect)
     out = g.copy(nodes)
-    for edge in removed:
-        out.remove_edge(*edge)
     if deleted:
         out.delete_node_spo(*deleted)
-    for edge in added:
-        out.add_edge(*edge)
+    # every added edge has live ends, so deleting nodes first is the same
+    out.update_edges(removed, added)
     return out
 
 

@@ -417,6 +417,94 @@ def test_serialization_round_trip(g):
     assert {n.name for n in reparsed.nodes.values()} == original
 
 
+def reads_back(name: str | None) -> bool:
+    """Whether ``name`` reads back as itself as a graph and a node name."""
+    try:
+        g = parse_graph(f"graph {name}\nnode {name}\n") if name else None
+        return g is not None and g.name == name == g.nodes[0].name \
+            and bool(name.encode())
+    except (ParseError, UnicodeEncodeError):
+        return False
+
+
+def reference_serialize(g: HostGraph) -> str:
+    """The documented form: nodes by name, each followed by its attributes
+    by name, then edges by (source, label, target) name.  A node name that
+    does not read back, or that a lower id kept, becomes the first of
+    ``x<id>``, ``_x<id>``, ... that no node has."""
+    used = {n.name for n in g.nodes.values()}
+    names: dict[int, str] = {}
+    for nid in sorted(g.nodes):
+        name = g.nodes[nid].name
+        if not reads_back(name) or name in names.values():
+            name = f"x{nid}"
+            while name in used:
+                name = "_" + name
+            used.add(name)
+        names[nid] = name
+    lines = [f"graph {g.name if reads_back(g.name) else 'g'}"]
+    for nid in sorted(g.nodes, key=names.get):
+        node = g.nodes[nid]
+        words = [f"node {names[nid]}"]
+        if node.types:
+            words.append(": " + ",".join(sorted(t.name for t in node.types)))
+        words += [f"flag {f}" for f in sorted(f.name for f in node.flags)]
+        lines.append(" ".join(words))
+        lines += [f"attr {names[nid]}.{attr} = {serialize_value(v)}"
+                  for attr, v in sorted(node.attrs.items())]
+    lines += [f"edge {src} -{label}-> {tgt}" for src, label, tgt in sorted(
+        (names[e.src], e.label.name, names[e.tgt]) for e in g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+ORACLE_NAMES = [None, "", "n", "m", "é", "x0", "x3", "_x3", *BAD_NAMES,
+                "a\ud800"]
+ORACLE_STRINGS = ["", "plain", 'say "hi"', "back\\slash", "line\nbreak",
+                  "tab\there\r", "\x01ctl\x7f\x85", "\u2028sep", "é中😀",
+                  "\\u0041"]
+
+
+def random_host(seed: int) -> HostGraph:
+    """Several types and flags, every value kind with escapes, unnamed
+    nodes, names that must be replaced and ids with gaps."""
+    rng = random.Random(seed)
+    g = HostGraph(rng.choice(["g", "demo", "my graph", "a#b", "x1"]))
+    for _ in range(rng.randint(0, 9)):
+        nid = g.add_node(
+            [node_type(t) for t in rng.sample(["A", "B", "Cé", "D1"],
+                                              rng.randint(0, 2))],
+            [flag(f) for f in rng.sample(["hot", "cold", "z"],
+                                         rng.randint(0, 2))],
+            rng.choice(ORACLE_NAMES) if rng.random() < 0.5
+            else f"{rng.choice('anx')}{rng.randint(0, 3)}")
+        for attr in rng.sample(["name", "k", "w2", "é"], rng.randint(0, 3)):
+            g.set_attr(nid, attr, rng.choice([
+                Value.string(rng.choice(ORACLE_STRINGS)),
+                Value.int_(rng.choice([0, -1, 2**63 - 1, -2**63,
+                                       rng.randint(-99, 99)])),
+                Value.bool_(rng.random() < 0.5),
+                Value.real(rng.choice([0.0, -0.0, 1.5, -2.5e-300, 1e300,
+                                       1 / 3]))]))
+    for nid in rng.sample(g.node_ids(), len(g.nodes) // 4):
+        g.delete_node_spo(nid)
+    ids = g.node_ids()
+    for _ in range(rng.randint(0, 12) if ids else 0):
+        g.add_edge(rng.choice(ids), edge_label(rng.choice(["e", "f", "ä"])),
+                   rng.choice(ids))
+    return g
+
+
+def test_serialize_graph_agrees_with_a_reference_serializer():
+    for seed in range(300):
+        g = random_host(seed)
+        text = serialize_graph(g)
+        assert text == reference_serialize(g), seed
+        assert serialize_graph(g) == text
+        reparsed = parse_graph(text)
+        assert serialize_graph(reparsed) == text
+        assert isomorphic(reparsed, g)
+
+
 # -- type graphs -------------------------------------------------------
 
 
@@ -757,6 +845,22 @@ DIAGNOSTICS = [
      'duplicate attribute a.x', 4, 6, 9),
     ('graph', 'graph g\nnode a\nedge a -e-> b',
      "edge references unknown node 'b'", 3, 13, 14),
+    # a quoted end is not a name, even when its text names a node
+    ('graph', 'graph g\nnode a\nedge "a" -e-> a',
+     'expected edge source', 3, 6, 9),
+    ('graph', 'graph g\nnode a\nedge a -e-> "a"',
+     'expected edge target', 3, 13, 16),
+    # the source is checked before the arrow
+    ('graph', 'graph g\nnode a\nedge a:b =e=> a',
+     "edge source 'a:b' contains reserved character ':'", 3, 6, 9),
+    ('graph', 'graph g\nnode a\nedge "a" =e=> a',
+     'expected edge source', 3, 6, 9),
+    # a quoted arrow is no arrow, even after the same text was one
+    ('graph', 'graph g\nnode a\nedge a -e-> a\nedge a "-e->" a',
+     'expected an edge arrow of the form -label->', 4, 8, 14),
+    # a bad name is reported before an unknown one
+    ('graph', 'graph g\nnode a\nedge a -e-> b:c',
+     "edge target 'b:c' contains reserved character ':'", 3, 13, 16),
     ('typegraph', 'typegraph',
      "'typegraph' header needs a name", 1, 10, 11),
     ('typegraph', 'typegraph t\ntype',

@@ -174,6 +174,29 @@ def test_add_edge_checks_its_source():
         g.add_edge(99, edge_label("e"), a)
 
 
+def test_update_edges_removes_then_adds():
+    g, (a, b, c) = build_triangle()
+    e, f = edge_label("e"), edge_label("f")
+    g.update_edges([(a, e, b), (b, e, a)],
+                   [HostEdge(b, f, a), HostEdge(a, e, b)])
+    assert g.edges == {(a, e, b), (b, e, c), (c, e, a), (b, f, a)}
+    assert all(type(edge) is HostEdge for edge in g.edges)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (HostEdge(99, edge_label("e"), 0), MissingNodeError, "edge source 99"),
+    (HostEdge(0, edge_label("e"), 99), MissingNodeError, "edge target 99"),
+    (HostEdge(0, node_type("T"), 1), KindMismatchError, "requires an edge-label"),
+])
+def test_update_edges_checks_every_added_edge(bad, error, message):
+    g, (a, b, _) = build_triangle()
+    before = set(g.edges)
+    with pytest.raises(error, match=message):
+        g.update_edges([(a, edge_label("e"), b)],
+                       [HostEdge(b, edge_label("f"), a), bad])
+    assert g.edges == before
+
+
 def test_set_attr_returns_displaced_value():
     g = HostGraph()
     n = g.add_node()
@@ -330,6 +353,51 @@ def test_adjacency_index_follows_every_mutation(seed):
         assert_index_matches_scan(g, labels)
 
 
+# Deleting a node with an incident edge drops the adjacency index too, so
+# each effect but the last also deletes an isolated node, or none.
+INDEX_EFFECTS = {
+    "remove, delete isolated, add": dict(
+        node_deletions=[5], edge_deletions=[(0, "e", 1), (2, "f", 3)],
+        edge_creations=[(1, "e", 0), (3, "f", 3), (4, "e", 0)]),
+    "remove only": dict(edge_deletions=[(1, "e", 2)]),
+    "add only": dict(edge_creations=[(0, "f", 4)]),
+    "remove, delete incident, add": dict(
+        node_deletions=[2, 5], edge_deletions=[(0, "e", 1)],
+        edge_creations=[(1, "e", 0), (3, "e", 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_EFFECTS))
+def test_apply_effect_leaves_indexes_that_agree_with_a_scan(name):
+    labels = [edge_label(c) for c in "ef"]
+    g = HostGraph()
+    for k in range(6):
+        g.add_node([node_type("TU"[k % 2])])
+    for src, lb, tgt in [(0, "e", 1), (1, "e", 2), (2, "f", 3), (3, "e", 0),
+                         (2, "e", 4), (4, "f", 2)]:
+        g.add_edge(src, edge_label(lb), tgt)
+    # built before the application, so the copy starts with every index
+    assert_index_matches_scan(g, labels)
+    assert_type_index_matches_scan(g)
+    before = snapshot(g)
+    fields = {key: [HostEdge(s, edge_label(lb), t) for s, lb, t in value]
+              if key.startswith("edge") else value
+              for key, value in INDEX_EFFECTS[name].items()}
+    h = apply_effect(g, Effect(**fields))
+    dead = set(fields.get("node_deletions", ()))
+    assert h.edges == (g.edges - set(fields.get("edge_deletions", ()))
+                       - {e for e in g.edges if e.src in dead or e.tgt in dead}
+                       ) | set(fields.get("edge_creations", ()))
+    for graph in (g, h):
+        assert_index_matches_scan(graph, labels)
+        assert_type_index_matches_scan(graph)
+        # a deleted node has no neighbours left in the index either
+        for nid in dead - graph.nodes.keys():
+            assert all(not graph.successors(nid, lb)
+                       and not graph.predecessors(nid, lb) for lb in labels)
+    assert snapshot(g) == before
+
+
 def by_type_scan(g: HostGraph) -> dict:
     return {t: sorted(nid for nid, n in g.nodes.items() if t in n.types)
             for n in g.nodes.values() for t in n.types}
@@ -426,6 +494,9 @@ MUTATORS = {
     "add_edge": lambda g, ids: g.add_edge(ids[0], edge_label("f"), ids[1]),
     "remove_edge": lambda g, ids: g.remove_edge(ids[0], edge_label("e"),
                                                 ids[1]),
+    "update_edges": lambda g, ids: g.update_edges(
+        [(ids[0], edge_label("e"), ids[1])],
+        [HostEdge(ids[1], edge_label("f"), ids[0])]),
     "delete_node_spo": lambda g, ids: g.delete_node_spo(ids[1]),
     "set_attr": lambda g, ids: g.set_attr(ids[2], "k", Value.int_(2)),
 }
