@@ -35,7 +35,7 @@ class MissingNodeError(Exception):
     """An operation referenced a node id that is not in the graph."""
 
 
-class LabelKind(Enum):
+class LabelKind(str, Enum):  # a str, so labels hash and sort as tuples
     NODE_TYPE = "node-type"
     FLAG = "flag"
     EDGE_LABEL = "edge-label"
@@ -51,33 +51,24 @@ def utf8_encodable(s: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Label:
-    """An interned name with a kind; the same name may exist in every kind.
+class Label(NamedTuple("_Label", [("kind", LabelKind), ("name", str)])):
+    """A name with a kind; the same name may exist in every kind.
 
-    Equality compares kind and name; the hash of the pair is computed once,
-    since sets and dicts of labels and edge triples hash it constantly."""
+    A label is the ``(kind, name)`` pair, so it hashes, compares and sorts
+    as that tuple: labels of one kind sort by name."""
 
-    kind: LabelKind
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, kind: LabelKind, name: str) -> "Label":
+        if not name:
             raise ValueError("label name must be non-empty")
-        found = RESERVED_RE.search(self.name)
+        found = RESERVED_RE.search(name)
         if found:
-            raise ValueError(f"label name {self.name!r} contains reserved "
+            raise ValueError(f"label name {name!r} contains reserved "
                              f"character {found.group()!r}")
-        if not utf8_encodable(self.name):
+        if not utf8_encodable(name):
             raise ValueError("label name must be encodable as UTF-8")
-        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        # rebuild on unpickling: string hashes differ between processes
-        return Label, (self.kind, self.name)
+        return tuple.__new__(cls, (kind, name))
 
     def __repr__(self) -> str:  # keep assertion output short
         return f"{self.kind.value}:{self.name}"
@@ -237,8 +228,10 @@ class HostGraph:
     ``edges`` is the source of truth, but it must change only through
     its mutators: ``add_edge`` and ``remove_edge`` one edge at a time,
     ``update_edges`` in bulk, and ``delete_node_spo``.  The first
-    ``successors``/``predecessors`` query builds a label-keyed adjacency
-    index from it, and only those methods drop the index again.  Likewise
+    ``successors``/``predecessors`` query builds an adjacency index from
+    it, keyed by node and label, and only those methods drop the index
+    again.  A label is a sortable ``(kind, name)`` pair, so a label of
+    another kind finds no key, and edges sort as triples.  Likewise
     the node ids, and a node's types, change only through ``add_node`` and
     ``delete_node_spo``, which drop the type index of ``by_type``;
     ``set_attr`` puts a node with the same types in place of the old one."""
@@ -247,12 +240,11 @@ class HostGraph:
     nodes: dict[int, HostNode] = field(default_factory=dict, init=False)
     edges: set[HostEdge] = field(default_factory=set, init=False)
     _next_id: int = field(default=0, init=False, repr=False, compare=False)
-    #: (src, label name) -> targets and (tgt, label name) -> sources; None
-    #: until a query needs them, and again after every edge change.  Every
-    #: edge label is of the edge-label kind, so the name identifies it.
-    _out: dict[tuple[int, str], list[int]] | None = field(
+    #: (src, label) -> targets and (tgt, label) -> sources; None until a
+    #: query needs them, and again after every edge change
+    _out: dict[tuple[int, Label], list[int]] | None = field(
         default=None, init=False, repr=False, compare=False)
-    _in: dict[tuple[int, str], list[int]] | None = field(
+    _in: dict[tuple[int, Label], list[int]] | None = field(
         default=None, init=False, repr=False, compare=False)
     #: node type -> ids of the nodes that have it; None until a query
     #: needs it, and again after every node change
@@ -375,30 +367,26 @@ class HostGraph:
     def _build_index(self) -> None:
         # lists, not sets: ``edges`` has no duplicate triples, and lists
         # are cheaper to build and hold
-        out: dict[tuple[int, str], list[int]] = {}
-        in_: dict[tuple[int, str], list[int]] = {}
+        out: dict[tuple[int, Label], list[int]] = {}
+        in_: dict[tuple[int, Label], list[int]] = {}
         for src, label, tgt in self.edges:
-            out.setdefault((src, label.name), []).append(tgt)
-            in_.setdefault((tgt, label.name), []).append(src)
+            out.setdefault((src, label), []).append(tgt)
+            in_.setdefault((tgt, label), []).append(src)
         self._out, self._in = out, in_
 
     def successors(self, nid: int, label: Label) -> set[int]:
         """Targets of ``label`` edges leaving ``nid``; the caller owns the
         returned set."""
-        if label.kind is not LabelKind.EDGE_LABEL:
-            return set()
         if self._out is None:
             self._build_index()
-        return set(self._out.get((nid, label.name), ()))  # type: ignore[union-attr]
+        return set(self._out.get((nid, label), ()))  # type: ignore[union-attr]
 
     def predecessors(self, nid: int, label: Label) -> set[int]:
         """Sources of ``label`` edges entering ``nid``; the caller owns the
         returned set."""
-        if label.kind is not LabelKind.EDGE_LABEL:
-            return set()
         if self._in is None:
             self._build_index()
-        return set(self._in.get((nid, label.name), ()))  # type: ignore[union-attr]
+        return set(self._in.get((nid, label), ()))  # type: ignore[union-attr]
 
     def by_type(self) -> dict[Label, list[int]]:
         """Node type -> ids of the nodes that have it.  Built on the first
@@ -440,7 +428,7 @@ class HostGraph:
         """Full-scan structural check; the result is empty for every graph
         produced through the public operations."""
         problems = []
-        for e in sorted(self.edges, key=HostEdge.key):
+        for e in sorted(self.edges):
             if e.src not in self.nodes:
                 problems.append(f"edge {e.key()} has a dangling source")
             if e.tgt not in self.nodes:

@@ -59,7 +59,7 @@ class Effect:
     for it and the node's types, in id order; the new node's flags,
     attributes and edges are in ``flag_changes``, ``attr_writes`` and
     ``edge_creations``.  Both edge lists hold :class:`HostEdge` triples
-    sorted by :meth:`HostEdge.key`."""
+    in sorted order."""
 
     node_deletions: list[int] = field(default_factory=list)
     edge_deletions: list[HostEdge] = field(default_factory=list)
@@ -168,16 +168,15 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
 
     return Effect(
         node_deletions=sorted(node_deletions),
-        edge_deletions=sorted(edge_deletions - edge_creations, key=HostEdge.key),
+        edge_deletions=sorted(edge_deletions - edge_creations),
         node_creations=node_creations,
-        edge_creations=sorted(edge_creations - g.edges, key=HostEdge.key),
+        edge_creations=sorted(edge_creations - g.edges),
         attr_writes=[(nid, attr, v) for (nid, attr), v in sorted(writes.items())
                      if nid not in node_deletions
                      and g.nodes.get(nid, _BLANK).attrs.get(attr) != v],
         attr_deletions=sorted(d for d in attr_deletions
                               if d[0] not in node_deletions and d not in writes),
-        flag_changes=[(nid, fl, add) for (nid, fl), add in sorted(
-                          flags.items(), key=lambda f: (f[0][0], f[0][1].name))
+        flag_changes=[(nid, fl, add) for (nid, fl), add in sorted(flags.items())
                       if nid not in node_deletions
                       and add != (fl in g.nodes.get(nid, _BLANK).flags)],
         param_values=param_values,
@@ -207,12 +206,19 @@ def effect_delta(g: HostGraph, effect: Effect) -> tuple[
     # the post-state attributes and flags of each changed live node
     attrs: dict[int, dict[str, Value]] = {}
     flags: dict[int, set[Label]] = {}
+
+    def post_attrs(nid: int) -> dict[str, Value]:
+        # one copy per node: a node often has several attribute changes
+        if nid not in attrs:
+            attrs[nid] = dict(pre(nid).attrs)
+        return attrs[nid]
+
     for nid, attr in effect.attr_deletions:
         if alive(nid):
-            attrs.setdefault(nid, dict(pre(nid).attrs)).pop(attr, None)
+            post_attrs(nid).pop(attr, None)
     for nid, attr, value in effect.attr_writes:
         if alive(nid):
-            attrs.setdefault(nid, dict(pre(nid).attrs))[attr] = value
+            post_attrs(nid)[attr] = value
     for nid, fl, add in effect.flag_changes:
         if alive(nid):
             post = flags.setdefault(nid, set(pre(nid).flags))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from .graph import HostGraph, HostEdge, Label, ValueKind
+from .graph import HostGraph, Label, ValueKind
 from .source import SourceSpan, Violation
 
 
@@ -97,7 +97,7 @@ def validate_type_graph(tg: TypeGraph) -> list[Violation]:
 
     for name in sorted(tg.types):
         decl = tg.types[name]
-        for sup in sorted(decl.supertypes, key=lambda lb: lb.name):
+        for sup in sorted(decl.supertypes):
             if not tg.declared(sup.name):
                 violations.append(Violation(
                     f"type {name!r} extends undeclared type {sup.name!r}",
@@ -195,7 +195,7 @@ def conforms(tgs: Sequence[TypeGraph], g: HostGraph) -> list[Violation]:
     for nid in g.node_ids():
         node = g.nodes[nid]
         label = g.display(nid)
-        for t in sorted(node.types, key=lambda lb: lb.name):
+        for t in sorted(node.types):
             declaring = [tg for tg in tgs if tg.declared(t.name)]
             if not declaring:
                 violations.append(Violation(
@@ -213,7 +213,7 @@ def conforms(tgs: Sequence[TypeGraph], g: HostGraph) -> list[Violation]:
                     f"{value.kind.value} is not declared for its types in "
                     f"any enabled type graph"))
 
-    for e in sorted(g.edges, key=HostEdge.key):
+    for e in sorted(g.edges):
         src = g.nodes[e.src]
         tgt = g.nodes[e.tgt]
         if not edge_licensed(tgs, src.types, e.label, tgt.types):

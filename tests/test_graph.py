@@ -38,8 +38,10 @@ class TestLabel:
 
     @pytest.mark.parametrize("bad", ["", "a b", "a.b", "x->y", "a:b", "né\te"])
     def test_rejects_malformed_names(self, bad):
-        with pytest.raises(ValueError):
-            edge_label(bad)
+        # the cached factory and direct construction check alike
+        for make in (edge_label, lambda name: Label(LabelKind.EDGE_LABEL, name)):
+            with pytest.raises(ValueError):
+                make(bad)
 
     def test_rejects_a_name_utf8_cannot_encode(self):
         with pytest.raises(ValueError, match="encodable as UTF-8"):
@@ -52,7 +54,8 @@ class TestLabel:
         assert {lbl} == {flag("A")}
 
     def test_unpickling_recomputes_the_hash(self):
-        # string hashes differ between processes with different seeds
+        # string hashes differ between processes with different seeds;
+        # unpickling goes through Label.__new__, which checks the name again
         def run(seed: str, code: str) -> str:
             env = dict(os.environ, PYTHONHASHSEED=seed,
                        PYTHONPATH=str(Path(gtx.__file__).parents[1]))
@@ -67,6 +70,20 @@ class TestLabel:
 
     def test_repr_is_kind_and_name(self):
         assert repr(node_type("A")) == "node-type:A"
+
+    def test_is_the_kind_name_pair(self):
+        assert flag("A") == (LabelKind.FLAG, "A")
+        assert tuple(edge_label("x")) == (LabelKind.EDGE_LABEL, "x")
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_labels_of_one_kind_sort_by_name(self, seed):
+        rng = random.Random(seed)
+        names = [rng.choice(["a", "B", "ab", "b", "é", "A1", "_"])
+                 for _ in range(rng.randint(0, 8))]
+        for make in (node_type, flag, edge_label):
+            assert ([lb.name for lb in sorted(make(n) for n in names)]
+                    == sorted(names))
 
     def test_reserved_characters_all_rejected(self):
         for ch in ".-!+=:|":
@@ -294,6 +311,20 @@ def test_random_operation_sequences_preserve_integrity(seed):
         else:
             g.delete_node_spo(rng.choice(ids))
     assert g.integrity_errors() == []
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_edges_sort_as_by_their_key(seed):
+    # the natural order of edges is the order of HostEdge.key
+    rng = random.Random(seed)
+    g = HostGraph()
+    ids = [g.add_node() for _ in range(rng.randint(1, 6))]
+    labels = [edge_label(n) for n in rng.sample(
+        ["a", "b", "c", "ab", "B", "é", "z9"], rng.randint(3, 7))]
+    for _ in range(rng.randint(0, 40)):
+        g.add_edge(rng.choice(ids), rng.choice(labels), rng.choice(ids))
+    assert sorted(g.edges) == sorted(g.edges, key=HostEdge.key)
 
 
 # -- the adjacency index -------------------------------------------------

@@ -10,7 +10,10 @@ the rewriter's edge updates and the serializer were rewritten for speed.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,22 @@ def test_migration_output_is_byte_identical(tmp_path, capsys, seed, n):
     assert code == 0
     assert "-nodes->" not in out and "-edges->" not in out
     assert hashlib.md5(out.encode()).hexdigest() == GOLDEN[(seed, n)]
+
+
+def test_migration_output_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "host.gst"
+    path.write_text(nodified_gst(4, 40), encoding="utf-8")
+    src = str(Path(gtx.__file__).resolve().parents[1])
+    outs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), GTX_COLOR="never",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "gtx", "apply", str(GRAMMAR),
+             "migrateToGraphComponent", "--graph", str(path)],
+            env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+        outs.add(run.stdout)
+    (out,) = outs
+    assert b"-gcs->" in out

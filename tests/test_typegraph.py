@@ -201,6 +201,39 @@ def test_inheritance_cycles_print_in_a_fixed_order(tmp_path):
         "t.gty:2:6: error: inheritance cycle: S\n")
 
 
+def test_conformance_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    # several undeclared types on one node, and unlicensed edges of
+    # several labels between the same nodes
+    host = tmp_path / "host.gst"
+    host.write_text(
+        "graph h\n"
+        "node a : Zeta, Node, Alpha, Mu\n"
+        "node b : Edge, Beta\n"
+        "node c : Graph\n"
+        "edge a -zz-> b\n"
+        "edge a -aa-> b\n"
+        "edge a -mm-> b\n"
+        "edge b -src-> a\n"
+        "edge b -trg-> b\n"
+        "edge c -nodes-> b\n"
+        "edge c -edges-> b\n", encoding="utf-8")
+    grammar = Path(gtx.__file__).resolve().parent / "fixtures/helloworld/counting"
+    src = str(Path(gtx.__file__).resolve().parents[1])
+    errs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), GTX_COLOR="never",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "gtx", "validate",
+                              str(grammar), "--graph", str(host)],
+                             env=env, capture_output=True)
+        assert run.returncode == 1, run.stderr
+        errs.add(run.stderr)
+    (err,) = errs
+    assert err.count(b"is not declared") == 4
+    assert err.count(b"is not licensed") == 5
+
+
 def test_conflicting_attribute_kinds_across_closure():
     tg = parse_type_graph("""
 typegraph t
