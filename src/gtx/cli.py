@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from pathlib import Path
@@ -187,6 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # No command builds a reference cycle, so the cyclic collector would
+    # only walk the parsed graphs for nothing; the parser's one-time build
+    # above does leave cycles, and they stay collectable.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -199,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UsageError) as exc:
         _diag(str(exc))
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:

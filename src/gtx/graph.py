@@ -70,6 +70,11 @@ class Label(NamedTuple("_Label", [("kind", LabelKind), ("name", str)])):
             raise ValueError("label name must be encodable as UTF-8")
         return tuple.__new__(cls, (kind, name))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Label":
+        # the base builds through tuple.__new__; _replace calls this too
+        return cls(*iterable)
+
     def __repr__(self) -> str:  # keep assertion output short
         return f"{self.kind.value}:{self.name}"
 

@@ -221,7 +221,9 @@ def effect_delta(g: HostGraph, effect: Effect) -> tuple[
             post_attrs(nid)[attr] = value
     for nid, fl, add in effect.flag_changes:
         if alive(nid):
-            post = flags.setdefault(nid, set(pre(nid).flags))
+            if nid not in flags:  # one copy per node, as in post_attrs
+                flags[nid] = set(pre(nid).flags)
+            post = flags[nid]
             (post.add if add else post.discard)(fl)
     for nid in attrs.keys() | flags.keys():
         _, types, old_flags, old_attrs, name = pre(nid)

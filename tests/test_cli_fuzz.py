@@ -119,6 +119,19 @@ def mutated_grammars(draw):
     return name, files, draw(st.sampled_from(rules))
 
 
+def write_case(root: Path, case) -> list[list[str]]:
+    """Write a drawn grammar under ``root``; return the commands to run on
+    it."""
+    name, files, rule = case
+    d = root / name
+    d.mkdir()
+    for fname, text in files.items():
+        (d / fname).write_bytes(text if isinstance(text, bytes)
+                                else text.encode("utf-8"))
+    return [["validate", str(d)], ["apply", str(d), rule],
+            ["explore", str(d), "--max-states", "20"]]
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -129,15 +142,8 @@ def run(argv: list[str]) -> tuple[int, str]:
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(mutated_grammars())
 def test_mutated_grammars_end_with_a_documented_exit_code(case):
-    name, files, rule = case
     with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp) / name
-        d.mkdir()
-        for fname, text in files.items():
-            (d / fname).write_bytes(text if isinstance(text, bytes)
-                                    else text.encode("utf-8"))
-        for argv in (["validate", str(d)], ["apply", str(d), rule],
-                     ["explore", str(d), "--max-states", "20"]):
+        for argv in write_case(Path(tmp), case):
             code, err = run(argv)
             assert code in EXIT_CODES, (argv, code, err)
             assert "Traceback" not in err

@@ -68,6 +68,16 @@ class TestLabel:
         assert run("2", f"print(pickle.loads(bytes.fromhex('{data}'))"
                         " in {flag('A')})") == "True\n"
 
+    @pytest.mark.parametrize("bad", ["", "a b", "\ud800"])
+    def test_make_and_replace_check_the_name(self, bad):
+        # both come from the NamedTuple base; _replace builds through _make
+        with pytest.raises(ValueError):
+            Label._make((LabelKind.EDGE_LABEL, bad))
+        with pytest.raises(ValueError):
+            edge_label("a")._replace(name=bad)
+        renamed = edge_label("a")._replace(name="b")
+        assert type(renamed) is Label and renamed == edge_label("b")
+
     def test_repr_is_kind_and_name(self):
         assert repr(node_type("A")) == "node-type:A"
 

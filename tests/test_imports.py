@@ -88,3 +88,11 @@ def test_only_the_benchmark_pinned_import_is_exempt():
               if "# noqa: F401" in line]
     assert exempt == [("explorer.py",
                        "from .matcher import find_root_matches  # noqa: F401")]
+
+
+def test_only_the_command_line_imports_gc():
+    # pausing the cyclic collector is process-wide, and only the CLI owns
+    # its process: a library caller never sees the collector's state change
+    found = sorted(path.name for path in SRC.rglob("*.py")
+                   if "gc" in outside_modules(path.read_text(encoding="utf-8")))
+    assert found == ["cli.py"]

@@ -240,6 +240,18 @@ def test_flag_ops_add_and_remove():
     assert node.flags == {flag("new")}
 
 
+def test_several_flag_changes_to_one_node():
+    g = parse_graph("graph g\nnode a flag old flag keep\n")
+    (a,) = g.node_ids()
+    before = g.nodes[a]
+    effect = Effect(flag_changes=[(a, flag("x"), True), (a, flag("y"), True),
+                                  (a, flag("old"), False)])
+    out = apply_effect(g, effect)
+    assert out.nodes[a].flags == {flag("keep"), flag("x"), flag("y")}
+    assert g.nodes[a] is before
+    assert before.flags == {flag("old"), flag("keep")}
+
+
 def test_rename_reads_the_pre_state_value():
     # two quantifier extensions rename the same attribute name on
     # different nodes; each write uses that node's own old value
