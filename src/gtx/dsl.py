@@ -125,7 +125,9 @@ class Token(NamedTuple):
     """One token of a line, with its 1-based, half-open column range.
 
     A valid file never asks where a token is, so the ``SourceSpan`` is
-    built on demand, when a diagnostic or a stored element needs it."""
+    built on demand, when a diagnostic or a stored element needs it.  The
+    graph reader reads a line as plain words and builds a line's Tokens
+    only when a word-level check doubts the line (see ``parse_graph``)."""
 
     text: str
     file: str
@@ -144,17 +146,23 @@ def _unescape(m: re.Match) -> str:
     return _STRING_ESCAPES.get(esc) or chr(int(esc[1:], 16))
 
 
+def _split(text: str) -> list[str]:
+    """A line without a string, cut at its separators up to its comment:
+    its bare words, with an empty piece where two separators meet.
+
+    Without a string the comment starts at the first "#" and the words lie
+    between separators, which str.split finds in half the time of the
+    regex.  Not split() without an argument: it also splits at "\xa0" and
+    other Unicode spaces, which are word characters here."""
+    return text.partition("#")[0].replace("\t", " ").replace(
+        "\r", " ").split(" ")
+
+
 def _scan_line(text: str, file: str, lineno: int) -> list[Token]:
     tokens: list[Token] = []
     if '"' not in text:
-        # Without a string the comment starts at the first "#" and the
-        # words lie between separators, which str.split finds in half the
-        # time of the regex.  Not split() without an argument: it also
-        # splits at "\xa0" and other Unicode spaces, which are word
-        # characters here.
         col = 1
-        for word in text.partition("#")[0].replace(
-                "\t", " ").replace("\r", " ").split(" "):
+        for word in _split(text):
             if word:
                 # tuple.__new__: Token's generated __new__ costs a fifth
                 # of the regex scan
@@ -213,26 +221,34 @@ def _label(make: Callable[[str], Label], name: str, tok: Token) -> Label:
         raise ParseError(str(exc), tok.span)
 
 
+def _literal(text: str) -> Value:
+    """The value a bare word denotes; a ValueError says what is wrong."""
+    if text == "true":
+        return Value.bool_(True)
+    if text == "false":
+        return Value.bool_(False)
+    if _INT_RE.match(text):
+        try:
+            return Value.int_(int(text))
+        except ValueError:
+            raise ValueError("integer literal out of 64-bit range") from None
+    if _REAL_RE.match(text):
+        x = float(text)
+        # too large overflows to infinity, too small underflows to zero
+        if math.isinf(x) or (x == 0.0 and any(
+                d in "123456789" for d in text.lower().partition("e")[0])):
+            raise ValueError("real literal out of range")
+        return Value.real(x)
+    raise ValueError(f"invalid value literal {text!r}")
+
+
 def parse_value(tok: Token) -> Value:
     if tok.quoted:
         return Value.string(tok.text)
-    if tok.text == "true":
-        return Value.bool_(True)
-    if tok.text == "false":
-        return Value.bool_(False)
-    if _INT_RE.match(tok.text):
-        try:
-            return Value.int_(int(tok.text))
-        except ValueError:
-            raise ParseError("integer literal out of 64-bit range", tok.span)
-    if _REAL_RE.match(tok.text):
-        x = float(tok.text)
-        # too large overflows to infinity, too small underflows to zero
-        if math.isinf(x) or (x == 0.0 and any(
-                d in "123456789" for d in tok.text.lower().partition("e")[0])):
-            raise ParseError("real literal out of range", tok.span)
-        return Value.real(x)
-    raise ParseError(f"invalid value literal {tok.text!r}", tok.span)
+    try:
+        return _literal(tok.text)
+    except ValueError as exc:
+        raise ParseError(str(exc), tok.span) from None
 
 
 def serialize_value(v: Value) -> str:
@@ -300,6 +316,21 @@ def _type_list(tokens: list[Token], i: int, what: str) -> tuple[list[Label], int
     return [_label(node_type, n, keyword) for n in names], i
 
 
+def _no_header(file: str, keyword: str) -> ParseError:
+    return ParseError(f"empty file, expected a {keyword!r} header",
+                      SourceSpan(file, 1, 1, 2))
+
+
+def _header(tokens: list[Token], keyword: str) -> str:
+    """The name from a file's ``KEYWORD NAME`` header line."""
+    _expect(tokens[0], keyword)
+    if len(tokens) < 2:
+        raise ParseError(f"{keyword!r} header needs a name", _end_span(tokens))
+    name = _ident(tokens[1], f"{keyword} name")
+    _no_more(tokens, 2)
+    return name
+
+
 def _declarations(text: str, file: str,
                   keyword: str) -> tuple[str, list[list[Token]]]:
     """Scan a file: the name from its ``KEYWORD NAME`` header line, and
@@ -310,15 +341,8 @@ def _declarations(text: str, file: str,
         if tokens:
             lines.append(tokens)
     if not lines:
-        raise ParseError(f"empty file, expected a {keyword!r} header",
-                         SourceSpan(file, 1, 1, 2))
-    header = lines[0]
-    _expect(header[0], keyword)
-    if len(header) < 2:
-        raise ParseError(f"{keyword!r} header needs a name", _end_span(header))
-    name = _ident(header[1], f"{keyword} name")
-    _no_more(header, 2)
-    return name, lines[1:]
+        raise _no_header(file, keyword)
+    return _header(lines[0], keyword), lines[1:]
 
 
 def _keyword(tokens: list[Token]) -> str:
@@ -339,11 +363,101 @@ def _edge_label_token(tok: Token) -> Label:
 # graphs
 
 
+def _words(text: str, file: str, lineno: int) -> list | None:
+    """A graph line's words: the texts of its tokens, except that the value
+    of an ``attr`` line may be a string, kept as its Token.  None for any
+    other line with a string, which the reader doubts.  A line without a
+    string builds no Token.  Raises the scanner's errors."""
+    if '"' not in text:
+        words = _split(text)
+        return [w for w in words if w] if "" in words else words
+    # a string with no escape that ends the line: its Token alone is built
+    head, _, rest = text.partition('"')
+    body, closed, tail = rest.partition('"')
+    if closed and head[-1:] in (" ", "\t", "\r") and "#" not in head \
+            and "\\" not in body and not any(_split(tail)):
+        words = [w for w in _split(head) if w]
+        if len(words) != 3 or words[0] != "attr":
+            return None
+        col = len(head) + 1
+        return words + [tuple.__new__(Token, (
+            body, file, lineno, col, col + len(body) + 2, True))]
+    tokens = _scan_line(text, file, lineno)
+    quoted = [t.quoted for t in tokens]
+    if True not in quoted:
+        return [t.text for t in tokens]
+    if quoted == [False, False, False, True] and tokens[0].text == "attr":
+        return [t.text for t in tokens[:3]] + tokens[3:]
+    return None
+
+
+def _node_words(words: list[str]) -> tuple[list[Label], list[Label]] | None:
+    """The types and flags of a ``node`` line's words, or None where a
+    check of its name, types or flags doubts them."""
+    n = len(words)
+    if n < 2 or RESERVED_RE.search(words[1]):
+        return None
+    types: list[Label] = []
+    flags: list[Label] = []
+    i = 2
+    try:
+        if i + 1 < n and words[i] == ":":
+            # as in _type_list, a comma at a word's edge continues the list
+            joined, i = words[i + 1], i + 2
+            while i < n and (joined[-1] == "," or words[i][0] == ","):
+                joined += words[i]
+                i += 1
+            types = [node_type(t) for t in joined.split(",")]
+        while i < n:
+            if words[i] != "flag" or i + 1 == n:
+                return None
+            flags.append(flag_label(words[i + 1]))
+            i += 2
+    except ValueError:  # a name that a label refuses
+        return None
+    return types, flags
+
+
+def _arrow_word(word: str) -> Label | None:
+    """The label of an edge arrow word, or None where a check doubts it."""
+    m = _EDGE_ARROW_RE.match(word)
+    try:
+        return edge_label(m.group(1)) if m else None
+    except ValueError:
+        return None
+
+
 def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
-    name, lines = _declarations(text, filename, "graph")
+    """The graph in ``text``, read in two passes: ``node`` lines first.
+
+    Each line is read as plain words (``_words``), and word-level checks
+    accept it.  Only a line they doubt has its Tokens built, by
+    ``_scan_line``; the token helpers then accept the line or raise its
+    diagnostic."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = _words(raw, filename, lineno)
+        if words != []:
+            lines.append((words, raw, lineno))
+    if not lines:
+        raise _no_header(filename, "graph")
+    (words, raw, lineno), *lines = lines
+    if words and len(words) == 2 and words[0] == "graph" \
+            and not RESERVED_RE.search(words[1]):
+        name = words[1]
+    else:
+        name = _header(_scan_line(raw, filename, lineno), "graph")
 
     node_specs: dict[str, tuple[list[Label], list[Label]]] = {}
-    for tokens in lines:
+    for words, raw, lineno in lines:
+        if words is not None:
+            if words[0] != "node":
+                continue
+            spec = _node_words(words)
+            if spec is not None and words[1] not in node_specs:
+                node_specs[words[1]] = spec
+                continue
+        tokens = _scan_line(raw, filename, lineno)
         if _keyword(tokens) != "node":
             continue
         if len(tokens) < 2:
@@ -374,7 +488,38 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
     edges: set[HostEdge] = set()
     #: the label of each unquoted arrow text read so far
     arrows: dict[str, Label] = {}
-    for tokens in lines:
+    for words, raw, lineno in lines:
+        if words is not None:
+            keyword = words[0]
+            if keyword == "node":
+                continue
+            if keyword == "edge" and len(words) == 4:
+                src = ids.get(words[1])
+                tgt = ids.get(words[3])
+                lbl = arrows.get(words[2])
+                if lbl is None:
+                    lbl = _arrow_word(words[2])
+                    if lbl is not None:
+                        arrows[words[2]] = lbl
+                if src is not None and tgt is not None and lbl is not None:
+                    size = len(edges)
+                    edges.add(tuple.__new__(HostEdge, (src, lbl, tgt)))
+                    if len(edges) > size:  # else a duplicate
+                        continue
+            elif keyword == "attr" and len(words) == 4 and words[2] == "=":
+                owner, _, attr = words[1].partition(".")
+                if owner in node_specs and attr and not RESERVED_RE.search(attr):
+                    value = words[3]
+                    try:
+                        value = (_literal(value) if type(value) is str
+                                 else parse_value(value))
+                    except ValueError:
+                        value = None
+                    owned = attrs.setdefault(owner, {})
+                    if value is not None and attr not in owned:
+                        owned[attr] = value
+                        continue
+        tokens = _scan_line(raw, filename, lineno)
         keyword = _keyword(tokens)
         if keyword == "attr":
             if len(tokens) != 4:
@@ -488,6 +633,7 @@ def parse_type_graph(text: str, filename: str = "<typegraph>") -> TypeGraph:
             if len(tokens) < 2:
                 raise ParseError("type line needs a name", _end_span(tokens))
             tname = _ident(tokens[1], "type name")
+            _label(node_type, tname, tokens[1])
             if tname in tg.types:
                 raise ParseError(f"duplicate type {tname!r}", tokens[1].span)
             abstract = False
@@ -514,9 +660,9 @@ def parse_type_graph(text: str, filename: str = "<typegraph>") -> TypeGraph:
                 (tokens[1], *_dotted(tokens[1], "attribute"), kind))
         elif keyword == "edge":
             _shape(tokens, "edge TYPE -LABEL-> TYPE")
-            src = node_type(_ident(tokens[1], "source type"))
+            src = _label(node_type, _ident(tokens[1], "source type"), tokens[1])
             lbl = _edge_label_token(tokens[2])
-            tgt = node_type(_ident(tokens[3], "target type"))
+            tgt = _label(node_type, _ident(tokens[3], "target type"), tokens[3])
             if any((d.src_type, d.label, d.tgt_type) == (src, lbl, tgt)
                    for d in tg.edge_decls):
                 raise ParseError(
@@ -659,7 +805,8 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
             if i < len(tokens) and not tokens[i].quoted and tokens[i].text == ":":
                 if i + 1 >= len(tokens):
                     raise ParseError("expected a type name", _end_span(tokens))
-                type_constraint = node_type(_ident(tokens[i + 1], "type name"))
+                type_constraint = _label(
+                    node_type, _ident(tokens[i + 1], "type name"), tokens[i + 1])
                 i += 2
             (level,) = _suffixes(tokens, i, ("in",))
             pending_levels.append(level)

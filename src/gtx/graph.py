@@ -18,10 +18,15 @@ from math import copysign
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-#: A character that may not appear in a label name: whitespace, or one
-#: with syntactic meaning in the textual formats.  For str patterns ``\s``
+#: A character that may not appear in a name: whitespace, or one with
+#: syntactic meaning in the textual formats.  For str patterns ``\s``
 #: matches exactly the characters ``str.isspace`` accepts.
-RESERVED_RE = re.compile(r"[\s.\-!+=:|]")
+_RESERVED = r"\s.\-!+=:|"
+RESERVED_RE = re.compile(f"[{_RESERVED}]")
+#: ... or in a label name, which the text must carry: besides those, "#"
+#: starts a comment, and a node type's "," would split a type list.
+_LABEL_RESERVED_RE = re.compile(f"[{_RESERVED}#]")
+_NODE_TYPE_RESERVED_RE = re.compile(f"[{_RESERVED}#,]")
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -62,10 +67,13 @@ class Label(NamedTuple("_Label", [("kind", LabelKind), ("name", str)])):
     def __new__(cls, kind: LabelKind, name: str) -> "Label":
         if not name:
             raise ValueError("label name must be non-empty")
-        found = RESERVED_RE.search(name)
+        found = (_NODE_TYPE_RESERVED_RE if kind is LabelKind.NODE_TYPE
+                 else _LABEL_RESERVED_RE).search(name)
         if found:
             raise ValueError(f"label name {name!r} contains reserved "
                              f"character {found.group()!r}")
+        if name[0] == '"':  # it would read back as a string
+            raise ValueError(f"label name {name!r} begins with '\"'")
         if not utf8_encodable(name):
             raise ValueError("label name must be encodable as UTF-8")
         return tuple.__new__(cls, (kind, name))

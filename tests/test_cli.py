@@ -126,6 +126,19 @@ def test_a_surrogate_escape_is_a_parse_error(tmp_path, capsys, args):
         2, "", "s.gst:3:13: error: invalid string escape\n")
 
 
+def test_a_node_type_name_with_a_comma_is_refused(tmp_path, capsys):
+    # written out, ": a,b" would read back as the two types a and b
+    d = write_grammar(tmp_path, {
+        "mk.gpr": "rule mk\nnode x role=creator : a,b\n",
+        "g.gst": "graph g\n",
+    })
+    code = main(["apply", d, "mk"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", (
+        "mk.gpr:2:23: error: label name 'a,b' contains reserved character "
+        "','\n"))
+
+
 def test_missing_directory_is_an_io_error(capsys):
     assert main(["validate", "/no/such/dir"]) == 2
     assert "error:" in capsys.readouterr().err

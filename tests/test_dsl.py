@@ -12,8 +12,18 @@ from hypothesis import given, settings, strategies as st
 import gtx.dsl
 from gtx.dsl import (
     Token,
+    _declarations,
+    _dotted,
+    _edge_label_token,
+    _end_span,
+    _expect,
+    _ident,
+    _keyword,
     _scan_line,
     _serialized_names,
+    _shape,
+    _type_list,
+    _words,
     build_grammar,
     parse_config,
     parse_graph,
@@ -25,7 +35,8 @@ from gtx.dsl import (
     serialize_value,
 )
 from gtx.explorer import isomorphic
-from gtx.graph import HostGraph, Value, ValueKind, edge_label, flag, node_type
+from gtx.graph import (HostEdge, HostGraph, Label, Value, ValueKind,
+                       edge_label, flag, node_type)
 from gtx.rewriter import apply_rule
 from gtx.rules import ConstraintKind, Role
 from gtx.source import ParseError, SourceSpan
@@ -128,6 +139,20 @@ SCAN_PIECES = [" ", "  ", "\t", "\r", "#", '"', '"', "\\", "\\u00e9",
                "\x1f", "\x0b", "a", "bc", "-x->", "é", ""]
 
 
+def reference_words(text: str, file: str, lineno: int) -> list | None:
+    """What the graph reader takes from a line: its token texts, but an
+    ``attr`` line's string value as its Token, and None for any other line
+    with a string."""
+    tokens = reference_scan(text, file, lineno)
+    texts = [t.text for t in tokens]
+    quoted = [t.quoted for t in tokens]
+    if not any(quoted):
+        return texts
+    if quoted == [False, False, False, True] and texts[0] == "attr":
+        return texts[:3] + tokens[3:]
+    return None
+
+
 def test_scanner_agrees_with_the_reference_regex_loop():
     seen = Counter()
     for seed in range(4000):
@@ -136,6 +161,9 @@ def test_scanner_agrees_with_the_reference_regex_loop():
                        for _ in range(rng.randint(0, 12)))
         expected = scan_outcome(reference_scan, text)
         assert scan_outcome(_scan_line, text) == expected, repr(text)
+        # the graph reader's view of the same line
+        assert scan_outcome(_words, text) == \
+            scan_outcome(reference_words, text), repr(text)
         seen["error" if isinstance(expected, tuple) else
              "string" if '"' in text else "plain"] += 1
     assert min(seen.values()) >= 300, seen
@@ -503,6 +531,206 @@ def test_serialize_graph_agrees_with_a_reference_serializer():
         reparsed = parse_graph(text)
         assert serialize_graph(reparsed) == text
         assert isomorphic(reparsed, g)
+
+
+def reference_parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
+    """The token reader that reading lines as words replaced, as it was:
+    every line is scanned into Tokens, and the dsl helpers check them."""
+    name, lines = _declarations(text, filename, "graph")
+
+    node_specs: dict[str, tuple[list[Label], list[Label]]] = {}
+    for tokens in lines:
+        if _keyword(tokens) != "node":
+            continue
+        if len(tokens) < 2:
+            raise ParseError("node line needs a name", _end_span(tokens))
+        nid = _ident(tokens[1], "node name")
+        if nid in node_specs:
+            raise ParseError(f"duplicate node {nid!r}", tokens[1].span)
+        types: list[Label] = []
+        flags: list[Label] = []
+        i = 2
+        if i < len(tokens) and not tokens[i].quoted and tokens[i].text == ":":
+            types, i = _type_list(tokens, i, "type name")
+        while i < len(tokens):
+            _expect(tokens[i], "flag")
+            if i + 1 >= len(tokens):
+                raise ParseError("expected a flag name", _end_span(tokens))
+            flags.append(flag(_ident(tokens[i + 1], "flag name")))
+            i += 2
+        node_specs[nid] = (types, flags)
+
+    ids = dict(zip(sorted(node_specs), range(len(node_specs))))
+    attrs: dict[str, dict[str, Value]] = {}
+    edges: set[HostEdge] = set()
+    arrows: dict[str, Label] = {}
+    for tokens in lines:
+        keyword = _keyword(tokens)
+        if keyword == "attr":
+            if len(tokens) != 4:
+                _shape(tokens, "attr ID.NAME = VALUE")
+            owner, attr = _dotted(tokens[1], "attribute reference")
+            _expect(tokens[2], "=")
+            value = parse_value(tokens[3])
+            if owner not in node_specs:
+                raise ParseError(f"attribute on unknown node {owner!r}",
+                                 tokens[1].span)
+            owned = attrs.setdefault(owner, {})
+            if attr in owned:
+                raise ParseError(f"duplicate attribute {owner}.{attr}",
+                                 tokens[1].span)
+            owned[attr] = value
+        elif keyword == "edge":
+            if len(tokens) != 4:
+                _shape(tokens, "edge SRC -LABEL-> TGT")
+            _, src_tok, arrow, tgt_tok = tokens
+            src = None if src_tok.quoted else ids.get(src_tok.text)
+            if src is None:
+                _ident(src_tok, "edge source")
+            lbl = None if arrow.quoted else arrows.get(arrow.text)
+            if lbl is None:
+                lbl = arrows[arrow.text] = _edge_label_token(arrow)
+            tgt = None if tgt_tok.quoted else ids.get(tgt_tok.text)
+            if tgt is None:
+                _ident(tgt_tok, "edge target")
+            if src is None or tgt is None:
+                tok = src_tok if src is None else tgt_tok
+                raise ParseError(
+                    f"edge references unknown node {tok.text!r}", tok.span)
+            edge = tuple.__new__(HostEdge, (src, lbl, tgt))
+            if edge in edges:
+                raise ParseError(f"duplicate edge {src_tok.text} "
+                                 f"-{lbl.name}-> {tgt_tok.text}", arrow.span)
+            edges.add(edge)
+        elif keyword != "node":
+            raise ParseError(f"unknown declaration {keyword!r}", tokens[0].span)
+
+    g = HostGraph(name=name)
+    for nid in ids:
+        g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
+    g.update_edges(added=edges)
+    return g
+
+
+def graph_outcome(parse, text: str):
+    """The graph's name, nodes and edges as plain data, or the error."""
+    try:
+        g = parse(text, "f.gst")
+    except ParseError as e:
+        return e.message, e.span
+    return g.name, sorted(g.edges), [
+        (nid, n.name, sorted(n.types), sorted(n.flags), sorted(n.attrs.items()))
+        for nid, n in sorted(g.nodes.items())]
+
+
+def respell(text: str, rng: random.Random) -> str:
+    """``text`` with the same tokens written another way: tabs and runs of
+    spaces around words, ``: A, B`` and ``: A , B`` type lists, comments,
+    blank lines and CRLF line ends."""
+    lines = []
+    for line in text.splitlines():
+        words = [m.group() for m in _REF_TOKEN_RE.finditer(line)]
+        if len(words) > 3 and words[2] == ":":
+            first, *more = words[3].split(",")
+            words[3] = first + "".join(
+                rng.choice([",", ", ", " ,", " , "]) + name for name in more)
+        seps = ["", *(rng.choice([" ", "  ", "\t", " \t "])
+                      for _ in words[1:]), ""]
+        if rng.random() < 0.2:
+            seps[0], seps[-1] = rng.choice(["", " ", "\t"]), rng.choice(
+                ["", " ", "\t", " # a note", "\t#-x-> y", "#"])
+        lines.append("".join(sep + word for sep, word in zip(seps, words))
+                     + seps[-1])
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "# comment", " \t", "#"]))
+    return rng.choice(["\n", "\r\n"]).join(lines) + "\n"
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """``text`` with one to three faults: a scanner piece put into a line,
+    a line duplicated, dropped or swapped, a word quoted, a bad arrow or
+    an unknown or malformed edge end."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        fault = rng.randrange(7)
+        if fault == 0:
+            at = rng.randint(0, len(line))
+            lines[i] = line[:at] + rng.choice(SCAN_PIECES) + line[at:]
+        elif fault == 1:
+            lines.insert(rng.randint(0, len(lines)), line)
+        elif fault == 2 and len(lines) > 1:
+            del lines[i]
+        elif fault == 3:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], line
+        elif fault == 4 and line.split():
+            word = rng.choice(line.split())
+            lines[i] = line.replace(word, f'"{word}"', 1)
+        elif fault == 5 and "->" in line:
+            lines[i] = re.sub(r"-(\S*)->", rng.choice(
+                ["=\\1=>", "-\\1-x->", "--->", "-\\1-", "->", "-.->", '-"\\1->',
+                 "-\\1,y->", "-\\1->->"]), line, count=1)
+        elif fault == 6 and line.split()[:1] == ["edge"]:
+            words = line.split()
+            words[rng.choice([1, -1])] = rng.choice(
+                ["zz", "a:b", "n.1", "x\xa0y", "-", "a#", '"n0"'])
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_graph_agrees_with_the_token_reader():
+    seen = Counter()
+    for seed in range(2400):
+        rng = random.Random(seed)
+        g = random_host(seed)
+        for nid in rng.sample(g.node_ids(), min(2, len(g.nodes))):
+            # Unicode spaces are word characters, in a string too
+            g.set_attr(nid, "u", Value.string("a\xa0b\u3000c"))
+        text = respell(serialize_graph(g), rng)
+        if seed % 3:
+            text = mutate(text, rng)
+        expected = graph_outcome(reference_parse_graph, text)
+        assert graph_outcome(parse_graph, text) == expected, (seed, text)
+        seen["error" if len(expected) == 2 else "graph"] += 1
+        seen["spaced type list"] += len(expected) == 3 and bool(
+            re.search(r": [^ ,]+ ,? ?\S", text))
+    assert min(seen.values()) >= 300, seen
+
+
+def nodified_text(n: int, seed: int) -> str:
+    """A graph shaped like the benchmark's migration inputs: a ``Graph``
+    node owning ``n`` named nodes and ``2 n`` edge nodes, whose ``src``
+    and ``trg`` edges point at random nodes."""
+    rng = random.Random(seed)
+    lines = ["graph g", "node gr : Graph"]
+    for i in range(1, n + 1):
+        lines += [f"node n{i} : Node", f'attr n{i}.name = "n{i}"',
+                  f"edge gr -nodes-> n{i}"]
+    for j in range(1, 2 * n + 1):
+        lines += [f"node e{j} : Edge", f"edge gr -edges-> e{j}",
+                  f"edge e{j} -src-> n{rng.randint(1, n)}",
+                  f"edge e{j} -trg-> n{rng.randint(1, n)}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_valid_graph_files_build_no_token_for_a_quote_free_line(monkeypatch):
+    # a valid line is read as words: only a line with a string may be
+    # scanned into Tokens, and one whose string has no escape is not
+    scanned = []
+
+    def counting_scan(text, file, lineno):
+        scanned.append(text)
+        return _scan_line(text, file, lineno)
+
+    monkeypatch.setattr(gtx.dsl, "_scan_line", counting_scan)
+    g = parse_graph(nodified_text(300, 1))
+    assert (len(g.nodes), len(g.edges), scanned) == (901, 2100, [])
+    for seed in range(300):
+        parse_graph(serialize_graph(random_host(seed)))
+    # only the lines whose string has an escape
+    assert scanned and all('"' in line and "\\" in line for line in scanned)
 
 
 # -- type graphs -------------------------------------------------------
@@ -1052,6 +1280,18 @@ DIAGNOSTICS = [
      "several .gst files; pick one with 'start = FILE' in grammar.cfg",
      1, 1, 2),
     ('rule', 'rule r\nformat', 'expected: format "FMT"', 2, 7, 8),
+    # a node type name may not hold ",", which a graph file reads as two
+    # types, and no label name may begin with '"', which starts a string
+    ('rule', 'rule r\nnode x role=creator : a,b',
+     "label name 'a,b' contains reserved character ','", 2, 23, 26),
+    ('typegraph', 'typegraph t\ntype a,b',
+     "label name 'a,b' contains reserved character ','", 2, 6, 9),
+    ('typegraph', 'typegraph t\ntype A\nedge A -e-> A,B',
+     "label name 'A,B' contains reserved character ','", 3, 13, 16),
+    ('graph', 'graph g\nnode a : A,"B"',
+     'label name \'"B"\' begins with \'"\'', 2, 8, 9),
+    ('graph', 'graph g\nnode a\nedge a -"e-> a',
+     'label name \'"e\' begins with \'"\'', 3, 8, 13),
 ]
 
 PARSERS = {"graph": parse_graph, "typegraph": parse_type_graph,

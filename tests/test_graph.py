@@ -36,12 +36,22 @@ class TestLabel:
         assert flag("A") != node_type("A")
         assert node_type("A") == Label(LabelKind.NODE_TYPE, "A")
 
-    @pytest.mark.parametrize("bad", ["", "a b", "a.b", "x->y", "a:b", "né\te"])
+    # "#" starts a comment and a leading '"' a string: no text carries them
+    @pytest.mark.parametrize("bad", ["", "a b", "a.b", "x->y", "a:b", "né\te",
+                                     "a#b", "#", '"q', '"'])
     def test_rejects_malformed_names(self, bad):
         # the cached factory and direct construction check alike
-        for make in (edge_label, lambda name: Label(LabelKind.EDGE_LABEL, name)):
+        for make in (edge_label, lambda name: Label(LabelKind.EDGE_LABEL, name),
+                     node_type, flag):
             with pytest.raises(ValueError):
                 make(bad)
+
+    def test_only_a_node_type_name_may_not_hold_a_comma(self):
+        # a graph file reads ": a,b" as two types
+        with pytest.raises(ValueError, match="reserved character ','"):
+            node_type("a,b")
+        assert flag("a,b").name == edge_label("a,b").name == "a,b"
+        assert edge_label('q"').name == 'q"'  # a quote inside is a word char
 
     def test_rejects_a_name_utf8_cannot_encode(self):
         with pytest.raises(ValueError, match="encodable as UTF-8"):

@@ -54,6 +54,28 @@ def nodified_gst(seed: int, n: int) -> str:
     return "\n".join([f"graph m{n}", *lines]) + "\n"
 
 
+def unusual_spelling(text: str, seed: int) -> str:
+    """``text`` as an author might type it: CRLF line ends, tabs and runs
+    of spaces between words and around lines, ``#`` comments after lines
+    and on lines of their own, blank lines, and ``: Node , X`` type lists.
+    No string literal of ``nodified_gst`` holds a space, so the words are
+    the pieces between spaces."""
+    rng = random.Random(seed)
+    out = []
+    for line in text.splitlines():
+        words = line.split(" ")
+        if words[-1] == "Node" and rng.random() < 0.3:
+            words += rng.choice([[",", "X"], [",X"], [", X"], [",", "X,Y"]])
+        out.append(rng.choice(["", " ", "\t"]) + "".join(
+            word + rng.choice([" ", "  ", "\t", " \t "])
+            for word in words[:-1]) + words[-1])
+        if rng.random() < 0.2:
+            out[-1] += rng.choice([" # note", "\t#-x-> y", "   #"])
+        if rng.random() < 0.05:
+            out.append(rng.choice(["", "# a comment", " \t", "#"]))
+    return "\r\n".join(out) + "\r\n"
+
+
 @pytest.mark.parametrize("seed, n", sorted(GOLDEN))
 def test_migration_output_is_byte_identical(tmp_path, capsys, seed, n):
     path = tmp_path / "host.gst"
@@ -64,6 +86,20 @@ def test_migration_output_is_byte_identical(tmp_path, capsys, seed, n):
     assert code == 0
     assert "-nodes->" not in out and "-edges->" not in out
     assert hashlib.md5(out.encode()).hexdigest() == GOLDEN[(seed, n)]
+
+
+def test_unusual_spellings_give_the_recorded_output(tmp_path, capsys):
+    # recorded with the token reader, before graph lines were read as words
+    path = tmp_path / "host.gst"
+    path.write_text(unusual_spelling(nodified_gst(2, 120), 2),
+                    encoding="utf-8", newline="")
+    code = main(["apply", str(GRAMMAR), "migrateToGraphComponent",
+                 "--graph", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "\r" not in out and ": Edge\n" in out and ": Node,X\n" in out
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "b50044df794325aebc1941b831300237"
 
 
 def test_migration_output_does_not_depend_on_the_hash_seed(tmp_path):
