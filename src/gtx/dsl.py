@@ -70,8 +70,8 @@ from .graph import (
     ValueKind,
     edge_label,
     flag as flag_label,
+    name_fault,
     node_type,
-    utf8_encodable,
 )
 from .rules import (
     AttrConstraint,
@@ -125,9 +125,11 @@ class Token(NamedTuple):
     """One token of a line, with its 1-based, half-open column range.
 
     A valid file never asks where a token is, so the ``SourceSpan`` is
-    built on demand, when a diagnostic or a stored element needs it.  The
-    graph reader reads a line as plain words and builds a line's Tokens
-    only when a word-level check doubts the line (see ``parse_graph``)."""
+    built on demand, when a diagnostic or a stored element needs it.
+    ``_scan_line`` makes the Tokens of every line of a rule or type-graph
+    file, but of a graph line only when its string has an escape or a
+    word check doubts it: the graph reader reads plain words (see
+    ``parse_graph``)."""
 
     text: str
     file: str
@@ -150,35 +152,29 @@ def _split(text: str) -> list[str]:
     """A line without a string, cut at its separators up to its comment:
     its bare words, with an empty piece where two separators meet.
 
-    Without a string the comment starts at the first "#" and the words lie
-    between separators, which str.split finds in half the time of the
-    regex.  Not split() without an argument: it also splits at "\xa0" and
-    other Unicode spaces, which are word characters here."""
+    The graph reader's split (``_words``).  Without a string the comment
+    starts at the first "#" and the words lie between separators, which
+    str.split finds in half the time of ``_scan_line``'s regex.  Not
+    split() without an argument: it also splits at "\xa0" and other
+    Unicode spaces, which are word characters here."""
     return text.partition("#")[0].replace("\t", " ").replace(
         "\r", " ").split(" ")
 
 
 def _scan_line(text: str, file: str, lineno: int) -> list[Token]:
+    """The Tokens of a line up to its comment: of each line of a rule or
+    type-graph file, and of a graph line whose string has an escape or
+    that a word check doubts."""
     tokens: list[Token] = []
-    if '"' not in text:
-        col = 1
-        for word in _split(text):
-            if word:
-                # tuple.__new__: Token's generated __new__ costs a fifth
-                # of the regex scan
-                tokens.append(tuple.__new__(Token, (
-                    word, file, lineno, col, col + len(word), False)))
-            col += len(word) + 1
-        return tokens
     for m in _TOKEN_RE.finditer(text):
         body, closed = m.group(1, 2)
         start, end = m.span()
         if body is None and m.group() == "#":
             break
         if body is None or closed:
-            tokens.append(tuple.__new__(Token, (
+            tokens.append(Token(
                 m.group() if body is None else _ESCAPE_RE.sub(_unescape, body),
-                file, lineno, start + 1, end + 1, body is not None)))
+                file, lineno, start + 1, end + 1, body is not None))
         elif end == len(text):
             raise ParseError("unterminated string literal",
                              SourceSpan(file, lineno, start + 1, end + 1))
@@ -243,10 +239,8 @@ def _literal(text: str) -> Value:
 
 
 def parse_value(tok: Token) -> Value:
-    if tok.quoted:
-        return Value.string(tok.text)
     try:
-        return _literal(tok.text)
+        return Value.string(tok.text) if tok.quoted else _literal(tok.text)
     except ValueError as exc:
         raise ParseError(str(exc), tok.span) from None
 
@@ -293,7 +287,7 @@ def _type_list(tokens: list[Token], i: int, what: str) -> tuple[list[Label], int
 
     ``A,B``, ``A, B`` and ``A , B`` all work: a comma at a token edge
     continues the list into the next token.  A name with no comma before
-    it ends the list instead.
+    it ends the list instead.  The graph reader's words take only ``A,B``.
     """
     keyword, i = tokens[i], i + 1
     names: list[str] = []
@@ -366,8 +360,8 @@ def _edge_label_token(tok: Token) -> Label:
 def _words(text: str, file: str, lineno: int) -> list | None:
     """A graph line's words: the texts of its tokens, except that the value
     of an ``attr`` line may be a string, kept as its Token.  None for any
-    other line with a string, which the reader doubts.  A line without a
-    string builds no Token.  Raises the scanner's errors."""
+    other line with a string, which the reader doubts.  Only a line with
+    a string may be scanned.  Raises the scanner's errors."""
     if '"' not in text:
         words = _split(text)
         return [w for w in words if w] if "" in words else words
@@ -393,7 +387,9 @@ def _words(text: str, file: str, lineno: int) -> list | None:
 
 def _node_words(words: list[str]) -> tuple[list[Label], list[Label]] | None:
     """The types and flags of a ``node`` line's words, or None where a
-    check of its name, types or flags doubts them."""
+    check of its name, types or flags doubts them.  A type list is read
+    only as ``serialize_graph`` writes it, one word ``A,B``; one spelled
+    with spaces (``A, B``) is doubted and read by ``_type_list``."""
     n = len(words)
     if n < 2 or RESERVED_RE.search(words[1]):
         return None
@@ -402,12 +398,8 @@ def _node_words(words: list[str]) -> tuple[list[Label], list[Label]] | None:
     i = 2
     try:
         if i + 1 < n and words[i] == ":":
-            # as in _type_list, a comma at a word's edge continues the list
-            joined, i = words[i + 1], i + 2
-            while i < n and (joined[-1] == "," or words[i][0] == ","):
-                joined += words[i]
-                i += 1
-            types = [node_type(t) for t in joined.split(",")]
+            types = [node_type(t) for t in words[i + 1].split(",")]
+            i += 2
         while i < n:
             if words[i] != "flag" or i + 1 == n:
                 return None
@@ -431,9 +423,9 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
     """The graph in ``text``, read in two passes: ``node`` lines first.
 
     Each line is read as plain words (``_words``), and word-level checks
-    accept it.  Only a line they doubt has its Tokens built, by
-    ``_scan_line``; the token helpers then accept the line or raise its
-    diagnostic."""
+    accept the spellings ``serialize_graph`` writes.  Only a line they
+    doubt has its Tokens built, by ``_scan_line``; the token helpers then
+    accept it (a type list with spaces, say) or raise its diagnostic."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         words = _words(raw, filename, lineno)
@@ -474,7 +466,8 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             _expect(tokens[i], "flag")
             if i + 1 >= len(tokens):
                 raise ParseError("expected a flag name", _end_span(tokens))
-            flags.append(flag_label(_ident(tokens[i + 1], "flag name")))
+            flags.append(_label(flag_label, _ident(tokens[i + 1], "flag name"),
+                                tokens[i + 1]))
             i += 2
         node_specs[nid] = (types, flags)
 
@@ -512,7 +505,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
                     value = words[3]
                     try:
                         value = (_literal(value) if type(value) is str
-                                 else parse_value(value))
+                                 else Value.string(value.text))
                     except ValueError:
                         value = None
                     owned = attrs.setdefault(owner, {})
@@ -522,8 +515,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
         tokens = _scan_line(raw, filename, lineno)
         keyword = _keyword(tokens)
         if keyword == "attr":
-            if len(tokens) != 4:
-                _shape(tokens, "attr ID.NAME = VALUE")
+            _shape(tokens, "attr ID.NAME = VALUE")
             owner, attr = _dotted(tokens[1], "attribute reference")
             _expect(tokens[2], "=")
             value = parse_value(tokens[3])
@@ -536,15 +528,12 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
                                  tokens[1].span)
             owned[attr] = value
         elif keyword == "edge":
-            if len(tokens) != 4:
-                _shape(tokens, "edge SRC -LABEL-> TGT")
+            _shape(tokens, "edge SRC -LABEL-> TGT")
             _, src_tok, arrow, tgt_tok = tokens
             src = None if src_tok.quoted else ids.get(src_tok.text)
             if src is None:
                 _ident(src_tok, "edge source")
-            lbl = None if arrow.quoted else arrows.get(arrow.text)
-            if lbl is None:
-                lbl = arrows[arrow.text] = _edge_label_token(arrow)
+            lbl = _edge_label_token(arrow)
             tgt = None if tgt_tok.quoted else ids.get(tgt_tok.text)
             if tgt is None:
                 _ident(tgt_tok, "edge target")
@@ -552,7 +541,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
                 tok = src_tok if src is None else tgt_tok
                 raise ParseError(
                     f"edge references unknown node {tok.text!r}", tok.span)
-            edge = tuple.__new__(HostEdge, (src, lbl, tgt))
+            edge = HostEdge(src, lbl, tgt)
             if edge in edges:
                 raise ParseError(f"duplicate edge {src_tok.text} "
                                  f"-{lbl.name}-> {tgt_tok.text}", arrow.span)
@@ -568,11 +557,9 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
 
 
 def _reads_back(name: str | None) -> bool:
-    """Whether ``parse_graph`` reads ``name`` back as a name: one bare
-    token (no comment, no string) without reserved characters, in text
-    that UTF-8 can encode."""
-    return bool(name) and name[0] != '"' and "#" not in name \
-        and not RESERVED_RE.search(name) and utf8_encodable(name)
+    """Whether ``parse_graph`` reads ``name`` back as a name: the rule of a
+    flag's or an edge label's name."""
+    return name is not None and name_fault(name) is None
 
 
 def _serialized_names(g: HostGraph) -> dict[int, str]:
@@ -853,8 +840,8 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
             if role is None:
                 raise ParseError(f"unknown role {tokens[2].text!r}",
                                  tokens[2].span)
-            node.flag_ops.append(
-                (flag_label(_ident(tokens[3], "flag name")), role))
+            node.flag_ops.append((_label(
+                flag_label, _ident(tokens[3], "flag name"), tokens[3]), role))
         elif keyword in _CONSTRAINTS:
             usage, operator, kind = _CONSTRAINTS[keyword]
             _shape(tokens, usage)

@@ -56,6 +56,22 @@ def utf8_encodable(s: str) -> bool:
     return True
 
 
+def name_fault(name: str,
+               reserved: re.Pattern[str] = _LABEL_RESERVED_RE) -> str | None:
+    """What keeps ``name`` from being one word of a text that reads back,
+    or None.  ``reserved`` defaults to a flag's or an edge label's."""
+    if not name:
+        return "label name must be non-empty"
+    if found := reserved.search(name):
+        return (f"label name {name!r} contains reserved character "
+                f"{found.group()!r}")
+    if name[0] == '"':  # it would read back as a string
+        return f"label name {name!r} begins with '\"'"
+    if not utf8_encodable(name):
+        return "label name must be encodable as UTF-8"
+    return None
+
+
 class Label(NamedTuple("_Label", [("kind", LabelKind), ("name", str)])):
     """A name with a kind; the same name may exist in every kind.
 
@@ -65,17 +81,10 @@ class Label(NamedTuple("_Label", [("kind", LabelKind), ("name", str)])):
     __slots__ = ()
 
     def __new__(cls, kind: LabelKind, name: str) -> "Label":
-        if not name:
-            raise ValueError("label name must be non-empty")
-        found = (_NODE_TYPE_RESERVED_RE if kind is LabelKind.NODE_TYPE
-                 else _LABEL_RESERVED_RE).search(name)
-        if found:
-            raise ValueError(f"label name {name!r} contains reserved "
-                             f"character {found.group()!r}")
-        if name[0] == '"':  # it would read back as a string
-            raise ValueError(f"label name {name!r} begins with '\"'")
-        if not utf8_encodable(name):
-            raise ValueError("label name must be encodable as UTF-8")
+        fault = name_fault(name, _NODE_TYPE_RESERVED_RE if kind is
+                           LabelKind.NODE_TYPE else _LABEL_RESERVED_RE)
+        if fault:
+            raise ValueError(fault)
         return tuple.__new__(cls, (kind, name))
 
     @classmethod

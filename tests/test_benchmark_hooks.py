@@ -1,11 +1,17 @@
-"""The names the benchmark (perfbench/) uses still exist.
+"""The names and call structure the benchmark (perfbench/) relies on.
 
 The tracer times gtx from outside by replacing functions and HostGraph
 methods it names, and it reads ``LevelMatchSet.extensions``; the
-workloads call gtx functions by their module paths.  This suite does not
-run the benchmark's own self-tests, so a rename or a move here would
-otherwise break the benchmark silently.  The benchmark files are only
-loaded or read, never changed.
+workloads call gtx functions by their module paths.  The benchmark's own
+self-tests (``perfbench/test_perfbench.py``, in ``testpaths``) run too:
+they check the tracer's arithmetic, its binding and restoring, and the
+workloads' oracles, and so fail on a name gone from gtx as well.  What
+this file adds is the call structure that the tracer's per-layer metrics
+assume of gtx: ``plan_application`` under ``apply_rule`` and under
+``explore``, ``collect_level_matches`` under ``plan_application``, one
+``nacs_satisfied`` per candidate, and ``LevelMatchSet.extensions`` with
+one entry per extension.  The benchmark files are only loaded or read,
+never changed.
 """
 
 from __future__ import annotations

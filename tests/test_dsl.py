@@ -1292,6 +1292,15 @@ DIAGNOSTICS = [
      'label name \'"B"\' begins with \'"\'', 2, 8, 9),
     ('graph', 'graph g\nnode a\nedge a -"e-> a',
      'label name \'"e\' begins with \'"\'', 3, 8, 13),
+    # a name or string UTF-8 cannot encode, which only a str can hold
+    ('graph', 'graph g\nnode a flag x\ud800',
+     'label name must be encodable as UTF-8', 2, 13, 15),
+    ('graph', 'graph g\nnode a\nattr a.s = "x\ud800"',
+     'string value must be encodable as UTF-8', 3, 12, 16),
+    ('rule', 'rule r\nnode a role=reader\nflag a reader x\ud800',
+     'label name must be encodable as UTF-8', 3, 15, 17),
+    ('rule', 'rule r\nnode a role=reader\nmatch a.s == "x\ud800"',
+     'string value must be encodable as UTF-8', 3, 14, 18),
 ]
 
 PARSERS = {"graph": parse_graph, "typegraph": parse_type_graph,
@@ -1435,6 +1444,53 @@ def documented_lines():
                 line = " ".join(fill(variant, names).split())
                 text = line if pattern == lines[0] else header + line
                 yield pytest.param(parse, text + "\n", id=f"{kind}: {line}")
+
+
+#: per file kind, the variants of each of its declaration lines
+DECLARATION_VARIANTS = {kind: [variants(pattern) for pattern in lines[1:]]
+                        for kind, lines in syntax_blocks().items()}
+#: text that UTF-8 cannot encode, which only a str can hold
+UNENCODABLE = st.text("a\ud800", min_size=1, max_size=3)
+#: words that some placeholder may not take: words over characters that
+#: are reserved, start a comment or a string, escape or separate words,
+#: and names and strings that UTF-8 cannot encode
+ODD_WORDS = st.one_of(
+    st.text('a"\\#,.:=-~>\t\xa0 ', min_size=1, max_size=3),
+    UNENCODABLE, UNENCODABLE.map(lambda s: f'"{s}"'))
+
+
+@st.composite
+def reader_texts(draw):
+    """A parser and texts in its format: lines of its documented syntax
+    after the declarations they may refer to, filled as in
+    ``test_every_documented_line_parses`` but for one placeholder, which
+    takes an odd word; one text for each placeholder."""
+    kind = draw(st.sampled_from(sorted(SYNTAX_CONTEXT)))
+    parse, header, names = SYNTAX_CONTEXT[kind]
+    # one line of each kind at most, since two alike are a duplicate
+    shapes = "\n".join(draw(st.sampled_from(shape)) for shape in draw(
+        st.lists(st.sampled_from(DECLARATION_VARIANTS[kind]), unique_by=id,
+                 max_size=3)))
+    odd = draw(ODD_WORDS)
+    texts = []
+    for place in re.finditer(r"[A-Z]+", shapes):
+        text = shapes[:place.start()] + "\0" + shapes[place.end():]
+        # each declaring line declares a name of its own
+        text = "\n".join(re.sub(r"\bnew\b", f"new{i}", fill(line, names))
+                         for i, line in enumerate(text.split("\n")))
+        texts.append(header + text.replace("\0", odd))
+    return parse, texts
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(reader_texts())
+def test_the_readers_raise_nothing_but_parse_error(parse_texts):
+    parse, texts = parse_texts
+    for text in texts:
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 @pytest.mark.parametrize("parse, text", documented_lines())
