@@ -72,6 +72,7 @@ from .graph import (
     flag as flag_label,
     name_fault,
     node_type,
+    utf8_encodable,
 )
 from .rules import (
     AttrConstraint,
@@ -127,9 +128,9 @@ class Token(NamedTuple):
     A valid file never asks where a token is, so the ``SourceSpan`` is
     built on demand, when a diagnostic or a stored element needs it.
     ``_scan_line`` makes the Tokens of every line of a rule or type-graph
-    file, but of a graph line only when its string has an escape or a
-    word check doubts it: the graph reader reads plain words (see
-    ``parse_graph``)."""
+    file.  A graph line is read as words where it can be, and scanned at
+    most once: when it has a quote that ``_words`` does not take, or a
+    word check doubts it (see ``parse_graph``)."""
 
     text: str
     file: str
@@ -152,7 +153,7 @@ def _split(text: str) -> list[str]:
     """A line without a string, cut at its separators up to its comment:
     its bare words, with an empty piece where two separators meet.
 
-    The graph reader's split (``_words``).  Without a string the comment
+    The word reader's split (``_words``).  Without a string the comment
     starts at the first "#" and the words lie between separators, which
     str.split finds in half the time of ``_scan_line``'s regex.  Not
     split() without an argument: it also splits at "\xa0" and other
@@ -163,8 +164,8 @@ def _split(text: str) -> list[str]:
 
 def _scan_line(text: str, file: str, lineno: int) -> list[Token]:
     """The Tokens of a line up to its comment: of each line of a rule or
-    type-graph file, and of a graph line whose string has an escape or
-    that a word check doubts."""
+    type-graph file, and of a graph line with a quote that ``_words``
+    does not take or that a word check doubts."""
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(text):
         body, closed = m.group(1, 2)
@@ -357,31 +358,22 @@ def _edge_label_token(tok: Token) -> Label:
 # graphs
 
 
-def _words(text: str, file: str, lineno: int) -> list | None:
-    """A graph line's words: the texts of its tokens, except that the value
-    of an ``attr`` line may be a string, kept as its Token.  None for any
-    other line with a string, which the reader doubts.  Only a line with
-    a string may be scanned.  Raises the scanner's errors."""
+def _words(text: str) -> list[str] | None:
+    """A graph line's bare words, ``[]`` for a blank one, or None for a
+    line with a quote that ``_scan_line`` must read.  The one quoted line
+    taken here is an ``attr`` line whose string, with no escape, ends it:
+    its words hold the string's text as the value.  Never scans and never
+    raises: a line it returns words for scans without an error."""
     if '"' not in text:
         words = _split(text)
         return [w for w in words if w] if "" in words else words
-    # a string with no escape that ends the line: its Token alone is built
     head, _, rest = text.partition('"')
     body, closed, tail = rest.partition('"')
     if closed and head[-1:] in (" ", "\t", "\r") and "#" not in head \
             and "\\" not in body and not any(_split(tail)):
         words = [w for w in _split(head) if w]
-        if len(words) != 3 or words[0] != "attr":
-            return None
-        col = len(head) + 1
-        return words + [tuple.__new__(Token, (
-            body, file, lineno, col, col + len(body) + 2, True))]
-    tokens = _scan_line(text, file, lineno)
-    quoted = [t.quoted for t in tokens]
-    if True not in quoted:
-        return [t.text for t in tokens]
-    if quoted == [False, False, False, True] and tokens[0].text == "attr":
-        return [t.text for t in tokens[:3]] + tokens[3:]
+        if len(words) == 3 and words[0] == "attr":
+            return words + [body]
     return None
 
 
@@ -422,26 +414,32 @@ def _arrow_word(word: str) -> Label | None:
 def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
     """The graph in ``text``, read in two passes: ``node`` lines first.
 
-    Each line is read as plain words (``_words``), and word-level checks
-    accept the spellings ``serialize_graph`` writes.  Only a line they
-    doubt has its Tokens built, by ``_scan_line``; the token helpers then
-    accept it (a type list with spaces, say) or raise its diagnostic."""
-    lines = []
+    A line has two readers: word-level checks take its words (``_words``)
+    in the spellings ``serialize_graph`` writes, and the token helpers
+    take its Tokens, accepting any valid spelling or raising the line's
+    diagnostic.  A line is scanned at most once: as the lines are
+    collected if ``_words`` does not take it, so the scanner's errors
+    come first and in line order, else in its pass if a word check
+    doubts it.  An attribute name that ``HostGraph.add_node`` refuses is
+    reported after every line is read."""
+    lines = []  # (words, the text, lineno), or (None, the Tokens, lineno)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        words = _words(raw, filename, lineno)
-        if words != []:
-            lines.append((words, raw, lineno))
+        words = _words(raw)
+        line = raw if words is not None else _scan_line(raw, filename, lineno)
+        if words != [] and line:
+            lines.append((words, line, lineno))
     if not lines:
         raise _no_header(filename, "graph")
-    (words, raw, lineno), *lines = lines
+    (words, line, lineno), *lines = lines
     if words and len(words) == 2 and words[0] == "graph" \
             and not RESERVED_RE.search(words[1]):
         name = words[1]
     else:
-        name = _header(_scan_line(raw, filename, lineno), "graph")
+        name = _header(line if words is None else
+                       _scan_line(line, filename, lineno), "graph")
 
     node_specs: dict[str, tuple[list[Label], list[Label]]] = {}
-    for words, raw, lineno in lines:
+    for words, line, lineno in lines:
         if words is not None:
             if words[0] != "node":
                 continue
@@ -449,7 +447,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             if spec is not None and words[1] not in node_specs:
                 node_specs[words[1]] = spec
                 continue
-        tokens = _scan_line(raw, filename, lineno)
+        tokens = line if words is None else _scan_line(line, filename, lineno)
         if _keyword(tokens) != "node":
             continue
         if len(tokens) < 2:
@@ -481,7 +479,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
     edges: set[HostEdge] = set()
     #: the label of each unquoted arrow text read so far
     arrows: dict[str, Label] = {}
-    for words, raw, lineno in lines:
+    for words, line, lineno in lines:
         if words is not None:
             keyword = words[0]
             if keyword == "node":
@@ -502,17 +500,16 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
             elif keyword == "attr" and len(words) == 4 and words[2] == "=":
                 owner, _, attr = words[1].partition(".")
                 if owner in node_specs and attr and not RESERVED_RE.search(attr):
-                    value = words[3]
-                    try:
-                        value = (_literal(value) if type(value) is str
-                                 else Value.string(value.text))
+                    try:  # a quote in a word line is its string value's
+                        value = (Value.string(words[3]) if '"' in line
+                                 else _literal(words[3]))
                     except ValueError:
                         value = None
                     owned = attrs.setdefault(owner, {})
                     if value is not None and attr not in owned:
                         owned[attr] = value
                         continue
-        tokens = _scan_line(raw, filename, lineno)
+        tokens = line if words is None else _scan_line(line, filename, lineno)
         keyword = _keyword(tokens)
         if keyword == "attr":
             _shape(tokens, "attr ID.NAME = VALUE")
@@ -551,7 +548,16 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
 
     g = HostGraph(name=name)
     for nid in ids:
-        g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
+        try:
+            g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
+        except ValueError as exc:  # a refused attribute name: find its line
+            ref = f"{nid}.{next(a for a in attrs[nid] if name_fault(a))}"
+            scans = (line if words is None else
+                     _scan_line(line, filename, lineno)
+                     for words, line, lineno in lines)
+            tok = next(tokens[1] for tokens in scans
+                       if tokens[0].text == "attr" and tokens[1].text == ref)
+            raise ParseError(str(exc), tok.span) from None
     g.update_edges(added=edges)
     return g
 
@@ -889,6 +895,9 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
                 raise ParseError('expected: format "FMT"',
                                  tokens[1].span if len(tokens) > 1
                                  else _end_span(tokens))
+            if not utf8_encodable(tokens[1].text):  # as Value.string's
+                raise ParseError("format string must be encodable as UTF-8",
+                                 tokens[1].span)
             if print_format is not None:
                 raise ParseError("duplicate format line", tokens[0].span)
             print_format = tokens[1].text

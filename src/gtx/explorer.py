@@ -167,6 +167,11 @@ def certificate(g: HostGraph) -> str:
     return table.certificate(_shape(table.seeds(g), g.edges, table).key)
 
 
+def _discrete(shape: _Shape) -> bool:
+    """Whether each colour holds one node."""
+    return len(set(shape.colors.values())) == len(shape.colors)
+
+
 def _isomorphic(gs: _Shape, hs: _Shape) -> bool:
     gc, hc = gs.colors, hs.colors
     if gs.key != hs.key:
@@ -264,8 +269,9 @@ def explore(rules: list[Rule], start: HostGraph,
                    int] = {}
     #: key -> its states; one state where each colour holds one node
     by_key: dict[tuple, list[int]] = {}
-    #: per state: its record and edges, which its successors' keys start from
-    kept: list[tuple[_Shape, frozenset[HostEdge]]] = []
+    #: per state: its record and edges, which its successors' keys start
+    #: from; None once it is expanded, if each colour holds one node
+    kept: list[tuple[_Shape, frozenset[HostEdge]] | None] = []
     #: each transition once, in the order it was first met
     transitions: dict[tuple[int, str, int], None] = {}
 
@@ -281,9 +287,10 @@ def explore(rules: list[Rule], start: HostGraph,
             return by_graph[exact]
         shape = _shape(seeds, edges, table, record)
         for idx in by_key.get(shape.key, []):
-            # Distinct colours: the colour map is the isomorphism.
-            if len(set(shape.colors.values())) == len(shape.colors) \
-                    or _isomorphic(kept[idx][0], shape):
+            # Distinct colours: the colour map is the isomorphism.  Else
+            # the equal key gives state idx a repeated colour too, so its
+            # record is kept.
+            if _discrete(shape) or _isomorphic(kept[idx][0], shape):
                 break
         else:
             if max_states is not None and len(lts.states) >= max_states:
@@ -321,6 +328,8 @@ def explore(rules: list[Rule], start: HostGraph,
                 lts.truncated = True
                 continue
             transitions[(idx, rule.name, tgt)] = None
+        if _discrete(shape):  # no later step reads its record
+            kept[idx] = None
     lts.transitions = list(transitions)
     return lts
 

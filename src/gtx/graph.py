@@ -23,8 +23,8 @@ from typing import Collection, Iterable, Mapping, NamedTuple
 #: matches exactly the characters ``str.isspace`` accepts.
 _RESERVED = r"\s.\-!+=:|"
 RESERVED_RE = re.compile(f"[{_RESERVED}]")
-#: ... or in a label name, which the text must carry: besides those, "#"
-#: starts a comment, and a node type's "," would split a type list.
+#: ... or in a label or attribute name, which the text must carry: besides
+#: those, "#" starts a comment, and a node type's "," would split a type list.
 _LABEL_RESERVED_RE = re.compile(f"[{_RESERVED}#]")
 _NODE_TYPE_RESERVED_RE = re.compile(f"[{_RESERVED}#,]")
 
@@ -56,19 +56,20 @@ def utf8_encodable(s: str) -> bool:
     return True
 
 
-def name_fault(name: str,
-               reserved: re.Pattern[str] = _LABEL_RESERVED_RE) -> str | None:
+def name_fault(name: str, reserved: re.Pattern[str] = _LABEL_RESERVED_RE,
+               what: str = "label name") -> str | None:
     """What keeps ``name`` from being one word of a text that reads back,
-    or None.  ``reserved`` defaults to a flag's or an edge label's."""
+    or None; the message calls it ``what``.  ``reserved`` defaults to a
+    flag's, an edge label's or an attribute's."""
     if not name:
-        return "label name must be non-empty"
+        return f"{what} must be non-empty"
     if found := reserved.search(name):
-        return (f"label name {name!r} contains reserved character "
+        return (f"{what} {name!r} contains reserved character "
                 f"{found.group()!r}")
     if name[0] == '"':  # it would read back as a string
-        return f"label name {name!r} begins with '\"'"
+        return f"{what} {name!r} begins with '\"'"
     if not utf8_encodable(name):
-        return "label name must be encodable as UTF-8"
+        return f"{what} must be encodable as UTF-8"
     return None
 
 
@@ -229,6 +230,13 @@ class HostNode(NamedTuple):
     name: str | None = None
 
 
+def _check_attr_names(names: Iterable[str]) -> None:
+    for name in names:
+        fault = name_fault(name, what="attribute name")
+        if fault:
+            raise ValueError(fault)
+
+
 def _check_kinds(labels: Iterable[Label], kind: LabelKind, what: str) -> None:
     for lb in labels:
         if lb.kind is not kind:
@@ -283,11 +291,14 @@ class HostGraph:
         attrs: Mapping[str, Value] | None = None,
     ) -> int:
         """Add a fresh node, holding a copy of ``attrs``, and return its
-        id.  Ids are never reused."""
+        id.  Ids are never reused.  An attribute name that the text
+        cannot carry (see ``name_fault``) raises ``ValueError``."""
         types = frozenset(types)
         flags = frozenset(flags)
         _check_kinds(types, LabelKind.NODE_TYPE, "node type")
         _check_kinds(flags, LabelKind.FLAG, "flag")
+        if attrs:
+            _check_attr_names(attrs)
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = tuple.__new__(HostNode, (
@@ -345,7 +356,9 @@ class HostGraph:
         return False
 
     def set_attr(self, nid: int, name: str, value: Value) -> Value | None:
-        """Set an attribute, returning the value it displaced (if any)."""
+        """Set an attribute, returning the value it displaced (if any).
+        A name that the text cannot carry raises ``ValueError``."""
+        _check_attr_names((name,))
         node = self._node(nid)
         self.nodes[nid] = node._replace(attrs={**node.attrs, name: value})
         return node.attrs.get(name)

@@ -139,21 +139,24 @@ SCAN_PIECES = [" ", "  ", "\t", "\r", "#", '"', '"', "\\", "\\u00e9",
                "\x1f", "\x0b", "a", "bc", "-x->", "é", ""]
 
 
-def reference_words(text: str, file: str, lineno: int) -> list | None:
-    """What the graph reader takes from a line: its token texts, but an
-    ``attr`` line's string value as its Token, and None for any other line
-    with a string."""
-    tokens = reference_scan(text, file, lineno)
-    texts = [t.text for t in tokens]
+def reference_words(text: str) -> list[str] | None:
+    """The words the graph reader may take from a line without scanning
+    it: its token texts, an ``attr`` line's string value as its text, and
+    None for any other line with a string."""
+    tokens = reference_scan(text, "f", 7)
     quoted = [t.quoted for t in tokens]
-    if not any(quoted):
-        return texts
-    if quoted == [False, False, False, True] and texts[0] == "attr":
-        return texts[:3] + tokens[3:]
-    return None
+    if any(quoted) and (quoted != [False, False, False, True]
+                        or tokens[0].text != "attr"):
+        return None
+    return [t.text for t in tokens]
 
 
-def test_scanner_agrees_with_the_reference_regex_loop():
+def test_scanner_agrees_with_the_reference_regex_loop(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("_words scanned a line")
+
+    # the names imported above keep the real scanner for the comparison
+    monkeypatch.setattr(gtx.dsl, "_scan_line", no_scan)
     seen = Counter()
     for seed in range(4000):
         rng = random.Random(seed)
@@ -161,9 +164,10 @@ def test_scanner_agrees_with_the_reference_regex_loop():
                        for _ in range(rng.randint(0, 12)))
         expected = scan_outcome(reference_scan, text)
         assert scan_outcome(_scan_line, text) == expected, repr(text)
-        # the graph reader's view of the same line
-        assert scan_outcome(_words, text) == \
-            scan_outcome(reference_words, text), repr(text)
+        # the graph reader's words, where it takes a line without scanning:
+        # the reference scanner reads the same words there, with no error
+        words = _words(text)
+        assert words is None or words == reference_words(text), repr(text)
         seen["error" if isinstance(expected, tuple) else
              "string" if '"' in text else "plain"] += 1
     assert min(seen.values()) >= 300, seen
@@ -443,6 +447,72 @@ def test_serialization_round_trip(g):
     assert len(reparsed.edges) == len(g.edges)
     original = {g.nodes[i].name for i in g.node_ids()}
     assert {n.name for n in reparsed.nodes.values()} == original
+
+
+#: plain characters, and ones that a name may not hold or begin with
+odd_name = st.one_of(st.text(st.sampled_from(
+    [*"ab_1", *" \t.#,-:=|\"\\", "\xa0", "\u2028", "\ud800", "é"]),
+    max_size=4), st.text(max_size=3))
+
+
+@st.composite
+def api_graphs(draw):
+    """A graph built through the public API from arbitrary names and
+    strings.  Each call is made; one that raises ValueError is refused
+    and leaves the graph as it was."""
+    def refused(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except ValueError:
+            return None
+
+    def labels(make):
+        made = [refused(make, name) for name in draw(
+            st.lists(odd_name, max_size=2))]
+        return [label for label in made if label is not None]
+
+    def value():
+        return draw(st.one_of(
+            st.builds(refused, st.just(Value.string), odd_name),
+            st.integers(-(2**63), 2**63 - 1).map(Value.int_),
+            st.floats(allow_nan=False, allow_infinity=False).map(Value.real),
+            st.booleans().map(Value.bool_)))
+
+    g = HostGraph(draw(odd_name))
+    for _ in range(draw(st.integers(1, 4))):
+        attrs = {name: v for name in draw(st.lists(odd_name, max_size=2))
+                 if (v := value()) is not None}
+        refused(g.add_node, labels(node_type), labels(flag),
+                name=draw(st.none() | odd_name), attrs=attrs)
+    ids = g.node_ids()
+    for _ in range(draw(st.integers(0, 3)) if ids else 0):
+        v = value()
+        if v is not None:
+            refused(g.set_attr, draw(st.sampled_from(ids)), draw(odd_name), v)
+    for label in labels(edge_label) if ids else []:
+        g.add_edge(draw(st.sampled_from(ids)), label,
+                   draw(st.sampled_from(ids)))
+    return g
+
+
+def named_form(g: HostGraph, names: dict[int, str]):
+    """``g``'s nodes and edges, with each node called by ``names``."""
+    return sorted((names[nid], sorted(n.types), sorted(n.flags),
+                   sorted(n.attrs.items())) for nid, n in g.nodes.items()), \
+        sorted((names[s], label, names[t]) for s, label, t in g.edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(api_graphs())
+def test_a_graph_the_api_accepts_reads_back_from_its_text(g):
+    # the serializer renames a node or graph name that would not read back
+    text = serialize_graph(g)
+    reparsed = parse_graph(text)
+    assert reparsed.name in (g.name, "g")
+    assert named_form(reparsed, {nid: n.name for nid, n in
+                                 reparsed.nodes.items()}) \
+        == named_form(g, _serialized_names(g))
+    text.encode()
 
 
 def reads_back(name: str | None) -> bool:
@@ -731,6 +801,31 @@ def test_valid_graph_files_build_no_token_for_a_quote_free_line(monkeypatch):
         parse_graph(serialize_graph(random_host(seed)))
     # only the lines whose string has an escape
     assert scanned and all('"' in line and "\\" in line for line in scanned)
+
+
+def test_a_graph_line_is_scanned_at_most_once(monkeypatch):
+    scanned = Counter()
+
+    def counting_scan(text, file, lineno):
+        scanned[text] += 1
+        return _scan_line(text, file, lineno)
+
+    monkeypatch.setattr(gtx.dsl, "_scan_line", counting_scan)
+    lines = ["graph g", 'node a : A, B  # "x"', 'node b # a "quoted" note',
+             'attr a.s = "tab\\there"', 'attr b.n = 1  # "one"',
+             'attr b.s = "plain"', 'edge a -e-> b # "c"', "edge b -e-> a"]
+    g = parse_graph("\n".join(lines))
+    # each line with a quote but the escape-free string is scanned, once
+    assert scanned == Counter(line for line in lines
+                              if '"' in line and "plain" not in line)
+    expected = HostGraph(name="g")
+    a = expected.add_node([node_type("A"), node_type("B")], name="a",
+                          attrs={"s": Value.string("tab\there")})
+    b = expected.add_node(name="b", attrs={"n": Value.int_(1),
+                                           "s": Value.string("plain")})
+    expected.add_edge(a, edge_label("e"), b)
+    expected.add_edge(b, edge_label("e"), a)
+    assert g == expected
 
 
 # -- type graphs -------------------------------------------------------
@@ -1301,6 +1396,13 @@ DIAGNOSTICS = [
      'label name must be encodable as UTF-8', 3, 15, 17),
     ('rule', 'rule r\nnode a role=reader\nmatch a.s == "x\ud800"',
      'string value must be encodable as UTF-8', 3, 14, 18),
+    ('rule', 'rule r\nformat "x\ud800"',
+     'format string must be encodable as UTF-8', 2, 8, 12),
+    # an attribute name refused by HostGraph.add_node, read back to its line
+    ('graph', 'graph g\nnode a\nattr a.x\ud800 = 1',
+     'attribute name must be encodable as UTF-8', 3, 6, 10),
+    ('graph', 'graph g\nnode a\nnode b\nattr b.n = 1\nattr a."x = 1',
+     'attribute name \'"x\' begins with \'"\'', 5, 6, 10),
 ]
 
 PARSERS = {"graph": parse_graph, "typegraph": parse_type_graph,

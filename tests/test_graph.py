@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,23 @@ def test_set_attr_returns_displaced_value():
     assert g.set_attr(n, "x", Value.int_(2)) == Value.int_(1)
     assert g.get_attr(n, "x") == Value.int_(2)
     assert g.get_attr(n, "missing") is None
+
+
+@pytest.mark.parametrize("name, message", [
+    ("x y", "attribute name 'x y' contains reserved character ' '"),
+    ("a.b", "attribute name 'a.b' contains reserved character '.'"),
+    ("", "attribute name must be non-empty"),
+    ("#c", "attribute name '#c' contains reserved character '#'"),
+    ('"q', "attribute name '\"q' begins with '\"'"),
+    ("x\ud800", "attribute name must be encodable as UTF-8")])
+def test_an_attribute_name_the_text_cannot_carry_is_refused(name, message):
+    g = HostGraph()
+    n = g.add_node(attrs={"ok": Value.int_(1)})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.set_attr(n, name, Value.int_(1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.add_node(attrs={"ok": Value.int_(1), name: Value.int_(1)})
+    assert (g.next_id, g.nodes[n].attrs) == (1, {"ok": Value.int_(1)})
 
 
 def test_spo_deletion_drags_incident_edges():
