@@ -211,6 +211,15 @@ def _dotted(tok: Token, what: str) -> tuple[str, str]:
     return left, right
 
 
+def _written(name: str, tok: Token) -> str:
+    """``name`` as an attribute name a rule writes: one the graph text can
+    carry, as ``HostGraph.set_attr`` asks."""
+    fault = name_fault(name, what="attribute name")
+    if fault:
+        raise ParseError(fault, tok.span)
+    return name
+
+
 def _label(make: Callable[[str], Label], name: str, tok: Token) -> Label:
     try:
         return make(name)
@@ -852,10 +861,12 @@ def parse_rule(text: str, filename: str = "<rule>") -> Rule:
             usage, operator, kind = _CONSTRAINTS[keyword]
             _shape(tokens, usage)
             nid, attr = _dotted(tokens[1], "attribute reference")
+            if kind is ConstraintKind.ASSIGN:
+                _written(attr, tokens[1])
             _expect(tokens[2], operator)
             if kind is ConstraintKind.RENAME:
-                constraint = AttrConstraint(
-                    kind, new_name=_ident(tokens[3], "attribute name"))
+                constraint = AttrConstraint(kind, new_name=_written(
+                    _ident(tokens[3], "attribute name"), tokens[3]))
             else:
                 constraint = AttrConstraint(kind, value=parse_value(tokens[3]))
             node = known(nid, tokens[1])

@@ -384,8 +384,12 @@ def collect_level_matches(
     """Matches for every level under one root match, in tree order.
 
     Universal levels are matched against the unmodified host graph, parents
-    before children; each extension records its parent match so rewrite
-    planning can walk back up the tree.
+    before children; each extension records its parent match, and each
+    level is sorted by :meth:`Match.sort_key`.  The rewriter does not call
+    this: :func:`gtx.rewriter.plan_application` walks the levels itself.
+    It is kept, with :class:`LevelMatchSet` and ``Match.parent``, for the
+    level tests and for the benchmark's tracer, which times it by name and
+    counts its extensions.
     """
     result = {ROOT_QUANT: LevelMatchSet([root_match])}
     for qid in list(_compile(rule))[1:]:

@@ -16,7 +16,20 @@ removes every incident edge, whether or not the rule mentioned them.
 An effect names every node by its host id.  A created node is named by the
 id the graph will hand out for it: ids are never reused and copies keep
 the counter, so the k-th creation gets ``next_id + k``.  Its flags,
-attributes and edges are then ordinary changes under that id.
+attributes and edges are then ordinary changes under that id.  Creations
+are counted level by level, breadth-first from the root; within a level,
+extension by extension in the order of their matched bindings (the sorted
+``(rule node id, host id)`` pairs of the nodes matched at the level and
+its ancestors, created nodes left out); within an extension, by creator
+node id.
+
+One walk over the levels plans an application.  :func:`plan_application`
+visits them in tree order, parents first, and extends each context of a
+level's parent by the level's search.  A context maps rule node ids to
+host ids, the ancestors' created nodes included, and the changes an
+extension makes are collected from its context as soon as its level is
+found.  Only the created ids depend on the order of a level's contexts,
+so only a level with a creator node is sorted.
 
 Every caller applies rules through one pipeline: :func:`applications`
 yields each effective ``(match, effect)`` pair, :func:`apply_rule` applies
@@ -33,11 +46,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graph import HostEdge, HostGraph, HostNode, Label, Value
-from .matcher import Match, collect_level_matches, find_root_matches
+from .matcher import Match, _compile, _level_assignments, find_root_matches
 from .rules import (
     ConstraintKind,
     FORMAT_DIRECTIVE,
     Role,
+    ROOT_QUANT,
     Rule,
     RuleNode,
 )
@@ -89,8 +103,6 @@ class ApplicationResult:
 
 def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                      tgs: list[TypeGraph] | None = None) -> Effect:
-    levels = collect_level_matches(rule, g, root_match, tgs)
-
     # per level, in id order: the nodes the rule matches or creates
     nodes: dict[str, list[RuleNode]] = {}
     for node in sorted(rule.nodes.values(), key=lambda n: n.id):
@@ -108,17 +120,27 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     writes: dict[tuple[int, str], Value] = {}
     flags: dict[tuple[int, Label], bool] = {}
 
-    # per-match context: rule node id -> host id, created nodes included,
-    # keyed by the identity of the Match object (matches chain via .parent;
-    # the root match has none)
-    contexts: dict[int, dict[str, int]] = {}
-    for qid, level_set in levels.items():
+    # per level, parents first: one context per extension, rule node id ->
+    # host id.  An extension of a parent's context keeps its bindings and
+    # created ids, so the context is the assignment the level search returns.
+    levels: dict[str, list[dict[str, int]]] = {}
+    for qid in _compile(rule):
+        level_nodes = nodes.get(qid, ())
+        if qid == ROOT_QUANT:
+            level = [dict(root_match.assignment)]
+        else:
+            level = [ctx for parent in levels[rule.quantifiers[qid].parent]
+                     for ctx in _level_assignments(rule, g, qid, parent, tgs)]
+            if len(level) > 1 and any(n.role is Role.CREATOR
+                                      for n in level_nodes):
+                # created ids follow the order of the matched bindings
+                level.sort(key=lambda ctx: sorted(
+                    b for b in ctx.items()
+                    if rule.nodes[b[0]].role is not Role.CREATOR))
+        levels[qid] = level
         edges = [e for e in rule.edges_at(qid)
                  if e.role is Role.ERASER or e.role is Role.CREATOR]
-        level_nodes = nodes.get(qid, ())
-        for match in level_set.extensions:
-            ctx = contexts.get(id(match.parent), {}) | match.assignment
-            contexts[id(match)] = ctx
+        for ctx in level:
             for node in level_nodes:
                 if node.role is Role.CREATOR:
                     ctx[node.id] = g.next_id + len(node_creations)
@@ -164,7 +186,7 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                           and e.tgt not in node_deletions}
     param_values = dict(root_match.bound_params)
     for qid, idx in rule.count_params().items():
-        param_values[idx] = Value.int_(levels[qid].count)
+        param_values[idx] = Value.int_(len(levels[qid]))
 
     return Effect(
         node_deletions=sorted(node_deletions),

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graph import Label, Value
+from .graph import Label, Value, name_fault
 from .source import SourceSpan, Violation
 from .typegraph import TypeGraph, attr_licensed, edge_licensed
 
@@ -383,6 +383,14 @@ def validate_rule(r: Rule, tgs: list[TypeGraph] | None = None) -> list[Violation
                     v.append(Violation(
                         f"{n.role.value} node {nid!r} can only {can} "
                         f"(found {role.value} {f.name!r})", n.span))
+        # a name the rule writes must be one the graph text can carry
+        for a, c in sorted(n.attr_constraints.items()):
+            if c.kind is ConstraintKind.MATCH:
+                continue
+            fault = name_fault(a if c.kind is ConstraintKind.ASSIGN
+                               else c.new_name, what="attribute name")
+            if fault:
+                v.append(Violation(f"node {nid!r}: {fault}", n.span))
 
     # Edges.
     for e in r.edges:

@@ -8,10 +8,13 @@ they check the tracer's arithmetic, its binding and restoring, and the
 workloads' oracles, and so fail on a name gone from gtx as well.  What
 this file adds is the call structure that the tracer's per-layer metrics
 assume of gtx: ``plan_application`` under ``apply_rule`` and under
-``explore``, ``collect_level_matches`` under ``plan_application``, one
-``nacs_satisfied`` per candidate, and ``LevelMatchSet.extensions`` with
-one entry per extension.  The benchmark files are only loaded or read,
-never changed.
+``explore``, one ``nacs_satisfied`` per candidate, the nested levels'
+``nacs_satisfied`` calls under ``plan_application``, which walks the
+levels itself, and ``LevelMatchSet.extensions`` with one entry per
+extension.  No engine path calls ``collect_level_matches`` any more, so a
+traced run reads 0 calls of it and counts root matches alone as
+``matcher.matches``.  The benchmark files are only loaded or read, never
+changed.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
     assert len(lts.states) == 3  # the two one-mark graphs are isomorphic
     parents = {(name, parent) for name, parent in spans.records}
     assert {("rewriter.plan_application", "rewriter.apply_rule"),
-            ("matcher.collect_level_matches", "rewriter.plan_application"),
+            ("matcher.nacs_satisfied", "rewriter.plan_application"),
             ("rewriter.plan_application", "explorer.explore"),
             ("rewriter.apply_effect", "explorer.explore")} <= parents
     rewriter_roots = sum(rec[tracer.ITEMS]

@@ -1403,6 +1403,13 @@ DIAGNOSTICS = [
      'attribute name must be encodable as UTF-8', 3, 6, 10),
     ('graph', 'graph g\nnode a\nnode b\nattr b.n = 1\nattr a."x = 1',
      'attribute name \'"x\' begins with \'"\'', 5, 6, 10),
+    # an attribute name a rule writes, refused as HostGraph.set_attr does
+    ('rule', 'rule r\nnode a role=reader\nassign a.x\ud800 = 1',
+     'attribute name must be encodable as UTF-8', 3, 8, 12),
+    ('rule', 'rule r\nnode a role=reader\nassign a."x = 1',
+     'attribute name \'"x\' begins with \'"\'', 3, 8, 12),
+    ('rule', 'rule r\nnode a role=reader\nrewrite a.x -> y\ud800',
+     'attribute name must be encodable as UTF-8', 3, 16, 18),
 ]
 
 PARSERS = {"graph": parse_graph, "typegraph": parse_type_graph,

@@ -63,7 +63,8 @@ def _b_node_ok(node: RuleNode, g: HostGraph, hid: int,
         present = fl in host.flags
         if role is Role.EMBARGO and present:
             return False
-        if role is not Role.EMBARGO and not present:
+        # a creator flag is added by the application, not matched
+        if role in POSITIVE_ROLES and not present:
             return False
     for attr, c in node.attr_constraints.items():
         if c.kind is ConstraintKind.MATCH and host.attrs.get(attr) != c.value:

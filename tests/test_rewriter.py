@@ -172,6 +172,30 @@ def test_creator_context_is_inherited_by_child_levels():
     assert len(out.nodes) == 4 and len(out.edges) == 3
 
 
+def test_created_ids_follow_the_matched_bindings_alone():
+    # q2's extensions are numbered by (d, z), the nodes they match.  The
+    # ancestor's created id c sorts before both, so ordering by whole
+    # contexts would number them by (c, d) instead: x5 and x6 would swap.
+    g = parse_graph("graph h\nnode a\nnode b\n")
+    rule = parse_rule("rule nest\nquant q forall\nquant q2 forall in q\n"
+                      "node z role=reader in q\nnode c role=creator in q\n"
+                      "node d role=reader in q2\nnode e role=creator in q2\n"
+                      "edge e -toD-> d role=creator in q2\n"
+                      "edge e -toZ-> z role=creator in q2\n")
+    result = apply_rule(rule, g)
+    assert result.effect.node_creations == [(i, ()) for i in range(2, 8)]
+    assert [(e.src, e.label.name, e.tgt)
+            for e in result.effect.edge_creations] == [
+        (4, "toD", 0), (4, "toZ", 0), (5, "toD", 0), (5, "toZ", 1),
+        (6, "toD", 1), (6, "toZ", 0), (7, "toD", 1), (7, "toZ", 1)]
+    assert serialize_graph(result.graph) == (
+        "graph h\nnode a\nnode b\n"
+        + "".join(f"node x{i}\n" for i in range(2, 8))
+        + "edge x4 -toD-> a\nedge x4 -toZ-> a\nedge x5 -toD-> a\n"
+        "edge x5 -toZ-> b\nedge x6 -toD-> b\nedge x6 -toZ-> a\n"
+        "edge x7 -toD-> b\nedge x7 -toZ-> b\n")
+
+
 def test_edge_creation_is_idempotent_against_existing_edges():
     g = parse_graph("graph g\nnode a\nnode b\nedge a -e-> b\n")
     rule = parse_rule("rule r\nnode s role=reader\nnode t role=reader\n"

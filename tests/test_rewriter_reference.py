@@ -1,10 +1,12 @@
 """One rule application, checked against a reference semantics.
 
 ``reference_apply`` builds the post-state of one application straight from
-the rules README states, with no :class:`Effect`:
+the rules README states, with no :class:`Effect` and with each level's
+extensions from the brute-force matcher of ``test_matcher``:
 
 - erasing a node drops its edges, its flags and its attributes;
-- each ``forall`` extension creates its own nodes;
+- each ``forall`` extension creates its own nodes, numbered in README's
+  order;
 - deletion beats writes, and an addition beats a removal;
 - of several values written to one attribute the greatest by
   ``Value.sort_key`` wins;
@@ -12,8 +14,10 @@ the rules README states, with no :class:`Effect`:
 
 Seeded random rules with eraser and creator nodes and edges, ``assign``
 and ``rewrite`` lines and creator and eraser flags, at the root and in
-nested ``forall`` levels, are applied by the engine and compared with the
-reference up to isomorphism.
+nested ``forall`` levels, are applied by the engine at root matches of
+the brute-force matcher and compared with the reference node by node,
+ids included.  Half of them name their nodes so that an ancestor's
+created node sorts before a nested level's matched nodes.
 
 Seeded random read-only rules that print, with NAC groups, ``disjoin``,
 ``neq``, paths, ``bind`` lines and ``forall ... count`` levels, are
@@ -28,11 +32,10 @@ import random
 from test_matcher import brute_level_matches, brute_root_matches
 
 from gtx.dsl import parse_rule
-from gtx.explorer import isomorphic
 from gtx.graph import HostGraph, Value, edge_label, flag, node_type
-from gtx.matcher import collect_level_matches, find_root_matches
+from gtx.matcher import Match
 from gtx.rewriter import apply_effect, apply_rule, plan_application
-from gtx.rules import ConstraintKind, Role, validate_rule
+from gtx.rules import ROOT_QUANT, ConstraintKind, Role, validate_rule
 
 #: a node of the post-state: ("old", host id) or ("new", creation number)
 Ref = tuple[str, int]
@@ -45,9 +48,12 @@ def reference_apply(rule, g: HostGraph, root_match) -> HostGraph:
 def reference_post_state(rule, g: HostGraph, root_match
                          ) -> tuple[HostGraph, dict[Ref, int]]:
     """The post-state, and the node of it that each surviving or created
-    node became."""
+    node became.  Each level's extensions come from the brute-force
+    matcher.  A host node keeps its id, and the k-th created node gets
+    ``g.next_id + k``, counted in README's order: levels breadth-first,
+    a level's extensions by their matched bindings, and an extension's
+    creator nodes by id."""
     made = []  # the creator rule node behind each created node
-    contexts: dict[int, dict[str, Ref]] = {}
     erased: set[Ref] = set()
     edges_gone: set[tuple[Ref, str, Ref]] = set()
     edges_made: set[tuple[Ref, str, Ref]] = set()
@@ -56,16 +62,26 @@ def reference_post_state(rule, g: HostGraph, root_match
     written: dict[tuple[Ref, str], list[Value]] = {}
     renamed_away: set[tuple[Ref, str]] = set()
 
-    for qid, level in collect_level_matches(rule, g, root_match).items():
-        here = [n for n in rule.nodes.values() if n.level == qid]
-        for m in level.extensions:
-            ctx = dict(contexts.get(id(m.parent), {}))
-            ctx.update({nid: ("old", hid) for nid, hid in m.assignment.items()})
+    # per level: (matched bindings, context) for each extension, where the
+    # context also holds the ancestors' created nodes
+    levels = {ROOT_QUANT: [(root_match.assignment, {})]}
+    order = [ROOT_QUANT]
+    for qid in order:  # grows while it is walked: breadth first
+        order += [q.id for q in rule.quantifiers.values() if q.parent == qid]
+        if qid != ROOT_QUANT:
+            levels[qid] = sorted(
+                ((asg, ctx) for base, ctx in levels[rule.quantifiers[qid].parent]
+                 for asg in brute_level_matches(rule, g, base, qid)),
+                key=lambda pair: sorted(pair[0].items()))
+        here = sorted((n for n in rule.nodes.values() if n.level == qid),
+                      key=lambda n: n.id)
+        for k, (asg, parent_ctx) in enumerate(levels[qid]):
+            ctx = parent_ctx | {nid: ("old", hid) for nid, hid in asg.items()}
             for node in here:
                 if node.role is Role.CREATOR:
                     ctx[node.id] = ("new", len(made))
                     made.append(node)
-            contexts[id(m)] = ctx
+            levels[qid][k] = asg, ctx
             for node in here:
                 if node.role is Role.EMBARGO:
                     continue
@@ -90,14 +106,18 @@ def reference_post_state(rule, g: HostGraph, root_match
                     (edges_gone if e.role is Role.ERASER else edges_made).add(
                         (ctx[e.src], e.label.name, ctx[e.tgt]))
 
+    # ids are handed out in order, so every id gets a node, and the ids
+    # that the post-state lacks are deleted again
     out = HostGraph("reference")
     ids: dict[Ref, int] = {}
-    for ref in [("old", h) for h in g.node_ids()] + [
-            ("new", k) for k in range(len(made))]:
-        if ref in erased:
+    gone = []
+    for nid in range(g.next_id + len(made)):
+        ref = ("old", nid) if nid < g.next_id else ("new", nid - g.next_id)
+        if ref in erased or (ref[0] == "old" and nid not in g.nodes):
+            gone.append(out.add_node())
             continue
         if ref[0] == "old":
-            pre = g.nodes[ref[1]]
+            pre = g.nodes[nid]
             types, flags, attrs = pre.types, set(pre.flags), dict(pre.attrs)
         else:
             t = made[ref[1]].type_constraint
@@ -109,9 +129,9 @@ def reference_post_state(rule, g: HostGraph, root_match
         for (r, attr), values in written.items():
             if r == ref:
                 attrs[attr] = max(values, key=Value.sort_key)
-        ids[ref] = out.add_node(types, flags)
-        for attr, value in attrs.items():
-            out.set_attr(ids[ref], attr, value)
+        name = g.nodes[nid].name if ref[0] == "old" else None
+        ids[ref] = out.add_node(types, flags, name, attrs)
+    out.delete_node_spo(*gone)
     before = {(("old", e.src), e.label.name, ("old", e.tgt)) for e in g.edges}
     for s, label, t in (before - edges_gone) | edges_made:
         if s in ids and t in ids:
@@ -140,23 +160,31 @@ def random_value(rng: random.Random) -> str:
     return rng.choice(["0", "1", "2", "3", "10", '"s"', "true", "1.5"])
 
 
-def random_rule_text(rng: random.Random) -> str:
+def random_rule_text(rng: random.Random, nested_first: bool = False) -> str:
     """A valid rule over the host alphabet: one to three levels, each with
     reader or eraser nodes, sometimes a creator node, flag and attribute
-    operations, and reader, eraser and creator edges."""
+    operations, and reader, eraser and creator edges.
+
+    With ``nested_first``, the rule has three levels, each with a creator
+    node that has an edge to a node of its level, and its node ids sort
+    the other way round: a nested level's nodes before its ancestors',
+    and every creator node before them all."""
+    # the first letter of a level's node ids, and of a creator's
+    head = {"root": "z", "q": "y", "q2": "x"} if nested_first else {}
+    made_head = "a" if nested_first else ""
     lines = ["rule r"]
     levels = [("root", "")]
-    if rng.random() < 0.75:
+    if rng.random() < 0.75 or nested_first:
         lines.append("quant q forall")
         levels.append(("q", " in q"))
-        if rng.random() < 0.3:
+        if rng.random() < 0.3 or nested_first:
             lines.append("quant q2 forall in q")
             levels.append(("q2", " in q2"))
     present: list[str] = []
     made: list[str] = []
     edges: set[tuple[str, str, str, str]] = set()
     for qid, suffix in levels:
-        mine = [f"{qid}{i}" for i in range(rng.randint(1, 2))]
+        mine = [f"{head.get(qid, '')}{qid}{i}" for i in range(rng.randint(1, 2))]
         for nid in mine:
             role = "eraser" if rng.random() < 0.2 else "reader"
             typed = f" : {rng.choice('TU')}" if rng.random() < 0.2 else ""
@@ -171,8 +199,8 @@ def random_rule_text(rng: random.Random) -> str:
                 else:
                     lines.append(f"rewrite {nid}.{attr} -> {rng.choice('vwx')}")
         present += mine
-        if rng.random() < 0.5:
-            nid = f"{qid}c"
+        if rng.random() < 0.5 or nested_first:
+            nid = f"{made_head}{qid}c"
             typed = f" : {rng.choice('TU')}" if rng.random() < 0.5 else ""
             lines.append(f"node {nid} role=creator{typed}{suffix}")
             if rng.random() < 0.5:
@@ -180,6 +208,9 @@ def random_rule_text(rng: random.Random) -> str:
             if rng.random() < 0.5:
                 lines.append(f"assign {nid}.v = {random_value(rng)}")
             made.append(nid)
+            if nested_first:  # so that the order of extensions shows
+                edges.add((nid, "a", mine[-1], "creator"))
+                lines.append(f"edge {nid} -a-> {mine[-1]} role=creator{suffix}")
         for _ in range(rng.randint(0, 3)):
             role = rng.choice(["reader", "eraser", "creator"])
             ends = present + made if role == "creator" else present
@@ -334,16 +365,21 @@ def test_printed_output_agrees_with_the_brute_force_reference():
 
 
 def test_applications_agree_with_the_reference_semantics():
+    # node ids are compared as they are, so created nodes must be numbered
+    # as the reference numbers them
     effective = 0
     for seed in range(300):
         rng = random.Random(seed)
-        rule = parse_rule(random_rule_text(rng))
+        rule = parse_rule(random_rule_text(rng, nested_first=seed % 2 == 0))
         assert validate_rule(rule) == [], seed
         for _ in range(3):
             g = random_host(rng)
-            for match in find_root_matches(rule, g)[:3]:
+            for asg in brute_root_matches(rule, g)[:3]:
+                match = Match(asg)
                 effect = plan_application(rule, g, match)
-                got = apply_effect(g, effect)
-                assert isomorphic(got, reference_apply(rule, g, match)), seed
+                got, want = (apply_effect(g, effect),
+                             reference_apply(rule, g, match))
+                assert (got.nodes, got.edges, got.next_id) == (
+                    want.nodes, want.edges, want.next_id), seed
                 effective += not effect.is_empty()
     assert effective >= 300

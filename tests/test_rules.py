@@ -8,6 +8,7 @@ from gtx.graph import Value, edge_label, flag, node_type
 from gtx.rules import (
     AttrConstraint,
     ConstraintKind,
+    InvalidRuleError,
     NacGroup,
     Quantifier,
     RegexPath,
@@ -299,6 +300,26 @@ def test_embargo_node_rejects_writes():
     n.flag_ops.append((flag("f"), Role.CREATOR))
     assert_flags(Rule("r", nodes={"x": n}),
                  "cannot assign or rename", "only require flags")
+
+
+def test_an_attribute_name_the_rule_writes_must_be_one_the_text_carries():
+    # a graph that holds such a name could not be written or read back
+    one = Value.int_(1)
+    assign = reader("a", attr_constraints={
+        "x y": AttrConstraint(ConstraintKind.ASSIGN, value=one)})
+    rename = reader("b", attr_constraints={
+        "v": AttrConstraint(ConstraintKind.RENAME, new_name='"w')})
+    rule = Rule("r", nodes={"a": assign, "b": rename})
+    assert violations_of(rule) == [
+        "node 'a': attribute name 'x y' contains reserved character ' '",
+        "node 'b': attribute name '\"w' begins with '\"'"]
+    with pytest.raises(InvalidRuleError):
+        apply_rule(rule, parse_graph("graph g\nnode n\nattr n.v = 1\n"))
+    # a name that is only matched or renamed away is read, not written
+    read = reader("c", attr_constraints={
+        "x y": AttrConstraint(ConstraintKind.MATCH, value=one),
+        "\"z": AttrConstraint(ConstraintKind.RENAME, new_name="z")})
+    assert violations_of(Rule("r", nodes={"c": read})) == []
 
 
 def test_edge_with_unknown_endpoint():
