@@ -115,11 +115,13 @@ _TOKEN_RE = re.compile(
 _ESCAPE_RE = re.compile(rf'\\({_ESCAPE})')
 
 
-def _needs_u_escape(ch: str) -> bool:
-    # Control characters and the exotic line boundaries str.splitlines
-    # honours; leaving those raw would split a quoted string across lines.
-    o = ord(ch)
-    return o < 0x20 or o == 0x7F or 0x80 <= o <= 0x9F or ch in "\u2028\u2029"
+# What a serialized string escapes: a quote, a backslash, and, as \uXXXX
+# unless they have a named escape, the control characters and the exotic
+# line boundaries str.splitlines honours, which would split it across lines.
+_SERIAL_ESCAPE_RE = re.compile(r'["\\\x00-\x1f\x7f-\x9f\u2028\u2029]')
+_SERIAL_ESCAPES = {chr(o): f"\\u{o:04x}"
+                   for o in [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]
+                   } | _NAMED_ESCAPES
 
 
 class Token(NamedTuple):
@@ -258,10 +260,8 @@ def parse_value(tok: Token) -> Value:
 def serialize_value(v: Value) -> str:
     if v.kind is not ValueKind.STRING:
         return v.to_text()
-    escaped = "".join(
-        _NAMED_ESCAPES.get(ch) or
-        (f"\\u{ord(ch):04x}" if _needs_u_escape(ch) else ch)
-        for ch in str(v.raw))
+    escaped = _SERIAL_ESCAPE_RE.sub(lambda m: _SERIAL_ESCAPES[m[0]],
+                                    str(v.raw))
     return f'"{escaped}"'
 
 

@@ -21,21 +21,26 @@ runs depth first over one step per node to bind.  It runs in one plain
 function that keeps one candidate iterator per bound step on an explicit
 stack, so rule size is not bounded by the recursion limit, and returns
 its full assignments as a list.  A level's search tests each assignment
-against the level's NACs as it is found and keeps only those that pass;
-a NAC search returns at its first assignment.  Each search binds next a
-node that an edge or path links to an already-bound node, preferring typed,
-attribute-constrained and better-connected nodes among those.  Such a
-node's candidates are the host nodes reached from the bound neighbours'
-images -- by ``successors``/``predecessors`` for a plain edge, or by
-evaluating the path forward, or reversed when the bound end is the path's
-target -- intersected over all bound neighbours.  A typed node with no
-bound neighbour takes its candidates from the host graph's type index:
-the nodes of its type or, by the enabled type graphs, of a subtype.  Only
-an untyped one is tried against every host node.  The images of bound
-``neq`` partners are taken out of the candidates, and only edges from the
-node to itself remain to be checked per candidate; every other edge holds
-by construction.  Candidates come in no set order: the match lists are
-sorted, so results are deterministic for a given host graph.
+against the level's NACs as it is found and keeps only those that pass; a
+level with no NAC condition runs no NAC check, and a NAC search returns at
+its first assignment.  Each search binds next a node that an edge or path
+links to an already-bound node, preferring typed, attribute-constrained
+and better-connected nodes among those.  Such a node's candidates are the
+host nodes reached from the bound neighbours' images -- by
+``successors``/``predecessors`` for a plain edge, or by evaluating the
+path forward, or reversed when the bound end is the path's target --
+intersected over all bound neighbours.  A typed node with no bound
+neighbour takes its candidates from the host graph's type index: the
+nodes of its type or, by the enabled type graphs, of a subtype.  Only an
+untyped one is tried against every host node.  The images of bound
+``neq`` partners are taken out of the candidates.  Every edge but a
+self-loop then holds by construction, so per candidate a step tests only
+what can still fail: its type when its candidates came from neighbours,
+its required and forbidden flags, its matched and renamed attributes, and
+its self-loops.  The plan records whether a step has any of these; a step
+with none binds each candidate untested.  Candidates come in no set
+order: the match lists are sorted, so results are deterministic for a
+given host graph.
 """
 
 from __future__ import annotations
@@ -173,6 +178,9 @@ class _Step:
     loops: list[RuleEdge]
     #: other rule nodes, bound before it, that must map elsewhere
     distinct: list[str]
+    #: whether a candidate can fail ``_node_compatible`` or a loop; if not,
+    #: every candidate binds untested
+    tested: bool
 
 
 @dataclass
@@ -224,7 +232,15 @@ def _plan(rule: Rule, bound: set[str], new_nodes: list[str],
         distinct = [b if a == nid else a
                     for a, b in sorted(rule.injectivity_pairs)
                     if nid in (a, b) and a in bound and b in bound]
-        steps.append(_Step(rule.nodes[nid], sources, loops, distinct))
+        node = rule.nodes[nid]
+        # a sourceless typed node's candidates already passed its type test
+        tested = bool(
+            loops or (sources and node.type_constraint is not None)
+            or any(r in (Role.READER, Role.ERASER, Role.EMBARGO)
+                   for _, r in node.flag_ops)
+            or any(c.kind in (ConstraintKind.MATCH, ConstraintKind.RENAME)
+                   for c in node.attr_constraints.values()))
+        steps.append(_Step(node, sources, loops, distinct, tested))
     return _Search(steps, checks)
 
 
@@ -265,21 +281,26 @@ def _compile(rule: Rule) -> dict[str, _Search]:
 
 def _candidates(step: _Step, g: HostGraph, assignment: dict[str, int],
                 tgs: list[TypeGraph] | None) -> Collection[int]:
-    """The host nodes ``step`` may bind, before the per-candidate tests."""
-    taken = {assignment[m] for m in step.distinct}
+    """The host nodes ``step`` may bind, before the per-candidate tests.
+    The caller only iterates them: they may be the graph's own node dict."""
     if not step.sources:
         t = step.node.type_constraint
         if t is None:
-            return [h for h in g.nodes if h not in taken]
-        return {h for u, ids in g.by_type().items()
-                if _type_matches(t, (u,), tgs) for h in ids} - taken
-    (other, label, inverse), *rest = step.sources
-    found = _far_ends(g, assignment[other], label, inverse)
-    for other, label, inverse in rest:
-        if not found:
-            break
-        found &= _far_ends(g, assignment[other], label, inverse)
-    return found - taken
+            found: Collection[int] = g.nodes
+        else:
+            found = {h for u, ids in g.by_type().items()
+                     if _type_matches(t, (u,), tgs) for h in ids}
+    else:
+        (other, label, inverse), *rest = step.sources
+        found = _far_ends(g, assignment[other], label, inverse)
+        for other, label, inverse in rest:
+            if not found:
+                break
+            found &= _far_ends(g, assignment[other], label, inverse)
+    if not step.distinct:
+        return found
+    taken = {assignment[m] for m in step.distinct}
+    return [h for h in found if h not in taken]
 
 
 def _extend(search: _Search, g: HostGraph, base: dict[str, int],
@@ -297,20 +318,26 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
         full = dict(base)
         return [full] if keep is None or keep(full) else []
     kept: list[dict[str, int]] = []
-    assignment = dict(base)
     last = len(steps) - 1
+    # only a step before the last writes to ``assignment``
+    assignment = dict(base) if last else base
     # stack[k] iterates the candidates of steps[k].  A popped step's binding
     # stays in ``assignment``, but is overwritten before anything reads it.
     stack = [iter(_candidates(steps[0], g, assignment, tgs))]
     while stack:
         depth = len(stack) - 1
         step = steps[depth]
-        for hid in stack[depth]:
-            if _node_compatible(step.node, g.nodes[hid], tgs) and (
-                    not step.loops
-                    or all(_edge_holds(g, e, hid, hid) for e in step.loops)):
-                break
+        if step.tested:
+            for hid in stack[depth]:
+                if _node_compatible(step.node, g.nodes[hid], tgs) and (
+                        not step.loops or all(_edge_holds(g, e, hid, hid)
+                                              for e in step.loops)):
+                    break
+            else:
+                hid = None
         else:
+            hid = next(stack[depth], None)
+        if hid is None:
             stack.pop()
             continue
         if depth == last:
@@ -360,8 +387,12 @@ def _bind_params(rule: Rule, g: HostGraph,
 def _level_assignments(rule: Rule, g: HostGraph, qid: str,
                        base: dict[str, int],
                        tgs: list[TypeGraph] | None) -> list[dict[str, int]]:
-    """The NAC-respecting assignments of level ``qid`` on top of ``base``."""
-    return _extend(_compile(rule)[qid], g, base, tgs,
+    """The NAC-respecting assignments of level ``qid`` on top of ``base``;
+    a level with no NAC condition tests none."""
+    search = _compile(rule)[qid]
+    if not search.nacs:
+        return _extend(search, g, base, tgs)
+    return _extend(search, g, base, tgs,
                    keep=lambda a: nacs_satisfied(rule, g, a, qid, tgs))
 
 

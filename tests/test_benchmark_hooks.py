@@ -8,7 +8,8 @@ they check the tracer's arithmetic, its binding and restoring, and the
 workloads' oracles, and so fail on a name gone from gtx as well.  What
 this file adds is the call structure that the tracer's per-layer metrics
 assume of gtx: ``plan_application`` under ``apply_rule`` and under
-``explore``, one ``nacs_satisfied`` per candidate, the nested levels'
+``explore``, one ``nacs_satisfied`` per candidate of a level with a NAC
+condition and none at a level without one, the nested levels'
 ``nacs_satisfied`` calls under ``plan_application``, which walks the
 levels itself, and ``LevelMatchSet.extensions`` with one entry per
 extension.  No engine path calls ``collect_level_matches`` any more, so a
@@ -86,9 +87,12 @@ def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
                           "type Wheel extends Part\n")
     typed = parse_rule("rule typed\nnode p role=reader : Part\n")
     wheel = parse_graph("graph w\nnode w : Wheel\n")
-    # a two-level rule with one root match, and a rule to explore with
+    # a two-level rule with one root match and a NAC in the nested level,
+    # and a rule to explore with
     wire = parse_rule("rule wire\nnode h role=reader\nflag h reader hub\n"
                       "quant q forall\nnode n role=reader in q\n"
+                      "node x role=embargo in q\n"
+                      "edge n -sees-> x role=embargo in q\n"
                       "edge h -sees-> n role=creator in q\n")
     hub = parse_graph("graph h\nnode a flag hub\nnode b\n")
     unmark = parse_rule("rule unmark\nnode n role=reader\n"
@@ -109,8 +113,9 @@ def test_tracer_sees_the_matcher_layers_and_restores_them(tracer):
     calls = {name: rec[tracer.CALLS] for name, rec in spans.totals().items()}
     assert calls.get("matcher.find_root_matches") == 2
     assert calls.get("matcher.collect_level_matches") == 1
-    # one NAC check per root match and per candidate of the level
-    assert calls.get("matcher.nacs_satisfied") == 4 + len(typed_matches)
+    # one NAC check per candidate of the level with a NAC condition, and
+    # none for the root matches: neither root level has one
+    assert calls.get("matcher.nacs_satisfied") == 3
     assert calls.get("typegraph.is_subtype", 0) >= 1
     assert restored
 

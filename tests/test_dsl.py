@@ -244,6 +244,37 @@ def test_serialized_strings_escape_only_line_breaking_characters():
         '"a b\\t\u00e9\u00a0\\n\\u0085\\u2028\\u2029\\"\\\\"'
 
 
+def _reference_serialized_string(text: str) -> str:
+    """The escaping one character at a time, as the serializer did before
+    it used one regex."""
+    named = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+             "\t": "\\t"}
+    out = []
+    for ch in text:
+        o = ord(ch)
+        if ch in named:
+            out.append(named[ch])
+        elif (o < 0x20 or o == 0x7F or 0x80 <= o <= 0x9F
+              or ch in "\u2028\u2029"):
+            out.append(f"\\u{o:04x}")
+        else:
+            out.append(ch)
+    return '"' + "".join(out) + '"'
+
+
+def test_serialized_strings_match_the_per_character_escaping():
+    every = "".join(map(chr, range(0x3000)))
+    assert serialize_value(Value.string(every)) == \
+        _reference_serialized_string(every)
+    pool = [*map(chr, range(0x20)), *map(chr, range(0x7F, 0xA0)),
+            "\u2028", "\u2029", '"', "\\", "a", " ", "é", "中", "😀"]
+    rng = random.Random(11)
+    for _ in range(2000):
+        text = "".join(rng.choices(pool, k=rng.randint(0, 12)))
+        assert serialize_value(Value.string(text)) == \
+            _reference_serialized_string(text), repr(text)
+
+
 def test_serialized_real_always_has_a_point():
     assert "." in serialize_value(Value.real(4.0)) or \
         "e" in serialize_value(Value.real(4.0)).lower()

@@ -240,13 +240,15 @@ def add_nacs(rng: random.Random, r: Rule, anchors: list[str],
     r.disjunction_sets.append(gids)
 
 
-def random_rule(rng: random.Random, alphabet: str = "TU") -> Rule:
+def random_rule(rng: random.Random, alphabet: str = "TU",
+                reader=random_reader) -> Rule:
     """Readers, typed from ``alphabet`` or not, at the root and sometimes in
-    a ``forall`` level, with edges, paths, ``neq`` pairs and NACs."""
+    a ``forall`` level, with edges, paths, ``neq`` pairs and NACs.  Each
+    reader is drawn by ``reader(rng, nid, level, alphabet)``."""
     r = Rule("rand")
     names = ["p", "q", "s"][:rng.randint(1, 3)]
     for nm in names:
-        r.nodes[nm] = random_reader(rng, nm, "root", alphabet)
+        r.nodes[nm] = reader(rng, nm, "root", alphabet)
     for _ in range(rng.randint(0, 3)):
         r.edges.append(random_edge(rng, names, Role.READER))
     if len(names) >= 2 and rng.random() < 0.4:
@@ -257,7 +259,7 @@ def random_rule(rng: random.Random, alphabet: str = "TU") -> Rule:
         r.quantifiers["each"] = Quantifier("each", parent="root")
         inner = ["u", "w"][:rng.randint(1, 2)]
         for nm in inner:
-            r.nodes[nm] = random_reader(rng, nm, "each", alphabet)
+            r.nodes[nm] = reader(rng, nm, "each", alphabet)
         for _ in range(rng.randint(1, 2)):
             r.edges.append(random_edge(rng, names + inner, Role.READER,
                                        "each"))
@@ -341,6 +343,79 @@ def test_typed_matches_agree_with_brute_force_subtyping():
                  if node.type_constraint is not None}
         seen["typed unlinked"] += bool(typed - linked)
         seen["typed linked"] += bool(typed & linked)
+    assert min(seen.values()) >= 40, seen
+
+
+def random_step_reader(rng: random.Random, nid: str, level: str,
+                       alphabet: str = "TU") -> RuleNode:
+    """``random_reader``'s draws, then the node constraints it never draws:
+    an eraser or creator flag, and a ``RENAME`` or ``ASSIGN`` constraint."""
+    node = random_reader(rng, nid, level, alphabet)
+    if rng.random() < 0.4:
+        node.flag_ops.append((flag(rng.choice("mk")),
+                              rng.choice([Role.ERASER, Role.CREATOR])))
+    pick = rng.random()
+    if pick < 0.3:
+        node.attr_constraints["v"] = AttrConstraint(
+            ConstraintKind.RENAME, new_name="w")
+    elif pick < 0.5:
+        node.attr_constraints["v"] = AttrConstraint(
+            ConstraintKind.ASSIGN, value=Value.int_(rng.randint(0, 2)))
+    return node
+
+
+def random_step_rule(rng: random.Random) -> Rule:
+    """``random_rule`` over ``TYPES`` with ``random_step_reader``'s nodes,
+    then sometimes a self-loop on a node of each level."""
+    r = random_rule(rng, TYPES, random_step_reader)
+    for level in r.quantifiers:
+        if rng.random() < 0.4:
+            nm = rng.choice([n.id for n in r.positive_nodes_at(level)])
+            r.edges.append(random_edge(rng, [nm], Role.READER, level))
+    return r
+
+
+def test_every_branch_of_the_step_test_agrees_with_brute_force():
+    """Each way a candidate can fail its step, and each way it cannot: an
+    eraser, creator or reader flag, a ``RENAME``, ``ASSIGN`` or ``MATCH``
+    constraint, a self-loop, a type on a step with sources or on one that
+    takes its candidates from the type index, with and without subtypes."""
+    seen = Counter()
+    for seed in range(1500):
+        rng = random.Random(70_000 + seed)
+        tgs = [random_type_graph(rng)]
+        rule = random_step_rule(rng)
+        assert validate_rule(rule) == [], seed
+        g = random_host(rng, TYPES)
+        found = []
+        for enabled in (None, tgs):
+            roots = find_root_matches(rule, g, enabled)
+            got = [m.assignment for m in roots]
+            assert got == brute_root_matches(rule, g, enabled), seed
+            for root in roots if "each" in rule.quantifiers else ():
+                ext = collect_level_matches(rule, g, root, enabled)["each"]
+                level = [m.assignment for m in ext.extensions]
+                assert level == brute_level_matches(
+                    rule, g, root.assignment, "each", enabled), seed
+                got += level
+                seen["levels"] += 1
+            seen["matched"] += bool(roots)
+            found.append(got)
+        seen["subtyping matters"] += found[0] != found[1]
+        steps = [st for search in matcher._compile(rule).values()
+                 for st in search.steps]
+        for st in steps:
+            roles = {r for _, r in st.node.flag_ops}
+            kinds = {c.kind for c in st.node.attr_constraints.values()}
+            seen["eraser flag"] += Role.ERASER in roles
+            seen["creator flag"] += Role.CREATOR in roles
+            seen["rename"] += ConstraintKind.RENAME in kinds
+            seen["assign"] += ConstraintKind.ASSIGN in kinds
+            seen["self-loop"] += bool(st.loops)
+            typed = st.node.type_constraint is not None
+            seen["typed with sources"] += typed and bool(st.sources)
+            seen["typed from the type index"] += typed and not st.sources
+            seen["untested"] += not st.tested
     assert min(seen.values()) >= 40, seen
 
 
@@ -638,7 +713,9 @@ def test_level_nacs_filter_extensions_individually():
 
 
 def _log_compatibility_tests(monkeypatch, log: list[str]) -> None:
-    """Append the rule node id of every candidate test to ``log``."""
+    """Append the rule node id of every candidate test to ``log``.  A step
+    whose candidates cannot fail, such as an untyped node's, tests none, so
+    the tests below give the logged nodes a type or flag to test."""
     real = matcher._node_compatible
 
     def node_compatible(node, host, tgs):
@@ -650,8 +727,8 @@ def _log_compatibility_tests(monkeypatch, log: list[str]) -> None:
 
 def test_a_nac_probe_stops_at_its_first_extension(monkeypatch):
     g = parse_graph("graph g\nnode hub\n" + "".join(
-        f"node s{i}\nedge hub -e-> s{i}\n" for i in range(300)))
-    rule = parse_rule("rule r\nnode n role=reader\nnode x role=embargo\n"
+        f"node s{i} : T\nedge hub -e-> s{i}\n" for i in range(300)))
+    rule = parse_rule("rule r\nnode n role=reader\nnode x role=embargo : T\n"
                       "edge n -e-> x role=embargo\n")
     (hub,) = (i for i in g.node_ids() if g.nodes[i].name == "hub")
     log: list[str] = []
@@ -663,10 +740,11 @@ def test_a_nac_probe_stops_at_its_first_extension(monkeypatch):
 
 def test_a_level_tests_each_extension_against_its_nacs_when_found(
         monkeypatch):
-    g = parse_graph("graph g\nnode a\nnode b\nnode c\nnode d\n"
+    g = parse_graph("graph g\nnode a flag m\nnode b : T flag m\n"
+                    "node c : T flag m\nnode d flag m\n"
                     "edge a -e-> b\nedge c -e-> c\n")
     rule = parse_rule("rule r\nquant q forall\nnode n role=reader in q\n"
-                      "node x role=embargo in q\n"
+                      "flag n reader m\nnode x role=embargo : T in q\n"
                       "edge n -e-> x role=embargo in q\n")
     (root,) = find_root_matches(rule, g)
     log: list[str] = []
