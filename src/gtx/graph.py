@@ -258,13 +258,16 @@ class HostGraph:
     ``edges`` is the source of truth, but it must change only through
     its mutators: ``add_edge`` and ``remove_edge`` one edge at a time,
     ``update_edges`` in bulk, and ``delete_node_spo``.  The first
-    ``successors``/``predecessors`` query builds an adjacency index from
-    it, keyed by node and label, and only those methods drop the index
-    again.  A label is a sortable ``(kind, name)`` pair, so a label of
-    another kind finds no key, and edges sort as triples.  Likewise
-    the node ids, and a node's types, change only through ``add_node`` and
-    ``delete_node_spo``, which drop the type index of ``by_type``;
-    ``set_attr`` puts a node with the same types in place of the old one."""
+    ``adjacency``, ``successors`` or ``predecessors`` query builds an
+    adjacency index from it, keyed by node and label, and only those
+    methods drop the index again.  ``adjacency`` hands out the index
+    itself, read-only like the type index of ``by_type``; the other two
+    copy one entry into a set the caller owns.  A label is a sortable
+    ``(kind, name)`` pair, so a label of another kind finds no key, and
+    edges sort as triples.  Likewise the node ids, and a node's types,
+    change only through ``add_node`` and ``delete_node_spo``, which drop
+    the type index of ``by_type``; ``set_attr`` puts a node with the same
+    types in place of the old one."""
 
     name: str = "g"
     nodes: dict[int, HostNode] = field(default_factory=dict, init=False)
@@ -409,19 +412,25 @@ class HostGraph:
             in_.setdefault((tgt, label), []).append(src)
         self._out, self._in = out, in_
 
+    def adjacency(self, inverse: bool = False
+                  ) -> dict[tuple[int, Label], list[int]]:
+        """``(src, label)`` -> ids of the targets of those edges, or with
+        ``inverse``, ``(tgt, label)`` -> ids of the sources.  Built on the
+        first query and shared until an edge changes, so the caller must
+        not change it."""
+        if self._out is None:
+            self._build_index()
+        return self._in if inverse else self._out  # type: ignore[return-value]
+
     def successors(self, nid: int, label: Label) -> set[int]:
         """Targets of ``label`` edges leaving ``nid``; the caller owns the
         returned set."""
-        if self._out is None:
-            self._build_index()
-        return set(self._out.get((nid, label), ()))  # type: ignore[union-attr]
+        return set(self.adjacency().get((nid, label), ()))
 
     def predecessors(self, nid: int, label: Label) -> set[int]:
         """Sources of ``label`` edges entering ``nid``; the caller owns the
         returned set."""
-        if self._in is None:
-            self._build_index()
-        return set(self._in.get((nid, label), ()))  # type: ignore[union-attr]
+        return set(self.adjacency(True).get((nid, label), ()))
 
     def by_type(self) -> dict[Label, list[int]]:
         """Node type -> ids of the nodes that have it.  Built on the first

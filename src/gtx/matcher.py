@@ -17,18 +17,19 @@ disjunction set, with one search per group, and blocks a match when every
 search in it succeeds.
 
 A search first checks the edges between the nodes bound before it, then
-runs depth first over one step per node to bind.  It runs in one plain
+runs depth first over one step per node to bind.  A search of one step is
+a plain loop over that step's candidates; a longer one runs in one plain
 function that keeps one candidate iterator per bound step on an explicit
-stack, so rule size is not bounded by the recursion limit, and returns
+stack, so rule size is not bounded by the recursion limit.  Either returns
 its full assignments as a list.  A level's search tests each assignment
 against the level's NACs as it is found and keeps only those that pass; a
 level with no NAC condition runs no NAC check, and a NAC search returns at
 its first assignment.  Each search binds next a node that an edge or path
 links to an already-bound node, preferring typed, attribute-constrained
 and better-connected nodes among those.  Such a node's candidates are the
-host nodes reached from the bound neighbours' images -- by
-``successors``/``predecessors`` for a plain edge, or by evaluating the
-path forward, or reversed when the bound end is the path's target --
+host nodes reached from the bound neighbours' images -- by the host
+graph's adjacency index for a plain edge, or by evaluating the path
+forward, or reversed when the bound end is the path's target --
 intersected over all bound neighbours.  A typed node with no bound
 neighbour takes its candidates from the host graph's type index: the
 nodes of its type or, by the enabled type graphs, of a subtype.  Only an
@@ -37,8 +38,19 @@ untyped one is tried against every host node.  The images of bound
 self-loop then holds by construction, so per candidate a step tests only
 what can still fail: its type when its candidates came from neighbours,
 its required and forbidden flags, its matched and renamed attributes, and
-its self-loops.  The plan records whether a step has any of these; a step
-with none binds each candidate untested.  Candidates come in no set
+its self-loops.
+
+The plan compiles each step into two functions of its own.  Its candidate
+function handles one case: the type index's own list when one host type
+matches, the adjacency index's own list for one plain edge, a path
+evaluation for one path, a fresh set intersected over several sources,
+and a filter for ``neq`` partners.  So a search only iterates candidates
+and never changes them: they may be the host graph's own indexes.  Its
+test function checks only what the step needs, from tuples and frozensets
+prepared once; a step with nothing to test has none and binds each
+candidate untested.  Both look up :func:`evaluate_regex_path` and
+:func:`~gtx.typegraph.is_subtype` by module name when called, so a
+wrapper put in their place sees every call.  Candidates come in no set
 order: the match lists are sorted, so results are deterministic for a
 given host graph.
 """
@@ -48,7 +60,7 @@ from __future__ import annotations
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
-from .graph import HostGraph, HostNode, Label, Value
+from .graph import HostGraph, Label, Value
 from .rules import (
     ConstraintKind,
     InvalidRuleError,
@@ -93,11 +105,10 @@ def evaluate_regex_path(g: HostGraph, path: RegexPath,
     """Nodes reachable from ``starts`` by the concatenation of atoms."""
     frontier = set(starts)
     for atom in path.atoms:
+        index, label = g.adjacency(atom.inverse), atom.label
         nxt: set[int] = set()
         for nid in frontier:
-            step = (g.predecessors(nid, atom.label) if atom.inverse
-                    else g.successors(nid, atom.label))
-            nxt |= step
+            nxt.update(index.get((nid, label), ()))
         frontier = nxt
         if not frontier:
             break
@@ -105,39 +116,17 @@ def evaluate_regex_path(g: HostGraph, path: RegexPath,
 
 
 def _type_matches(constraint: Label, types: Collection[Label],
-                  tgs: list[TypeGraph] | None) -> bool:
+                  tgs: list[TypeGraph]) -> bool:
+    """Whether one of ``types`` is ``constraint`` or, by one of the type
+    graphs ``tgs``, a subtype of it."""
     if constraint in types:
         return True
-    if not tgs:
-        return False
     for t in types:
         for tg in tgs:
             if (t.name in tg.types and constraint.name in tg.types
                     and is_subtype(tg, t, constraint)):
                 return True
     return False
-
-
-def _node_compatible(node: RuleNode, host: HostNode,
-                     tgs: list[TypeGraph] | None) -> bool:
-    if node.type_constraint is not None:
-        if not _type_matches(node.type_constraint, host.types, tgs):
-            return False
-    for fl, role in node.flag_ops:
-        if role in (Role.READER, Role.ERASER):
-            if fl not in host.flags:
-                return False
-        elif role is Role.EMBARGO:
-            if fl in host.flags:
-                return False
-    for attr, constraint in node.attr_constraints.items():
-        if constraint.kind is ConstraintKind.MATCH:
-            if host.attrs.get(attr) != constraint.value:
-                return False
-        elif constraint.kind is ConstraintKind.RENAME:
-            if attr not in host.attrs:
-                return False
-    return True
 
 
 def _reverse(path: RegexPath) -> RegexPath:
@@ -157,13 +146,12 @@ def _edge_holds(g: HostGraph, e: RuleEdge, src: int, tgt: int) -> bool:
 #: either a path oriented to start there, or a plain label and whether it
 #: is followed against the edge direction
 _Source = tuple[str, Label | RegexPath, bool]
-
-
-def _far_ends(g: HostGraph, hid: int, label: Label | RegexPath,
-              inverse: bool) -> set[int]:
-    if isinstance(label, RegexPath):
-        return evaluate_regex_path(g, label, {hid})
-    return g.predecessors(hid, label) if inverse else g.successors(hid, label)
+#: a step's candidates: ``(host graph, assignment, type graphs)`` -> the
+#: host nodes it may bind, which the caller only iterates
+_Candidates = Callable[[HostGraph, dict[str, int], list[TypeGraph] | None],
+                       Collection[int]]
+#: a step's test: ``(host graph, candidate, type graphs)`` -> whether it binds
+_Test = Callable[[HostGraph, int, list[TypeGraph] | None], bool]
 
 
 @dataclass
@@ -176,11 +164,117 @@ class _Step:
     sources: list[_Source]
     #: edges from the node to itself, checked per candidate
     loops: list[RuleEdge]
-    #: other rule nodes, bound before it, that must map elsewhere
-    distinct: list[str]
-    #: whether a candidate can fail ``_node_compatible`` or a loop; if not,
-    #: every candidate binds untested
-    tested: bool
+    candidates: _Candidates
+    #: None when every candidate binds untested
+    test: _Test | None
+
+    @property
+    def tested(self) -> bool:
+        """Whether the step tests its candidates at all."""
+        return self.test is not None
+
+
+def _compile_candidates(node: RuleNode, sources: list[_Source],
+                        distinct: list[str]) -> _Candidates:
+    """The candidate function of a step; it may return an index of the host
+    graph itself, or its node dict, so its caller must not change them."""
+    t = node.type_constraint
+    if not sources and t is None:
+        def candidates(g, assignment, tgs):
+            return g.nodes
+    elif not sources:
+        def candidates(g, assignment, tgs):
+            index = g.by_type()
+            if not tgs:
+                return index.get(t, ())
+            found = [ids for u, ids in index.items()
+                     if _type_matches(t, (u,), tgs)]
+            if len(found) == 1:
+                return found[0]
+            return {h for ids in found for h in ids}
+    elif len(sources) == 1 and isinstance(sources[0][1], RegexPath):
+        ((other, path, _),) = sources
+
+        def candidates(g, assignment, tgs):
+            return evaluate_regex_path(g, path, {assignment[other]})
+    elif len(sources) == 1:
+        ((other, label, inverse),) = sources
+
+        def candidates(g, assignment, tgs):
+            return g.adjacency(inverse).get((assignment[other], label), ())
+    else:
+        def candidates(g, assignment, tgs):
+            found: set[int] | None = None
+            for other, label, inverse in sources:
+                if isinstance(label, RegexPath):
+                    ends = evaluate_regex_path(g, label, {assignment[other]})
+                else:
+                    ends = g.adjacency(inverse).get((assignment[other], label),
+                                                    ())
+                if found is None:
+                    found = set(ends)
+                else:
+                    found.intersection_update(ends)
+                if not found:
+                    break
+            return found
+    if not distinct:
+        return candidates
+    unfiltered = candidates
+
+    def candidates(g, assignment, tgs):
+        taken = {assignment[m] for m in distinct}
+        return [h for h in unfiltered(g, assignment, tgs) if h not in taken]
+    return candidates
+
+
+def _compile_test(node: RuleNode, typed: bool,
+                  loops: list[RuleEdge]) -> _Test | None:
+    """The test of a step's candidates: ``typed`` when its candidates may
+    have another type.  None when no candidate can fail it."""
+    t = node.type_constraint if typed else None
+    required = frozenset(fl for fl, r in node.flag_ops
+                         if r is Role.READER or r is Role.ERASER)
+    forbidden = frozenset(fl for fl, r in node.flag_ops if r is Role.EMBARGO)
+    matched = tuple((a, c.value) for a, c in node.attr_constraints.items()
+                    if c.kind is ConstraintKind.MATCH)
+    renamed = tuple(a for a, c in node.attr_constraints.items()
+                    if c.kind is ConstraintKind.RENAME)
+    plain_loops = tuple(e.label for e in loops if not e.is_path())
+    path_loops = tuple(e.label for e in loops if e.is_path())
+    if not (required or forbidden or matched or renamed or loops):
+        if t is None:
+            return None
+
+        def test(g, hid, tgs):
+            types = g.nodes[hid].types
+            return t in types or bool(tgs) and _type_matches(t, types, tgs)
+        return test
+
+    def test(g, hid, tgs):
+        host = g.nodes[hid]
+        if t is not None and t not in host.types and not (
+                tgs and _type_matches(t, host.types, tgs)):
+            return False
+        if required and not required <= host.flags:
+            return False
+        if forbidden and not forbidden.isdisjoint(host.flags):
+            return False
+        attrs = host.attrs
+        for attr, value in matched:
+            if attrs.get(attr) != value:
+                return False
+        for attr in renamed:
+            if attr not in attrs:
+                return False
+        for label in plain_loops:
+            if (hid, label, hid) not in g.edges:
+                return False
+        for path in path_loops:
+            if hid not in evaluate_regex_path(g, path, {hid}):
+                return False
+        return True
+    return test
 
 
 @dataclass
@@ -234,13 +328,9 @@ def _plan(rule: Rule, bound: set[str], new_nodes: list[str],
                     if nid in (a, b) and a in bound and b in bound]
         node = rule.nodes[nid]
         # a sourceless typed node's candidates already passed its type test
-        tested = bool(
-            loops or (sources and node.type_constraint is not None)
-            or any(r in (Role.READER, Role.ERASER, Role.EMBARGO)
-                   for _, r in node.flag_ops)
-            or any(c.kind in (ConstraintKind.MATCH, ConstraintKind.RENAME)
-                   for c in node.attr_constraints.values()))
-        steps.append(_Step(node, sources, loops, distinct, tested))
+        steps.append(_Step(node, sources, loops,
+                           _compile_candidates(node, sources, distinct),
+                           _compile_test(node, bool(sources), loops)))
     return _Search(steps, checks)
 
 
@@ -279,30 +369,6 @@ def _compile(rule: Rule) -> dict[str, _Search]:
     return levels
 
 
-def _candidates(step: _Step, g: HostGraph, assignment: dict[str, int],
-                tgs: list[TypeGraph] | None) -> Collection[int]:
-    """The host nodes ``step`` may bind, before the per-candidate tests.
-    The caller only iterates them: they may be the graph's own node dict."""
-    if not step.sources:
-        t = step.node.type_constraint
-        if t is None:
-            found: Collection[int] = g.nodes
-        else:
-            found = {h for u, ids in g.by_type().items()
-                     if _type_matches(t, (u,), tgs) for h in ids}
-    else:
-        (other, label, inverse), *rest = step.sources
-        found = _far_ends(g, assignment[other], label, inverse)
-        for other, label, inverse in rest:
-            if not found:
-                break
-            found &= _far_ends(g, assignment[other], label, inverse)
-    if not step.distinct:
-        return found
-    taken = {assignment[m] for m in step.distinct}
-    return [h for h in found if h not in taken]
-
-
 def _extend(search: _Search, g: HostGraph, base: dict[str, int],
             tgs: list[TypeGraph] | None, first: bool = False,
             keep: Callable[[dict[str, int]], bool] | None = None,
@@ -318,25 +384,34 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
         full = dict(base)
         return [full] if keep is None or keep(full) else []
     kept: list[dict[str, int]] = []
+    if len(steps) == 1:  # no stack: one loop over the step's candidates
+        (step,) = steps
+        nid, test = step.node.id, step.test
+        for hid in step.candidates(g, base, tgs):
+            if test is None or test(g, hid, tgs):
+                full = {**base, nid: hid}
+                if keep is None or keep(full):
+                    kept.append(full)
+                    if first:
+                        break
+        return kept
     last = len(steps) - 1
-    # only a step before the last writes to ``assignment``
-    assignment = dict(base) if last else base
+    assignment = dict(base)
     # stack[k] iterates the candidates of steps[k].  A popped step's binding
     # stays in ``assignment``, but is overwritten before anything reads it.
-    stack = [iter(_candidates(steps[0], g, assignment, tgs))]
+    stack = [iter(steps[0].candidates(g, assignment, tgs))]
     while stack:
         depth = len(stack) - 1
         step = steps[depth]
-        if step.tested:
+        test = step.test
+        if test is None:
+            hid = next(stack[depth], None)
+        else:
             for hid in stack[depth]:
-                if _node_compatible(step.node, g.nodes[hid], tgs) and (
-                        not step.loops or all(_edge_holds(g, e, hid, hid)
-                                              for e in step.loops)):
+                if test(g, hid, tgs):
                     break
             else:
                 hid = None
-        else:
-            hid = next(stack[depth], None)
         if hid is None:
             stack.pop()
             continue
@@ -348,8 +423,8 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
                     return kept
         else:
             assignment[step.node.id] = hid
-            stack.append(iter(_candidates(steps[depth + 1], g, assignment,
-                                          tgs)))
+            stack.append(iter(steps[depth + 1].candidates(g, assignment,
+                                                          tgs)))
     return kept
 
 

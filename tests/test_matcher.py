@@ -14,7 +14,7 @@ from collections import Counter
 
 from gtx.dsl import parse_graph, parse_regex, parse_rule, parse_type_graph
 from gtx.graph import HostGraph, Value, edge_label, flag, node_type
-from gtx.rewriter import apply_rule
+from gtx.rewriter import apply_rule, plan_application
 from gtx import matcher
 from gtx.matcher import (
     collect_level_matches,
@@ -419,6 +419,43 @@ def test_every_branch_of_the_step_test_agrees_with_brute_force():
     assert min(seen.values()) >= 40, seen
 
 
+def _index_contents(g: HostGraph) -> tuple[dict, ...]:
+    """Copies of the lists of the adjacency and type indexes, in order."""
+    return tuple({key: list(ids) for key, ids in index.items()}
+                 for index in (g.adjacency(), g.adjacency(True), g.by_type()))
+
+
+def test_matching_never_changes_the_graph_indexes():
+    """A step's candidates may be an index list of the host graph itself,
+    so matching and planning must only read them.  The rules are those of
+    the step test above: ``neq`` pairs, several sources, paths and type
+    graphs."""
+    seen = Counter()
+    for seed in range(1500):
+        rng = random.Random(70_000 + seed)
+        tgs = [random_type_graph(rng)]
+        rule = random_step_rule(rng)
+        g = random_host(rng, TYPES)
+        before = _index_contents(g)
+        for enabled in (None, tgs):
+            for root in find_root_matches(rule, g, enabled):
+                plan_application(rule, g, root, enabled)
+                seen["planned"] += 1
+        assert _index_contents(g) == before, seed
+        seen["neq"] += bool(rule.injectivity_pairs)
+        for search in matcher._compile(rule).values():
+            for st in search.steps:
+                labels = [label for _, label, _ in st.sources]
+                seen["several sources"] += len(labels) > 1
+                seen["one plain source"] += (
+                    len(labels) == 1 and not isinstance(labels[0], RegexPath))
+                seen["path source"] += any(isinstance(label, RegexPath)
+                                           for label in labels)
+                seen["from the type index"] += (
+                    not labels and st.node.type_constraint is not None)
+    assert min(seen.values()) >= 40, seen
+
+
 def random_grouped_rule(rng: random.Random) -> Rule:
     """Readers with embargo edges tagged from a small set of group labels,
     so one label spans disconnected patterns and one embargo node can sit
@@ -712,17 +749,26 @@ def test_level_nacs_filter_extensions_individually():
     assert got == {names["b"], names["s"]}  # a has an e-successor
 
 
-def _log_compatibility_tests(monkeypatch, log: list[str]) -> None:
-    """Append the rule node id of every candidate test to ``log``.  A step
-    whose candidates cannot fail, such as an untyped node's, tests none, so
-    the tests below give the logged nodes a type or flag to test."""
-    real = matcher._node_compatible
+def _log_compatibility_tests(monkeypatch, rule: Rule,
+                             log: list[str]) -> None:
+    """Append the rule node id to ``log`` whenever a step of ``rule``, in a
+    level or a NAC search, tests a candidate.  A step whose candidates
+    cannot fail, such as an untyped node's, has no test, so the tests
+    below give the logged nodes a type or flag to test."""
+    levels = list(matcher._compile(rule).values())
+    for search in levels + [s for level in levels
+                            for condition in level.nacs for s in condition]:
+        for step in search.steps:
+            if step.test is not None:
+                monkeypatch.setattr(step, "test",
+                                    _logged(step.node.id, step.test, log))
 
-    def node_compatible(node, host, tgs):
-        log.append(node.id)
-        return real(node, host, tgs)
 
-    monkeypatch.setattr(matcher, "_node_compatible", node_compatible)
+def _logged(nid: str, test, log: list[str]):
+    def logged(g, hid, tgs):
+        log.append(nid)
+        return test(g, hid, tgs)
+    return logged
 
 
 def test_a_nac_probe_stops_at_its_first_extension(monkeypatch):
@@ -732,7 +778,7 @@ def test_a_nac_probe_stops_at_its_first_extension(monkeypatch):
                       "edge n -e-> x role=embargo\n")
     (hub,) = (i for i in g.node_ids() if g.nodes[i].name == "hub")
     log: list[str] = []
-    _log_compatibility_tests(monkeypatch, log)
+    _log_compatibility_tests(monkeypatch, rule, log)
     assert not matcher.nacs_satisfied(rule, g, {"n": hub}, ROOT_QUANT)
     # one of the 300 successors blocks the match; the others are not tried
     assert log == ["x"]
@@ -748,7 +794,7 @@ def test_a_level_tests_each_extension_against_its_nacs_when_found(
                       "edge n -e-> x role=embargo in q\n")
     (root,) = find_root_matches(rule, g)
     log: list[str] = []
-    _log_compatibility_tests(monkeypatch, log)
+    _log_compatibility_tests(monkeypatch, rule, log)
     real = matcher.nacs_satisfied
 
     def nacs_satisfied(*args):

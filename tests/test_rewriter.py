@@ -9,7 +9,7 @@ import pytest
 
 from gtx.dsl import parse_graph, parse_rule, serialize_graph
 from gtx.graph import HostEdge, HostGraph, Value, edge_label, flag, node_type
-from gtx.matcher import find_root_matches
+from gtx.matcher import Match, find_root_matches
 from gtx.rewriter import (
     Effect,
     FormatError,
@@ -286,6 +286,18 @@ def test_rename_reads_the_pre_state_value():
     by_name = {n.name: n for n in result.graph.nodes.values()}
     assert by_name["a"].attrs == {"v": Value.int_(1)}
     assert by_name["b"].attrs == {"v": Value.int_(2)}
+
+
+def test_a_rename_of_an_attribute_the_node_lacks_writes_nothing():
+    # the matcher binds no node that lacks a renamed attribute, so only a
+    # hand-built root match reaches one
+    g = parse_graph("graph g\nnode a\nattr a.v = 1\n")
+    rule = parse_rule("rule r\nnode n role=reader\nrewrite n.k -> w\n")
+    assert find_root_matches(rule, g) == []
+    (a,) = g.node_ids()
+    effect = plan_application(rule, g, Match({"n": a}))
+    assert effect.attr_writes == [] and effect.attr_deletions == []
+    assert effect.is_empty()
 
 
 @pytest.mark.parametrize("lines, host, expected, changes", [
