@@ -12,10 +12,15 @@ check.  Only a kept state's graph is built, by :func:`apply_effect`.
 One run shares one signature table, so equal seeds mean equal node data.
 Each distinct node seed or signature gets an int colour and is hashed
 once, to a sha colour; a kept state's printed certificate is its
-relabelled graph in sha colours.  Per node, a record holds the arcs
-(other node, tag): a tag is a label name plus ``>`` at the edge's source
-or ``<`` at its target, so a loop gives its node both.  Refinement and
-the exact check read the same arcs.  The exact check is iterative, so
+relabelled graph in sha colours.  A tag is a label name plus ``>`` at an
+edge's source or ``<`` at its target, so a loop gives its node both.  Per
+node, a record holds the node's arc tags, sorted, and the other end of
+each arc, aligned with them; it also holds each edge as a (source,
+out-tag, target) triple.  Refinement and the exact check read the same
+arcs.  A signature pairs each tag with its end's colour and sorts the
+colours only where a tag repeats; sha colours are hashed from the same
+(colour, tag) multiset, so no certificate depends on how the record is
+ordered.  The exact check is iterative, so
 graph size is not bounded by the recursion limit, and neighbour-local:
 extending the mapping by one node costs time in that node's degree.  A
 successor that keeps its parent's nodes and edges, as a flag or attribute
@@ -48,20 +53,36 @@ def _h(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:16]
 
 
+#: a node's arc tags, sorted; the other end of each arc, aligned with them;
+#: and whether a tag repeats
+_Arcs = tuple[tuple[str, ...], tuple[int, ...], bool]
+#: node -> its arcs, and the graph's (source, out-tag, target) triples
+_Record = tuple[dict[int, _Arcs], tuple[tuple[int, str, int], ...]]
+
+
 class _Table:
     """The signature table of one run.  A node's seed key, and each
-    signature (a colour, then the sorted (neighbour colour, tag) pairs of a
-    node of that colour), map to an int colour, whose chain of keys ends at
-    a seed: equal ints mean equal node data.  Each int's sha colour is
-    hashed once, from its key's sha colours, for the certificates."""
+    signature, map to an int colour, whose chain of keys ends at a seed:
+    equal ints mean equal node data.  A signature is a colour, then a node
+    of that colour's sorted tags and its ends' colours, aligned with them
+    and sorted within each run of equal tags.  That is the node's (tag,
+    colour) pairs in sorted order, so it is a function of their multiset.
+    Each int's sha colour is hashed once, for the certificates, from its
+    key's sha colours and tags joined and sorted as strings: a function of
+    the same multiset, whatever order the record holds."""
 
     def __init__(self) -> None:
         self.ints: dict[tuple, int] = {}
         self.sha: list[str] = []
         #: label name -> its (source, target) tags, shared by every record
         self.tags: dict[str, tuple[str, str]] = {}
+        #: a node's (types, flags, attribute items) -> its seed
+        self.seeded: dict[tuple, int] = {}
 
     def seed(self, node: HostNode) -> int:
+        data = (node.types, node.flags, tuple(node.attrs.items()))
+        if (seed := self.seeded.get(data)) is not None:
+            return seed
         # Tuples, not joined strings: a name or a value may hold a separator.
         key = (tuple(sorted(t.name for t in node.types)),
                tuple(sorted(f.name for f in node.flags)),
@@ -71,26 +92,30 @@ class _Table:
             self.sha.append(_h("node", ",".join(key[0]), ",".join(key[1]),
                                ";".join(f"{a}={v.kind.value}:{v.to_text()}"
                                         for a, v in key[2])))
-        return self.ints[key]
+        self.seeded[data] = seed = self.ints[key]
+        return seed
 
     def seeds(self, g: HostGraph) -> dict[int, int]:
         return {nid: self.seed(node) for nid, node in g.nodes.items()}
 
-    def sign(self, color: int, sig: tuple[tuple[int, str], ...]) -> int:
+    def sign(self, color: int,
+             sig: tuple[tuple[str, ...], tuple[int, ...]]) -> int:
         key = (color, sig)  # a pair: never a three-part seed key
         if key not in self.ints:
             self.ints[key] = len(self.sha)
             # a sha has a fixed length, so each tag stays readable
             self.sha.append(_h(self.sha[color], ",".join(sorted(
-                tag + self.sha[x] for x, tag in sig))))
+                tag + self.sha[x] for tag, x in zip(*sig)))))
         return self.ints[key]
 
     def refine(self, colors: dict[int, int],
-               arcs: dict[int, tuple[tuple[int, str], ...]]) -> dict[int, int]:
+               arcs: dict[int, _Arcs]) -> dict[int, int]:
         """Colour refinement from ``colors`` until no cell splits.  A round
         signs, from the last round's colours, only the cells of two or more
         nodes next to a node that the last round recoloured; an unsplit
-        cell keeps its colour, each part of a split one gets :meth:`sign`'s."""
+        cell keeps its colour, each part of a split one gets :meth:`sign`'s.
+        A record sorts each node's tags once, so only a node with a repeated
+        tag sorts its ends' colours, within each run of that tag."""
         colors, cells = dict(colors), {}
         for nid, c in colors.items():
             cells.setdefault(c, []).append(nid)
@@ -100,8 +125,11 @@ class _Table:
             for cell in work:
                 parts: dict[tuple, list[int]] = {}
                 for nid in cell:
-                    sig = tuple(sorted([(colors[m], tag) for m, tag in arcs[nid]]))
-                    parts.setdefault(sig, []).append(nid)
+                    tags, ends, repeats = arcs[nid]
+                    cols = tuple([colors[m] for m in ends])
+                    if repeats:
+                        cols = tuple([c for _, c in sorted(zip(tags, cols))])
+                    parts.setdefault((tags, cols), []).append(nid)
                 if len(parts) > 1:
                     splits.append((colors[cell[0]], parts))
             for c, parts in splits:
@@ -109,7 +137,7 @@ class _Table:
                     cells[new := self.sign(c, sig)] = part
                     colors.update(dict.fromkeys(part, new))
                     moved += part
-            touched = {colors[m] for nid in moved for m, _ in arcs[nid]}
+            touched = {colors[m] for nid in moved for m in arcs[nid][1]}
             work = [cells[c] for c in touched if len(cells[c]) > 1]
         return colors
 
@@ -131,31 +159,37 @@ class _Shape(NamedTuple):
     key: tuple[tuple[int, ...], tuple[tuple[int, str, int], ...]]
     #: node -> stable int colour from the run's signature table
     colors: dict[int, int]
-    #: node -> its arcs (other node, tag); one object for a state and each
-    #: successor that keeps its nodes and edges (a flag or attribute change)
-    arcs: dict[int, tuple[tuple[int, str], ...]]
+    #: the record; one object for a state and each successor that keeps
+    #: its nodes and edges (a flag or attribute change)
+    arcs: _Record
+    #: whether each colour holds one node
+    discrete: bool
 
 
 def _shape(seeds: dict[int, int], edges: Collection[HostEdge],
-           table: _Table,
-           record: dict[int, tuple[tuple[int, str], ...]] | None = None
-           ) -> _Shape:
+           table: _Table, record: _Record | None = None) -> _Shape:
     """``record``, when given, must be the record of these nodes and edges."""
     if record is None:
-        arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in seeds}
+        arcs: dict[int, list[tuple[str, int]]] = {nid: [] for nid in seeds}
+        out = []
         for src, label, tgt in edges:
             name = label.name
-            out, into = table.tags.get(name) or table.tags.setdefault(
+            tag, into = table.tags.get(name) or table.tags.setdefault(
                 name, (f"{name}>", f"{name}<"))
-            arcs[src].append((tgt, out))
-            arcs[tgt].append((src, into))
-        # Every stored state keeps its record: tuples are smaller than lists.
-        record = {nid: tuple(node_arcs) for nid, node_arcs in arcs.items()}
-    colors = table.refine(seeds, record)
+            arcs[src].append((tag, tgt))
+            arcs[tgt].append((into, src))
+            out.append((src, tag, tgt))
+        nodes = {}
+        for nid, node_arcs in arcs.items():
+            node_arcs.sort()
+            tags = tuple([tag for tag, _ in node_arcs])
+            nodes[nid] = (tags, tuple([m for _, m in node_arcs]),
+                          len(set(tags)) < len(tags))
+        record = (nodes, tuple(out))
+    colors = table.refine(seeds, record[0])
     key = (tuple(sorted(colors.values())), tuple(sorted([
-        (colors[src], tag, colors[tgt]) for src, node_arcs in record.items()
-        for tgt, tag in node_arcs if tag[-1] == ">"])))
-    return _Shape(seeds, key, colors, record)
+        (colors[src], tag, colors[tgt]) for src, tag, tgt in record[1]])))
+    return _Shape(seeds, key, colors, record, len(set(key[0])) == len(key[0]))
 
 
 def certificate(g: HostGraph) -> str:
@@ -165,11 +199,6 @@ def certificate(g: HostGraph) -> str:
     isomorphic to ``g`` share it, up to hash collisions."""
     table = _Table()
     return table.certificate(_shape(table.seeds(g), g.edges, table).key)
-
-
-def _discrete(shape: _Shape) -> bool:
-    """Whether each colour holds one node."""
-    return len(set(shape.colors.values())) == len(shape.colors)
 
 
 def _isomorphic(gs: _Shape, hs: _Shape) -> bool:
@@ -192,9 +221,11 @@ def _isomorphic(gs: _Shape, hs: _Shape) -> bool:
             return False
         # The arcs between a and the mapped nodes, loops included, must map
         # onto the arcs between b and their images, and onto no more.
-        return sorted([(b if x == a else mapping[x], tag)
-                       for x, tag in gs.arcs[a] if x == a or x in mapping]) \
-            == sorted([(y, tag) for y, tag in hs.arcs[b]
+        tags, ends, _ = gs.arcs[0][a]
+        h_tags, h_ends, _ = hs.arcs[0][b]
+        return sorted([(tag, b if x == a else mapping[x]) for tag, x
+                       in zip(tags, ends) if x == a or x in mapping]) \
+            == sorted([(tag, y) for tag, y in zip(h_tags, h_ends)
                        if y == b or y in inverse])
 
     # Iterative backtracking: stack[k] iterates the candidates of g_order[k].
@@ -276,8 +307,7 @@ def explore(rules: list[Rule], start: HostGraph,
     transitions: dict[tuple[int, str, int], None] = {}
 
     def intern(seeds: dict[int, int], edges: frozenset[HostEdge], depth: int,
-               build: Callable[[], HostGraph],
-               record: dict[int, tuple[tuple[int, str], ...]] | None = None
+               build: Callable[[], HostGraph], record: _Record | None = None
                ) -> int | None:
         # The identity map is an isomorphism to an identical graph.  Equal
         # tuples mean an identical graph, and as seeds are in ascending id
@@ -290,7 +320,7 @@ def explore(rules: list[Rule], start: HostGraph,
             # Distinct colours: the colour map is the isomorphism.  Else
             # the equal key gives state idx a repeated colour too, so its
             # record is kept.
-            if _discrete(shape) or _isomorphic(kept[idx][0], shape):
+            if shape.discrete or _isomorphic(kept[idx][0], shape):
                 break
         else:
             if max_states is not None and len(lts.states) >= max_states:
@@ -328,7 +358,7 @@ def explore(rules: list[Rule], start: HostGraph,
                 lts.truncated = True
                 continue
             transitions[(idx, rule.name, tgt)] = None
-        if _discrete(shape):  # no later step reads its record
+        if shape.discrete:  # no later step reads its record
             kept[idx] = None
     lts.transitions = list(transitions)
     return lts

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import itertools
 import os
@@ -504,6 +505,162 @@ def test_worklist_refinement_agrees_with_round_by_round_refinement():
     # worklist changed
     assert len(new_to_old) < len(pool) / 2
     assert any(new != old for new, old in new_to_old.items())
+
+
+# -- the tag-ordered record against the sorting signatures ----------------
+
+
+class SortingTable:
+    """The signature table before records were ordered by tag: a record
+    holds each node's (other node, tag) arcs, and each signature sorts the
+    node's (neighbour colour, tag) pairs afresh, every round.  The same
+    graphs must get the same colour classes and certificates from both."""
+
+    def __init__(self) -> None:
+        self.ints: dict[tuple, int] = {}
+        self.sha: list[str] = []
+
+    def seed(self, node) -> int:
+        key = (tuple(sorted(t.name for t in node.types)),
+               tuple(sorted(f.name for f in node.flags)),
+               tuple(sorted(node.attrs.items())))
+        if key not in self.ints:
+            self.ints[key] = len(self.sha)
+            self.sha.append(_h("node", ",".join(key[0]), ",".join(key[1]),
+                               ";".join(f"{a}={v.kind.value}:{v.to_text()}"
+                                        for a, v in key[2])))
+        return self.ints[key]
+
+    def sign(self, color: int, sig: tuple[tuple[int, str], ...]) -> int:
+        key = (color, sig)
+        if key not in self.ints:
+            self.ints[key] = len(self.sha)
+            self.sha.append(_h(self.sha[color], ",".join(sorted(
+                tag + self.sha[x] for x, tag in sig))))
+        return self.ints[key]
+
+    def refine(self, colors: dict[int, int],
+               arcs: dict[int, tuple[tuple[int, str], ...]]) -> dict[int, int]:
+        colors, cells = dict(colors), {}
+        for nid, c in colors.items():
+            cells.setdefault(c, []).append(nid)
+        work = [cell for cell in cells.values() if len(cell) > 1]
+        while work:
+            splits, moved = [], []
+            for cell in work:
+                parts: dict[tuple, list[int]] = {}
+                for nid in cell:
+                    sig = tuple(sorted([(colors[m], tag) for m, tag in arcs[nid]]))
+                    parts.setdefault(sig, []).append(nid)
+                if len(parts) > 1:
+                    splits.append((colors[cell[0]], parts))
+            for c, parts in splits:
+                for sig, part in parts.items():
+                    cells[new := self.sign(c, sig)] = part
+                    colors.update(dict.fromkeys(part, new))
+                    moved += part
+            touched = {colors[m] for nid in moved for m, _ in arcs[nid]}
+            work = [cells[c] for c in touched if len(cells[c]) > 1]
+        return colors
+
+
+def sorting_shape(g: HostGraph) -> tuple[dict[int, int], str]:
+    """The stable colours of ``g`` and its certificate, by the sorting
+    signatures."""
+    table = SortingTable()
+    arcs: dict[int, list[tuple[int, str]]] = {nid: [] for nid in g.nodes}
+    for src, label, tgt in g.edges:
+        arcs[src].append((tgt, label.name + ">"))
+        arcs[tgt].append((src, label.name + "<"))
+    colors = table.refine(
+        {nid: table.seed(node) for nid, node in g.nodes.items()},
+        {nid: tuple(node_arcs) for nid, node_arcs in arcs.items()})
+    sha = table.sha
+    return colors, _h(
+        "graph", ",".join(sorted(sha[c] for c in colors.values())),
+        ",".join(sorted(sha[colors[src]] + label.name + ">" + sha[colors[tgt]]
+                        for src, label, tgt in g.edges)))
+
+
+def hub_graph(rng: random.Random) -> HostGraph:
+    """Up to 12 nodes with little node data, so that many share a colour.
+    One node is a hub with several ``e`` arcs out, and some nodes get an
+    ``x`` loop, which gives a node both an ``x>`` and an ``x<`` arc."""
+    g = HostGraph("g")
+    for _ in range(rng.randint(1, 12)):
+        nid = g.add_node(
+            types=[node_type(rng.choice("AB"))] if rng.random() < 0.3 else [],
+            flags=[flag("f")] if rng.random() < 0.3 else [])
+        if rng.random() < 0.2:
+            g.set_attr(nid, "v", Value.int_(rng.randint(0, 1)))
+    ids = g.node_ids()
+    hub = rng.choice(ids)
+    for _ in range(rng.randint(0, len(ids))):
+        g.add_edge(hub, E("e"), rng.choice(ids))
+    for _ in range(rng.randint(0, len(ids))):
+        g.add_edge(rng.choice(ids), E(rng.choice("ex")), rng.choice(ids))
+    for nid in ids:
+        if rng.random() < 0.1:
+            g.add_edge(nid, E("x"), nid)
+    return g
+
+
+def test_tag_ordered_records_give_the_sorting_certificates():
+    rng = random.Random(36)
+    pool = [cycle(6), two_three_cycles(), cycle(5, "x<"), cycle(4, "x>"),
+            parse_graph(marked_ring(6, {0, 2})),
+            parse_graph(marked_ring(9, {0, 1, 5}))]
+    while len(pool) < 1206:
+        g = hub_graph(rng)
+        pool += [g, relabelled(g, rng)]
+    seen = dict.fromkeys(["sorted", "loop", "isolated", "flag", "attr"], 0)
+    for g in pool:
+        table = _Table()
+        shape = _shape(table.seeds(g), g.edges, table)
+        colors, cert = sorting_shape(g)
+        assert partition(shape.colors) == partition(colors)
+        assert table.certificate(shape.key) == cert == certificate(g)
+        assert shape.discrete == (len(partition(colors)) == len(g.nodes))
+        nodes, _ = shape.arcs
+        # a node whose arcs of one tag reach more than one colour: there the
+        # order of its ends is not the order of their colours
+        seen["sorted"] += any(
+            len({(tag, colors[m]) for tag, m in zip(tags, ends)})
+            > len(set(tags)) for tags, ends, _ in nodes.values())
+        seen["loop"] += any(e.src == e.tgt for e in g.edges)
+        seen["isolated"] += any(not tags for tags, _, _ in nodes.values())
+        seen["flag"] += any(node.flags for node in g.nodes.values())
+        seen["attr"] += any(node.attrs for node in g.nodes.values())
+    assert min(seen.values()) > 100, seen
+
+
+def test_equal_node_data_and_only_that_shares_a_seed():
+    def node(**attrs):
+        g = HostGraph("g")
+        return g.nodes[g.add_node(attrs=attrs)]
+
+    data = [node(v=Value.int_(1)), node(v=Value.real(1.0)),
+            node(v=Value.bool_(True)), node(v=Value.real(0.0)),
+            node(v=Value.real(-0.0)), node(v=Value.int_(1), w=Value.int_(2)),
+            node(w=Value.int_(2), v=Value.int_(1)), node(),
+            parse_graph("graph g\nnode a : A flag f\n").nodes[0],
+            parse_graph("graph g\nnode a : A\n").nodes[0],
+            parse_graph("graph g\nnode a flag f\n").nodes[0]]
+    for order in (data, data[::-1]):
+        table = _Table()
+        seeds = [table.seed(n) for n in order + order]
+        assert seeds[:len(order)] == seeds[len(order):]
+        # the two orders of one attribute map are the same data
+        assert len(set(seeds)) == len(data) - 1
+
+
+def test_the_12_ring_export_is_pinned():
+    grammar = load_grammar_dir(str(RING_GRAMMAR))
+    lts = explore(list(grammar.rules.values()),
+                  parse_graph(marked_ring(12, {0})), tgs=grammar.type_graphs)
+    assert (len(lts.states), len(lts.transitions)) == (351, 2003)
+    assert hashlib.md5(export_lts(lts).encode()).hexdigest() \
+        == "da3bbd1898b8460790db0c78c278bacd"
 
 
 # -- exploration -------------------------------------------------------
