@@ -214,8 +214,8 @@ def _dotted(tok: Token, what: str) -> tuple[str, str]:
 
 
 def _written(name: str, tok: Token) -> str:
-    """``name`` as an attribute name a rule writes: one the graph text can
-    carry, as ``HostGraph.set_attr`` asks."""
+    """``name`` as an attribute name that a graph holds or a rule writes:
+    one the graph text can carry, as ``HostGraph.set_attr`` asks."""
     fault = name_fault(name, what="attribute name")
     if fault:
         raise ParseError(fault, tok.span)
@@ -429,8 +429,8 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
     diagnostic.  A line is scanned at most once: as the lines are
     collected if ``_words`` does not take it, so the scanner's errors
     come first and in line order, else in its pass if a word check
-    doubts it.  An attribute name that ``HostGraph.add_node`` refuses is
-    reported after every line is read."""
+    doubts it.  An attribute name is checked at its line, as
+    ``HostGraph.add_node`` would check it."""
     lines = []  # (words, the text, lineno), or (None, the Tokens, lineno)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         words = _words(raw)
@@ -508,7 +508,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
                         continue
             elif keyword == "attr" and len(words) == 4 and words[2] == "=":
                 owner, _, attr = words[1].partition(".")
-                if owner in node_specs and attr and not RESERVED_RE.search(attr):
+                if owner in node_specs and not name_fault(attr):
                     try:  # a quote in a word line is its string value's
                         value = (Value.string(words[3]) if '"' in line
                                  else _literal(words[3]))
@@ -523,6 +523,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
         if keyword == "attr":
             _shape(tokens, "attr ID.NAME = VALUE")
             owner, attr = _dotted(tokens[1], "attribute reference")
+            _written(attr, tokens[1])
             _expect(tokens[2], "=")
             value = parse_value(tokens[3])
             if owner not in node_specs:
@@ -557,16 +558,7 @@ def parse_graph(text: str, filename: str = "<graph>") -> HostGraph:
 
     g = HostGraph(name=name)
     for nid in ids:
-        try:
-            g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
-        except ValueError as exc:  # a refused attribute name: find its line
-            ref = f"{nid}.{next(a for a in attrs[nid] if name_fault(a))}"
-            scans = (line if words is None else
-                     _scan_line(line, filename, lineno)
-                     for words, line, lineno in lines)
-            tok = next(tokens[1] for tokens in scans
-                       if tokens[0].text == "attr" and tokens[1].text == ref)
-            raise ParseError(str(exc), tok.span) from None
+        g.add_node(*node_specs[nid], name=nid, attrs=attrs.get(nid))
     g.update_edges(added=edges)
     return g
 

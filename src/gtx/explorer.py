@@ -274,10 +274,6 @@ class Lts:
     transitions: list[tuple[int, str, int]] = field(default_factory=list)
     truncated: bool = False
 
-    def final_states(self) -> list[int]:
-        with_out = {src for src, _, _ in self.transitions}
-        return [s.index for s in self.states if s.index not in with_out]
-
 
 def explore(rules: list[Rule], start: HostGraph,
             max_states: int | None = None, max_depth: int | None = None,

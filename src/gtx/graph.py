@@ -207,9 +207,6 @@ class HostEdge(NamedTuple):
     label: Label
     tgt: int
 
-    def key(self) -> tuple[int, str, int]:
-        return (self.src, self.label.name, self.tgt)
-
 
 #: The attributes of a node that has none, shared by every such node.
 NO_ATTRS: Mapping[str, Value] = MappingProxyType({})
@@ -467,14 +464,3 @@ class HostGraph:
             g._next_id += 1
             g._by_type = None
         return g
-
-    def integrity_errors(self) -> list[str]:
-        """Full-scan structural check; the result is empty for every graph
-        produced through the public operations."""
-        problems = []
-        for e in sorted(self.edges):
-            if e.src not in self.nodes:
-                problems.append(f"edge {e.key()} has a dangling source")
-            if e.tgt not in self.nodes:
-                problems.append(f"edge {e.key()} has a dangling target")
-        return problems

@@ -14,7 +14,11 @@ its first match, into one search per level, in tree order.  It first runs
 rewriter only see valid rules, and the next match raises again.  A level's
 search also holds its NAC conditions.  A condition is a lone NAC group or a
 disjunction set, with one search per group, and blocks a match when every
-search in it succeeds.
+search in it succeeds.  A level's search is the level's one record: it
+also holds the level's parent, the rule nodes it matches or creates in id
+order, its eraser and creator edges in rule order, and its count
+parameter.  Compiling buckets the rule's nodes and edges by level in one
+pass, so no later match or application scans them.
 
 A search first checks the edges between the nodes bound before it, then
 runs depth first over one step per node to bind.  A search of one step is
@@ -95,10 +99,6 @@ class LevelMatchSet:
 
     extensions: list[Match]
 
-    @property
-    def count(self) -> int:
-        return len(self.extensions)
-
 
 def evaluate_regex_path(g: HostGraph, path: RegexPath,
                         starts: set[int]) -> set[int]:
@@ -167,11 +167,6 @@ class _Step:
     candidates: _Candidates
     #: None when every candidate binds untested
     test: _Test | None
-
-    @property
-    def tested(self) -> bool:
-        """Whether the step tests its candidates at all."""
-        return self.test is not None
 
 
 def _compile_candidates(node: RuleNode, sources: list[_Source],
@@ -279,7 +274,8 @@ def _compile_test(node: RuleNode, typed: bool,
 
 @dataclass
 class _Search:
-    """How to extend an assignment of the nodes bound before the search."""
+    """How to extend an assignment of the nodes bound before the search;
+    a level's search also holds what the rewriter reads of the level."""
 
     steps: list[_Step]
     #: edges between nodes bound before the search, checked first
@@ -287,6 +283,13 @@ class _Search:
     #: a level's NAC conditions; each blocks a result of the level's search
     #: when every search in it succeeds
     nacs: list[list[_Search]] = field(default_factory=list)
+    #: a level's parent level, None at the root
+    parent: str | None = None
+    #: the rule nodes a level matches or creates, in id order
+    nodes: list[RuleNode] = field(default_factory=list)
+    #: a level's eraser and creator edges, in rule order
+    changes: list[RuleEdge] = field(default_factory=list)
+    count_param: int | None = None
 
 
 def _plan(rule: Rule, bound: set[str], new_nodes: list[str],
@@ -355,16 +358,31 @@ def _compile(rule: Rule) -> dict[str, _Search]:
     conditions = [(gid,) for gid in sorted(groups)
                   if gid not in grouped]
     conditions += rule.disjunction_sets
+    # per level: its non-embargo nodes in id order, and its edges
+    nodes: dict[str, list[RuleNode]] = {qid: [] for qid in rule.quantifiers}
+    for node in sorted(rule.nodes.values(), key=lambda n: n.id):
+        if node.role is not Role.EMBARGO:
+            nodes[node.level].append(node)
+    edges: dict[str, list[RuleEdge]] = {qid: [] for qid in rule.quantifiers}
+    for e in rule.edges:
+        edges[e.level].append(e)
     levels: dict[str, _Search] = {}
     frontier: list[tuple[str, set[str]]] = [(ROOT_QUANT, set())]
     for qid, bound in frontier:  # grows while it is walked: breadth first
-        nodes = [n.id for n in rule.positive_nodes_at(qid)]
-        edges = [e for e in rule.edges_at(qid) if e.role in POSITIVE_ROLES]
-        inner = bound | set(nodes)
-        levels[qid] = search = _plan(rule, bound, nodes, edges)
+        matched = [n.id for n in nodes[qid] if n.role is not Role.CREATOR]
+        inner = bound | set(matched)
+        levels[qid] = search = _plan(
+            rule, bound, matched,
+            [e for e in edges[qid] if e.role in POSITIVE_ROLES])
         search.nacs = [[nac(gid, inner) for gid in c] for c in conditions
                        if groups[c[0]].level == qid]
-        frontier += [(q.id, inner) for q in rule.children_of(qid)]
+        q = rule.quantifiers[qid]
+        search.parent, search.nodes, search.count_param = (
+            q.parent, nodes[qid], q.count_param)
+        search.changes = [e for e in edges[qid]
+                          if e.role is Role.ERASER or e.role is Role.CREATOR]
+        frontier += [(child.id, inner) for child in rule.quantifiers.values()
+                     if child.parent == qid]
     rule.compiled = levels
     return levels
 
@@ -498,11 +516,10 @@ def collect_level_matches(
     counts its extensions.
     """
     result = {ROOT_QUANT: LevelMatchSet([root_match])}
-    for qid in list(_compile(rule))[1:]:
-        parent = rule.quantifiers[qid].parent
+    for qid, search in list(_compile(rule).items())[1:]:
         extensions = [
             Match(assignment, parent=pm)
-            for pm in result[parent].extensions
+            for pm in result[search.parent].extensions
             for assignment in _level_assignments(rule, g, qid,
                                                  pm.assignment, tgs)]
         extensions.sort(key=Match.sort_key)

@@ -24,12 +24,15 @@ its ancestors, created nodes left out); within an extension, by creator
 node id.
 
 One walk over the levels plans an application.  :func:`plan_application`
-visits them in tree order, parents first, and extends each context of a
-level's parent by the level's search.  A context maps rule node ids to
-host ids, the ancestors' created nodes included, and the changes an
-extension makes are collected from its context as soon as its level is
-found.  Only the created ids depend on the order of a level's contexts,
-so only a level with a creator node is sorted.
+visits the matcher's record of each level in tree order, parents first,
+and extends each context of the level's parent by the level's search.  A
+context maps rule node ids to host ids, the ancestors' created nodes
+included, and the changes an extension makes are collected from its
+context, by the record's nodes and changing edges, as soon as its level
+is found; the record's count parameter takes the number of contexts.
+So planning scans none of the rule's nodes, edges or quantifiers.  Only
+the created ids depend on the order of a level's contexts, so only a
+level with a creator node is sorted.
 
 Every caller applies rules through one pipeline: :func:`applications`
 yields each effective ``(match, effect)`` pair, :func:`apply_rule` applies
@@ -53,7 +56,6 @@ from .rules import (
     Role,
     ROOT_QUANT,
     Rule,
-    RuleNode,
 )
 from .typegraph import TypeGraph
 
@@ -103,12 +105,6 @@ class ApplicationResult:
 
 def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                      tgs: list[TypeGraph] | None = None) -> Effect:
-    # per level, in id order: the nodes the rule matches or creates
-    nodes: dict[str, list[RuleNode]] = {}
-    for node in sorted(rule.nodes.values(), key=lambda n: n.id):
-        if node.role is not Role.EMBARGO:
-            nodes.setdefault(node.level, []).append(node)
-
     node_deletions: set[int] = set()
     edge_deletions: set[HostEdge] = set()
     node_creations: list[tuple[int, tuple[Label, ...]]] = []
@@ -119,29 +115,29 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
     # changes to one flag an addition wins
     writes: dict[tuple[int, str], Value] = {}
     flags: dict[tuple[int, Label], bool] = {}
+    param_values = dict(root_match.bound_params)
 
     # per level, parents first: one context per extension, rule node id ->
     # host id.  An extension of a parent's context keeps its bindings and
     # created ids, so the context is the assignment the level search returns.
     levels: dict[str, list[dict[str, int]]] = {}
-    for qid in _compile(rule):
-        level_nodes = nodes.get(qid, ())
+    for qid, record in _compile(rule).items():
         if qid == ROOT_QUANT:
             level = [dict(root_match.assignment)]
         else:
-            level = [ctx for parent in levels[rule.quantifiers[qid].parent]
+            level = [ctx for parent in levels[record.parent]
                      for ctx in _level_assignments(rule, g, qid, parent, tgs)]
             if len(level) > 1 and any(n.role is Role.CREATOR
-                                      for n in level_nodes):
+                                      for n in record.nodes):
                 # created ids follow the order of the matched bindings
                 level.sort(key=lambda ctx: sorted(
                     b for b in ctx.items()
                     if rule.nodes[b[0]].role is not Role.CREATOR))
         levels[qid] = level
-        edges = [e for e in rule.edges_at(qid)
-                 if e.role is Role.ERASER or e.role is Role.CREATOR]
+        if record.count_param is not None:
+            param_values[record.count_param] = Value.int_(len(level))
         for ctx in level:
-            for node in level_nodes:
+            for node in record.nodes:
                 if node.role is Role.CREATOR:
                     ctx[node.id] = g.next_id + len(node_creations)
                     node_creations.append((ctx[node.id], (
@@ -169,7 +165,8 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
                     if (key not in writes
                             or value.sort_key() > writes[key].sort_key()):
                         writes[key] = value
-            for edge in edges:  # tuple.__new__, as in HostGraph.add_edge
+            # tuple.__new__, as in HostGraph.add_edge
+            for edge in record.changes:
                 (edge_deletions if edge.role is Role.ERASER else edge_creations
                  ).add(tuple.__new__(HostEdge, (
                      ctx[edge.src], edge.label, ctx[edge.tgt])))
@@ -184,10 +181,6 @@ def plan_application(rule: Rule, g: HostGraph, root_match: Match,
         edge_creations = {e for e in edge_creations
                           if e.src not in node_deletions
                           and e.tgt not in node_deletions}
-    param_values = dict(root_match.bound_params)
-    for qid, idx in rule.count_params().items():
-        param_values[idx] = Value.int_(len(levels[qid]))
-
     return Effect(
         node_deletions=sorted(node_deletions),
         edge_deletions=sorted(edge_deletions - edge_creations),

@@ -169,7 +169,8 @@ class Rule:
     #: live on their quantifier instead and do not appear here
     params: dict[int, tuple[str, str]] = field(default_factory=dict)
     print_format: str | None = None
-    #: the matcher's search per level, built on the first match
+    #: the matcher's record per level, in tree order: its search, parent,
+    #: nodes, changing edges and count parameter; built on the first match
     compiled: dict | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -183,28 +184,6 @@ class Rule:
         """The embargo elements grouped by :func:`group_embargo_elements`,
         derived afresh on every read."""
         return group_embargo_elements(self.nodes, self.edges, self.quantifiers)
-
-    # -- quantifier tree helpers --------------------------------------
-
-    def children_of(self, qid: str) -> list[Quantifier]:
-        return [q for q in self.quantifiers.values() if q.parent == qid]
-
-    def positive_nodes_at(self, level: str) -> list[RuleNode]:
-        return sorted(
-            (n for n in self.nodes.values()
-             if n.level == level and n.role in POSITIVE_ROLES),
-            key=lambda n: n.id,
-        )
-
-    def edges_at(self, level: str) -> list[RuleEdge]:
-        return [e for e in self.edges if e.level == level]
-
-    def count_params(self) -> dict[str, int]:
-        return {
-            q.id: q.count_param
-            for q in self.quantifiers.values()
-            if q.count_param is not None
-        }
 
     def is_readonly(self) -> bool:
         """True when an application can never change the graph."""

@@ -149,7 +149,8 @@ def test_c4_deletion_removes_exactly_the_incident_structure():
             ("e4", "src", "n1"), ("e4", "trg", "n1"),
             ("e5", "src", "n1"),
         }
-        assert after.integrity_errors() == []
+        assert all(e.src in after.nodes and e.tgt in after.nodes
+                   for e in after.edges)
 
         deep = apply_rule(grammar.rules["deleteNodeN1WithEdges"], start,
                           grammar.type_graphs)
@@ -171,7 +172,8 @@ def test_c4_deletion_removes_exactly_the_incident_structure():
             ("e7", "src", "n4"), ("e7", "trg", "n6"),
             ("e8", "src", "n6"), ("e8", "trg", "n4"),
         }
-        assert after.integrity_errors() == []
+        assert all(e.src in after.nodes and e.tgt in after.nodes
+                   for e in after.edges)
 
 
 # -- C5: migration lands inside the target model -----------------------

@@ -1429,11 +1429,14 @@ DIAGNOSTICS = [
      'string value must be encodable as UTF-8', 3, 14, 18),
     ('rule', 'rule r\nformat "x\ud800"',
      'format string must be encodable as UTF-8', 2, 8, 12),
-    # an attribute name refused by HostGraph.add_node, read back to its line
+    # an attribute name HostGraph.add_node would refuse, refused at its
+    # line, so before a fault on a later line
     ('graph', 'graph g\nnode a\nattr a.x\ud800 = 1',
      'attribute name must be encodable as UTF-8', 3, 6, 10),
     ('graph', 'graph g\nnode a\nnode b\nattr b.n = 1\nattr a."x = 1',
      'attribute name \'"x\' begins with \'"\'', 5, 6, 10),
+    ('graph', 'graph g\nnode a\nattr a."x = 1\nedge a -e-> b',
+     'attribute name \'"x\' begins with \'"\'', 3, 6, 10),
     # an attribute name a rule writes, refused as HostGraph.set_attr does
     ('rule', 'rule r\nnode a role=reader\nassign a.x\ud800 = 1',
      'attribute name must be encodable as UTF-8', 3, 8, 12),

@@ -269,7 +269,7 @@ def test_spo_deletion_drags_incident_edges():
     removed = g.delete_node_spo(a)
     assert removed == 4  # a>b, c>a, loop, a-f>b
     assert g.node_ids() == [b, c]
-    assert g.integrity_errors() == []
+    assert all(e.src in g.nodes and e.tgt in g.nodes for e in g.edges)
     assert len(g.edges) == 1
 
 
@@ -326,11 +326,12 @@ def test_successors_and_predecessors():
 
 
 def test_integrity_detects_hand_broken_graph():
+    # the tests check that every edge's ends are nodes, which holds for
+    # every graph built through the public operations, and fails here
     g, (a, _, _) = build_triangle()
     del g.nodes[a]  # bypass delete_node_spo on purpose
-    problems = g.integrity_errors()
-    assert len(problems) == 2
-    assert all("dangling" in p for p in problems)
+    assert len([e for e in g.edges
+                if e.src not in g.nodes or e.tgt not in g.nodes]) == 2
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -348,13 +349,13 @@ def test_random_operation_sequences_preserve_integrity(seed):
             g.add_edge(rng.choice(ids), rng.choice(labels), rng.choice(ids))
         else:
             g.delete_node_spo(rng.choice(ids))
-    assert g.integrity_errors() == []
+    assert all(e.src in g.nodes and e.tgt in g.nodes for e in g.edges)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_edges_sort_as_by_their_key(seed):
-    # the natural order of edges is the order of HostEdge.key
+    # edges sort by source, label name and target
     rng = random.Random(seed)
     g = HostGraph()
     ids = [g.add_node() for _ in range(rng.randint(1, 6))]
@@ -362,7 +363,8 @@ def test_edges_sort_as_by_their_key(seed):
         ["a", "b", "c", "ab", "B", "é", "z9"], rng.randint(3, 7))]
     for _ in range(rng.randint(0, 40)):
         g.add_edge(rng.choice(ids), rng.choice(labels), rng.choice(ids))
-    assert sorted(g.edges) == sorted(g.edges, key=HostEdge.key)
+    assert sorted(g.edges) == sorted(
+        g.edges, key=lambda e: (e.src, e.label.name, e.tgt))
 
 
 # -- the adjacency index -------------------------------------------------
@@ -399,7 +401,7 @@ def test_adjacency_index_follows_every_mutation(seed):
         elif op < 0.5:
             g.add_edge(rng.choice(ids), rng.choice(labels), rng.choice(ids))
         elif op < 0.7 and g.edges:
-            e = rng.choice(sorted(g.edges, key=lambda e: e.key()))
+            e = rng.choice(sorted(g.edges))
             assert g.remove_edge(e.src, e.label, e.tgt)
         elif op < 0.8:
             g.delete_node_spo(rng.choice(ids))
@@ -412,7 +414,7 @@ def test_adjacency_index_follows_every_mutation(seed):
             h.add_edge(rng.choice(h_ids), rng.choice(labels),
                        rng.choice(h_ids))
             if h.edges:
-                e = rng.choice(sorted(h.edges, key=lambda e: e.key()))
+                e = rng.choice(sorted(h.edges))
                 h.remove_edge(e.src, e.label, e.tgt)
             h.delete_node_spo(rng.choice(h_ids))
             assert_index_matches_scan(h, labels)
@@ -606,7 +608,6 @@ def test_an_edge_is_a_named_triple_equal_to_the_plain_tuple():
         src, label, tgt = e
         assert isinstance(e, HostEdge) and e == (src, label, tgt)
         assert (src, label, tgt) in g.edges and g.has_edge(src, label, tgt)
-        assert e.key() == (src, label.name, tgt)
     src, label, tgt = next(iter(g.edges))
     assert g.remove_edge(src, label, tgt)
     assert (src, label, tgt) not in g.edges

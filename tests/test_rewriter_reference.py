@@ -23,17 +23,28 @@ Seeded random read-only rules that print, with NAC groups, ``disjoin``,
 ``neq``, paths, ``bind`` lines and ``forall ... count`` levels, are
 applied by the engine, and the printed output is compared with a
 rendering of what the brute-force matcher of ``test_matcher`` binds.
+
+The matcher's record of each level is all that ``plan_application`` reads
+of a rule's structure, so the records of all these rules, and of the
+seeded rules of ``test_matcher``, are checked against the rule's own
+fields.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from test_matcher import brute_level_matches, brute_root_matches
+from test_matcher import (
+    brute_level_matches,
+    brute_root_matches,
+    random_grouped_rule,
+    random_rule,
+)
 
 from gtx.dsl import parse_rule
 from gtx.graph import HostGraph, Value, edge_label, flag, node_type
-from gtx.matcher import Match
+from gtx.matcher import Match, _compile
 from gtx.rewriter import apply_effect, apply_rule, plan_application
 from gtx.rules import ROOT_QUANT, ConstraintKind, Role, validate_rule
 
@@ -101,8 +112,8 @@ def reference_post_state(rule, g: HostGraph, root_match
                         written.setdefault((ref, c.new_name), []).append(
                             pre[attr])
                         renamed_away.add((ref, attr))
-            for e in rule.edges_at(qid):
-                if e.role is Role.ERASER or e.role is Role.CREATOR:
+            for e in rule.edges:
+                if e.level == qid and e.role in (Role.ERASER, Role.CREATOR):
                     (edges_gone if e.role is Role.ERASER else edges_made).add(
                         (ctx[e.src], e.label.name, ctx[e.tgt]))
 
@@ -383,3 +394,42 @@ def test_applications_agree_with_the_reference_semantics():
                     want.nodes, want.edges, want.next_id), seed
                 effective += not effect.is_empty()
     assert effective >= 300
+
+
+def test_each_level_record_holds_what_the_rule_says():
+    """Per level, in tree order: the parent, the non-embargo nodes in id
+    order, the eraser and creator edges in rule order and the count
+    parameter, as the rule's fields give them."""
+    makers = (random_rule, random_grouped_rule,
+              lambda rng: parse_rule(random_rule_text(rng, rng.random() < 0.5)),
+              lambda rng: parse_rule(random_printing_rule_text(rng)))
+    seen = Counter()
+    for seed in range(200):
+        for make in makers:
+            rule = make(random.Random(seed))
+            records = _compile(rule)
+            order = list(records)
+            assert sorted(order) == sorted(rule.quantifiers), seed
+            assert order[0] == ROOT_QUANT, seed
+            for qid, record in records.items():
+                q = rule.quantifiers[qid]
+                assert record.parent == q.parent, seed
+                if q.parent is not None:
+                    assert order.index(q.parent) < order.index(qid), seed
+                assert record.nodes == [
+                    rule.nodes[nid] for nid in sorted(rule.nodes)
+                    if rule.nodes[nid].level == qid
+                    and rule.nodes[nid].role is not Role.EMBARGO], seed
+                assert record.changes == [
+                    e for e in rule.edges if e.level == qid
+                    and e.role in (Role.ERASER, Role.CREATOR)], seed
+                assert record.count_param == q.count_param, seed
+                seen["nested"] += q.parent not in (None, ROOT_QUANT)
+                seen["creator node"] += any(n.role is Role.CREATOR
+                                            for n in record.nodes)
+                seen["changes"] += bool(record.changes)
+                seen["count"] += record.count_param is not None
+                seen["embargo left out"] += any(
+                    n.level == qid and n.role is Role.EMBARGO
+                    for n in rule.nodes.values())
+    assert min(seen.values()) >= 40, seen

@@ -62,28 +62,6 @@ def test_root_quantifier_is_synthesized():
     assert r.quantifiers["root"].parent is None
 
 
-def test_children_are_reported_per_parent():
-    r = Rule("r", quantifiers={"a": forall("a"), "b": forall("b"),
-                               "c": forall("c", parent="a")})
-    assert [q.id for q in r.children_of("root")] == ["a", "b"]
-    assert [q.id for q in r.children_of("a")] == ["c"]
-    assert r.children_of("c") == []
-
-
-def test_count_params_collects_quantifier_indices():
-    r = Rule("r", quantifiers={"a": forall("a", count=0),
-                               "b": forall("b", count=2)})
-    assert r.count_params() == {"a": 0, "b": 2}
-
-
-def test_positive_nodes_exclude_embargo_and_sort():
-    r = Rule("r", nodes={
-        "z": reader("z"), "a": reader("a"),
-        "n": embargo("n"), "c": RuleNode("c", Role.CREATOR),
-    })
-    assert [n.id for n in r.positive_nodes_at("root")] == ["a", "z"]
-
-
 # -- read-only detection ----------------------------------------------
 
 
