@@ -21,14 +21,14 @@ parameter.  Compiling buckets the rule's nodes and edges by level in one
 pass, so no later match or application scans them.
 
 A search first checks the edges between the nodes bound before it, then
-runs depth first over one step per node to bind.  A search of one step is
-a plain loop over that step's candidates; a longer one runs in one plain
-function that keeps one candidate iterator per bound step on an explicit
-stack, so rule size is not bounded by the recursion limit.  Either returns
-its full assignments as a list.  A level's search tests each assignment
-against the level's NACs as it is found and keeps only those that pass; a
-level with no NAC condition runs no NAC check, and a NAC search returns at
-its first assignment.  Each search binds next a node that an edge or path
+runs depth first over one step per node to bind, in one plain function.
+The steps before the last keep their candidate iterators on an explicit
+stack, so rule size is not bounded by the recursion limit; once they are
+all bound, one plain loop binds the last step, so a search of one step
+runs only that loop.  It returns its full assignments as a list.  A
+level's search tests each assignment against the level's NACs as it is
+found and keeps only those that pass; a level with no NAC condition runs
+no NAC check, and a NAC search returns at its first assignment.  Each search binds next a node that an edge or path
 links to an already-bound node, preferring typed, attribute-constrained
 and better-connected nodes among those.  Such a node's candidates are the
 host nodes reached from the bound neighbours' images -- by the host
@@ -61,7 +61,7 @@ given host graph.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
 
 from .graph import HostGraph, Label, Value
@@ -87,7 +87,6 @@ class Match:
 
     assignment: dict[str, int]
     bound_params: dict[int, Value] = field(default_factory=dict)
-    parent: Match | None = field(default=None, compare=False, repr=False)
 
     def sort_key(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self.assignment.items()))
@@ -402,48 +401,39 @@ def _extend(search: _Search, g: HostGraph, base: dict[str, int],
         full = dict(base)
         return [full] if keep is None or keep(full) else []
     kept: list[dict[str, int]] = []
-    if len(steps) == 1:  # no stack: one loop over the step's candidates
-        (step,) = steps
-        nid, test = step.node.id, step.test
-        for hid in step.candidates(g, base, tgs):
-            if test is None or test(g, hid, tgs):
-                full = {**base, nid: hid}
-                if keep is None or keep(full):
-                    kept.append(full)
-                    if first:
-                        break
-        return kept
-    last = len(steps) - 1
-    assignment = dict(base)
-    # stack[k] iterates the candidates of steps[k].  A popped step's binding
-    # stays in ``assignment``, but is overwritten before anything reads it.
-    stack = [iter(steps[0].candidates(g, assignment, tgs))]
-    while stack:
-        depth = len(stack) - 1
-        step = steps[depth]
-        test = step.test
-        if test is None:
-            hid = next(stack[depth], None)
-        else:
-            for hid in stack[depth]:
-                if test(g, hid, tgs):
+    depth = len(steps) - 1
+    last = steps[depth]
+    nid, test = last.node.id, last.test
+    # The steps before the last bind into a copy of ``base``, with steps[k]'s
+    # candidate iterator at stack[k].  A popped step's binding stays in
+    # ``assignment``, but is overwritten before anything reads it.
+    assignment = dict(base) if depth else base
+    stack: list[Iterator[int]] = []
+    while True:
+        if len(stack) < depth:
+            step = steps[len(stack)]
+            stack.append(iter(step.candidates(g, assignment, tgs)))
+        else:  # every earlier step is bound: one plain loop binds the last
+            for hid in last.candidates(g, assignment, tgs):
+                if test is None or test(g, hid, tgs):
+                    full = {**assignment, nid: hid}
+                    if keep is None or keep(full):
+                        kept.append(full)
+                        if first:
+                            return kept
+        while stack:  # bind the deepest step's next candidate, or pop it
+            step = steps[len(stack) - 1]
+            step_test = step.test
+            for hid in stack[-1]:
+                if step_test is None or step_test(g, hid, tgs):
+                    assignment[step.node.id] = hid
                     break
             else:
-                hid = None
-        if hid is None:
-            stack.pop()
-            continue
-        if depth == last:
-            full = {**assignment, step.node.id: hid}
-            if keep is None or keep(full):
-                kept.append(full)
-                if first:
-                    return kept
+                stack.pop()
+                continue
+            break
         else:
-            assignment[step.node.id] = hid
-            stack.append(iter(steps[depth + 1].candidates(g, assignment,
-                                                          tgs)))
-    return kept
+            return kept
 
 
 def nacs_satisfied(rule: Rule, g: HostGraph, assignment: dict[str, int],
@@ -508,18 +498,17 @@ def collect_level_matches(
     """Matches for every level under one root match, in tree order.
 
     Universal levels are matched against the unmodified host graph, parents
-    before children; each extension records its parent match, and each
-    level is sorted by :meth:`Match.sort_key`.  The rewriter does not call
-    this: :func:`gtx.rewriter.plan_application` walks the levels itself.
-    It is kept, with :class:`LevelMatchSet` and ``Match.parent``, for the
-    level tests and for the benchmark's tracer, which times it by name and
-    counts its extensions.
+    before children; each extension's assignment extends that of one
+    extension of its parent level, and each level is sorted by
+    :meth:`Match.sort_key`.  The rewriter does not call this:
+    :func:`gtx.rewriter.plan_application` walks the levels itself.  It is
+    kept, with :class:`LevelMatchSet`, for the level tests and for the
+    benchmark's tracer, which times it by name and counts its extensions.
     """
     result = {ROOT_QUANT: LevelMatchSet([root_match])}
     for qid, search in list(_compile(rule).items())[1:]:
         extensions = [
-            Match(assignment, parent=pm)
-            for pm in result[search.parent].extensions
+            Match(assignment) for pm in result[search.parent].extensions
             for assignment in _level_assignments(rule, g, qid,
                                                  pm.assignment, tgs)]
         extensions.sort(key=Match.sort_key)

@@ -347,31 +347,26 @@ def _check_migration_topo(ctx: FixtureContext) -> list[str]:
     return problems
 
 
-def _deletion_expected(ctx: FixtureContext, with_edges: bool) -> HostGraph:
-    expected = ctx.start.copy()
-    victims = [nid for nid in expected.node_ids()
-               if NODE in expected.nodes[nid].types
-               and expected.get_attr(nid, "name") == Value.string("n1")]
-    for victim in victims:
-        if with_edges:
-            for e in _typed(expected, EDGE):
-                if (victim in expected.successors(e, SRC)
-                        or victim in expected.successors(e, TRG)):
-                    expected.delete_node_spo(e)
-        expected.delete_node_spo(victim)
-    return expected
+def _deletion_check(with_edges: bool) -> Callable[[FixtureContext], list[str]]:
+    kind = ("deletion with incident edge nodes" if with_edges
+            else "plain node deletion")
 
-
-def _check_delete_simple(ctx: FixtureContext) -> list[str]:
-    if not isomorphic(ctx.result, _deletion_expected(ctx, with_edges=False)):
-        return ["result differs from plain node deletion"]
-    return []
-
-
-def _check_delete_with_edges(ctx: FixtureContext) -> list[str]:
-    if not isomorphic(ctx.result, _deletion_expected(ctx, with_edges=True)):
-        return ["result differs from deletion with incident edge nodes"]
-    return []
+    def check(ctx: FixtureContext) -> list[str]:
+        expected = ctx.start.copy()
+        victims = [nid for nid in expected.node_ids()
+                   if NODE in expected.nodes[nid].types
+                   and expected.get_attr(nid, "name") == Value.string("n1")]
+        for victim in victims:
+            if with_edges:
+                for e in _typed(expected, EDGE):
+                    if (victim in expected.successors(e, SRC)
+                            or victim in expected.successors(e, TRG)):
+                        expected.delete_node_spo(e)
+            expected.delete_node_spo(victim)
+        if not isomorphic(ctx.result, expected):
+            return [f"result differs from {kind}"]
+        return []
+    return check
 
 
 def _check_transitive(ctx: FixtureContext) -> list[str]:
@@ -406,9 +401,10 @@ def fixtures() -> list[Fixture]:
         Fixture(id="migrateTopologyChange", grammar="migration_topo",
                 rule="migrateTopologyChange", check=_check_migration_topo),
         Fixture(id="deleteNodeN1", grammar="deletion", rule="deleteNodeN1",
-                check=_check_delete_simple),
+                check=_deletion_check(with_edges=False)),
         Fixture(id="deleteNodeN1WithEdges", grammar="deletion",
-                rule="deleteNodeN1WithEdges", check=_check_delete_with_edges),
+                rule="deleteNodeN1WithEdges",
+                check=_deletion_check(with_edges=True)),
         Fixture(id="insertTransitiveEdges", grammar="transitive",
                 rule="insertTransitiveEdges", check=_check_transitive),
     ]

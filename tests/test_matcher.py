@@ -294,7 +294,8 @@ def test_forall_levels_agree_with_brute_force():
             got = [m.assignment for m in ext]
             expected = brute_level_matches(rule, g, root.assignment, "each")
             assert got == expected, f"seed {seed}: {got} != {expected}"
-            assert all(m.parent is root for m in ext)
+            assert all(root.assignment.items() <= m.assignment.items()
+                       for m in ext)
             levels_checked += 1
     assert levels_checked >= 100
 
@@ -456,6 +457,59 @@ def test_matching_never_changes_the_graph_indexes():
                 seen["from the type index"] += (
                     not labels and st.node.type_constraint is not None)
     assert min(seen.values()) >= 40, seen
+
+
+def _even(assignment: dict[str, int]) -> bool:
+    """A ``keep`` that rejects about half of all assignments."""
+    return sum(assignment.values()) % 2 == 0
+
+
+def _check_search_loop(search: matcher._Search, g: HostGraph,
+                       base: dict[str, int],
+                       tgs: list[TypeGraph] | None,
+                       seen: Counter) -> list[dict[str, int]]:
+    """Check ``first`` and ``keep`` of one search against its full result,
+    and that no call changes ``base``.  Count it by its number of steps,
+    three or more as 3, when it has two results or more, some kept and some
+    not.  Return the full result."""
+    before = dict(base)
+    full = matcher._extend(search, g, base, tgs)
+    kept = [a for a in full if _even(a)]
+    assert base == before
+    for first, keep, expected in [(True, None, full[:1]),
+                                  (False, _even, kept),
+                                  (True, _even, kept[:1])]:
+        got = matcher._extend(search, g, base, tgs, first, keep)
+        assert got == expected, (first, keep)
+        assert base == before
+    if len(full) >= 2 and 0 < len(kept) < len(full):
+        seen[min(len(search.steps), 3)] += 1
+    return full
+
+
+def test_the_search_loop_stops_filters_and_leaves_its_base_alone():
+    """Every level search and NAC search of the random rules, on every
+    assignment its parent level or its level can give it, with and without
+    a type graph."""
+    seen = Counter()
+    for seed in range(1500):
+        rng = random.Random(90_000 + seed)
+        tgs = [random_type_graph(rng)]
+        rule = (random_step_rule(rng) if seed % 2
+                else random_rule(rng, TYPES))
+        g = random_host(rng, TYPES)
+        for enabled in (None, tgs):
+            found: dict[str | None, list[dict[str, int]]] = {None: [{}]}
+            for qid, search in matcher._compile(rule).items():
+                found[qid] = [
+                    a for base in found[search.parent]
+                    for a in _check_search_loop(search, g, base, enabled,
+                                                seen)]
+                nacs = [s for condition in search.nacs for s in condition]
+                for a in found[qid]:
+                    for s in nacs:
+                        _check_search_loop(s, g, a, enabled, seen)
+    assert set(seen) == {1, 2, 3} and min(seen.values()) >= 40, seen
 
 
 def random_grouped_rule(rng: random.Random) -> Rule:
@@ -713,7 +767,8 @@ def test_universal_level_collects_every_extension():
     (root,) = find_root_matches(rule, g)
     levels = collect_level_matches(rule, g, root)
     assert len(levels["q"].extensions) == 3
-    assert all(m.parent is root for m in levels["q"].extensions)
+    assert all(root.assignment.items() <= m.assignment.items()
+               for m in levels["q"].extensions)
 
 
 def test_nested_levels_link_to_their_parent_extension():
@@ -729,11 +784,11 @@ def test_nested_levels_link_to_their_parent_extension():
     (root,) = find_root_matches(rule, g)
     levels = collect_level_matches(rule, g, root)
     assert len(levels["outer"].extensions) == 3
-    # one inner extension per host edge, hanging off the right parent
+    # one inner extension per host edge, each extending one outer extension
     assert len(levels["inner"].extensions) == 3
     for m in levels["inner"].extensions:
-        assert m.parent in levels["outer"].extensions
-        assert m.assignment["a"] == m.parent.assignment["a"]
+        assert sum(p.assignment.items() <= m.assignment.items()
+                   for p in levels["outer"].extensions) == 1
 
 
 def test_level_nacs_filter_extensions_individually():
